@@ -7,65 +7,21 @@
 //! costs come from a shared [`PairwiseDistances`] cache, whose pair and
 //! zero-diameter fast paths cover the bulk of early-round evaluations.
 
-use kanon_core::error::{Error, Result};
+use kanon_core::error::Result;
 use kanon_core::govern::Budget;
 use kanon_core::{Dataset, PairwiseDistances, Partition};
 
-/// Builds a partition by agglomerative merging.
+/// Builds a partition by agglomerative merging. The distance-cache build
+/// and every merge-candidate evaluation poll `budget`.
 ///
 /// # Errors
-/// Standard `k` validation errors.
-pub fn agglomerative(ds: &Dataset, k: usize) -> Result<Partition> {
-    try_agglomerative_governed(ds, k, &Budget::unlimited())
-}
-
-/// [`agglomerative`] under a [`Budget`]: the distance-cache build and the
-/// merge scan poll the budget at bounded intervals.
-///
-/// # Errors
-/// As [`agglomerative`]; additionally
+/// Standard `k` validation errors, or
 /// [`kanon_core::Error::BudgetExceeded`] when the budget trips.
-pub fn try_agglomerative_governed(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
+pub fn agglomerative(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
     ds.check_k(k)?;
     budget.check()?;
-    let cache = PairwiseDistances::try_build_governed(ds, Some(1), budget)?;
-    try_agglomerative_governed_with_cache(ds, k, &cache, budget)
-}
-
-/// [`agglomerative`] over a caller-supplied distance cache.
-///
-/// # Errors
-/// As [`agglomerative`]; additionally [`Error::InvalidPartition`] if the
-/// cache was built for a different row count.
-pub fn agglomerative_with_cache(
-    ds: &Dataset,
-    k: usize,
-    cache: &PairwiseDistances,
-) -> Result<Partition> {
-    try_agglomerative_governed_with_cache(ds, k, cache, &Budget::unlimited())
-}
-
-/// [`agglomerative_with_cache`] under a [`Budget`], polled once per
-/// merge-candidate evaluation.
-///
-/// # Errors
-/// As [`agglomerative_with_cache`]; additionally
-/// [`kanon_core::Error::BudgetExceeded`] when the budget trips.
-pub fn try_agglomerative_governed_with_cache(
-    ds: &Dataset,
-    k: usize,
-    cache: &PairwiseDistances,
-    budget: &Budget,
-) -> Result<Partition> {
-    ds.check_k(k)?;
-    budget.check()?;
+    let cache = PairwiseDistances::build(ds, Some(1), budget)?;
     let n = ds.n_rows();
-    if cache.n() != n {
-        return Err(Error::InvalidPartition(format!(
-            "distance cache covers {} rows but the dataset has {n}",
-            cache.n()
-        )));
-    }
     let mut blocks: Vec<Vec<u32>> = (0..n as u32).map(|r| vec![r]).collect();
     let mut costs: Vec<usize> = vec![0; n];
     let mut ticker = budget.ticker();
@@ -111,11 +67,12 @@ pub fn try_agglomerative_governed_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kanon_core::Error;
 
     #[test]
     fn merges_duplicates_first() {
         let ds = Dataset::from_rows(vec![vec![1, 1], vec![1, 1], vec![5, 5], vec![5, 5]]).unwrap();
-        let p = agglomerative(&ds, 2).unwrap();
+        let p = agglomerative(&ds, 2, &Budget::unlimited()).unwrap();
         assert_eq!(p.anonymization_cost(&ds), 0);
         assert_eq!(p.n_blocks(), 2);
     }
@@ -123,7 +80,7 @@ mod tests {
     #[test]
     fn handles_odd_counts() {
         let ds = Dataset::from_fn(5, 3, |i, j| ((i + j) % 3) as u32);
-        let p = agglomerative(&ds, 2).unwrap();
+        let p = agglomerative(&ds, 2, &Budget::unlimited()).unwrap();
         assert!(p.min_block_size().unwrap() >= 2);
         let total: usize = p.blocks().iter().map(Vec::len).sum();
         assert_eq!(total, 5);
@@ -132,7 +89,7 @@ mod tests {
     #[test]
     fn single_block_when_k_equals_n() {
         let ds = Dataset::from_fn(3, 2, |i, _| i as u32);
-        let p = agglomerative(&ds, 3).unwrap();
+        let p = agglomerative(&ds, 3, &Budget::unlimited()).unwrap();
         assert_eq!(p.n_blocks(), 1);
     }
 
@@ -145,39 +102,25 @@ mod tests {
             vec![7, 7, 8],
         ])
         .unwrap();
-        let p = agglomerative(&ds, 2).unwrap();
+        let p = agglomerative(&ds, 2, &Budget::unlimited()).unwrap();
         assert_eq!(p.anonymization_cost(&ds), 4); // two within-cluster pairs
-    }
-
-    #[test]
-    fn shared_cache_matches_internal_build() {
-        let ds = Dataset::from_fn(9, 3, |i, j| ((i * 5 + j) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
-        let a = agglomerative(&ds, 3).unwrap();
-        let b = agglomerative_with_cache(&ds, 3, &cache).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mismatched_cache_rejected() {
-        let ds = Dataset::from_fn(6, 2, |i, _| i as u32);
-        let other = Dataset::from_fn(5, 2, |i, _| i as u32);
-        let cache = PairwiseDistances::build(&other);
-        assert!(agglomerative_with_cache(&ds, 2, &cache).is_err());
     }
 
     #[test]
     fn bad_k() {
         let ds = Dataset::from_fn(3, 2, |i, _| i as u32);
-        assert!(agglomerative(&ds, 0).is_err());
-        assert!(agglomerative(&ds, 9).is_err());
+        assert!(agglomerative(&ds, 0, &Budget::unlimited()).is_err());
+        assert!(agglomerative(&ds, 9, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(17, 3, |i, j| ((i * 11 + j * 3) % 6) as u32);
-        let a = agglomerative(&ds, 3).unwrap();
-        let b = try_agglomerative_governed(&ds, 3, &Budget::unlimited()).unwrap();
+        let a = agglomerative(&ds, 3, &Budget::unlimited()).unwrap();
+        let b = agglomerative(&ds, 3, &roomy).unwrap();
         assert_eq!(a, b);
     }
 
@@ -186,7 +129,7 @@ mod tests {
         let ds = Dataset::from_fn(17, 3, |i, j| ((i * 11 + j * 3) % 6) as u32);
         let budget = Budget::unlimited();
         budget.cancel();
-        let err = try_agglomerative_governed(&ds, 3, &budget).unwrap_err();
+        let err = agglomerative(&ds, 3, &budget).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }), "{err}");
     }
 }

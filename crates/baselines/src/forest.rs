@@ -253,6 +253,7 @@ fn decompose(
 mod tests {
     use super::*;
     use kanon_core::exact::{subset_dp, SubsetDpConfig};
+    use kanon_core::Budget;
     use proptest::prelude::*;
 
     #[test]
@@ -316,7 +317,8 @@ mod tests {
             let p = forest(&ds, k, &ForestConfig::default()).unwrap();
             prop_assert!(p.min_block_size().unwrap() >= k);
             let cost = p.anonymization_cost(&ds);
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap().cost;
+            let opt =
+                subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap().cost;
             prop_assert!(cost >= opt);
             let all: Vec<usize> = (0..10).collect();
             let trivial = kanon_core::diameter::anon_cost(&ds, &all);

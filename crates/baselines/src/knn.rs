@@ -7,65 +7,22 @@
 //! k-anonymizers refine; `O(n²·m)` (dominated by the distance-cache build —
 //! the grouping rounds themselves are `O(n² log n)` cache lookups).
 
-use kanon_core::error::{Error, Result};
+use kanon_core::error::Result;
 use kanon_core::govern::Budget;
 use kanon_core::{Dataset, PairwiseDistances, Partition};
 
-/// Builds a partition by greedy nearest-neighbour grouping.
+/// Builds a partition by greedy nearest-neighbour grouping. The
+/// distance-cache build and every distance lookup in the grouping rounds
+/// poll `budget`.
 ///
 /// # Errors
-/// Standard `k` validation errors.
-pub fn knn_greedy(ds: &Dataset, k: usize) -> Result<Partition> {
-    try_knn_greedy_governed(ds, k, &Budget::unlimited())
-}
-
-/// [`knn_greedy`] under a [`Budget`]: the distance-cache build and the
-/// grouping rounds poll the budget at bounded intervals.
-///
-/// # Errors
-/// As [`knn_greedy`]; additionally [`kanon_core::Error::BudgetExceeded`]
-/// when the budget trips.
-pub fn try_knn_greedy_governed(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
-    ds.check_k(k)?;
-    budget.check()?;
-    let cache = PairwiseDistances::try_build_governed(ds, Some(1), budget)?;
-    try_knn_greedy_governed_with_cache(ds, k, &cache, budget)
-}
-
-/// [`knn_greedy`] over a caller-supplied distance cache.
-///
-/// # Errors
-/// As [`knn_greedy`]; additionally [`Error::InvalidPartition`] if the cache
-/// was built for a different row count.
-pub fn knn_greedy_with_cache(
-    ds: &Dataset,
-    k: usize,
-    cache: &PairwiseDistances,
-) -> Result<Partition> {
-    try_knn_greedy_governed_with_cache(ds, k, cache, &Budget::unlimited())
-}
-
-/// [`knn_greedy_with_cache`] under a [`Budget`], polled once per distance
-/// lookup in each grouping round.
-///
-/// # Errors
-/// As [`knn_greedy_with_cache`]; additionally
+/// Standard `k` validation errors, or
 /// [`kanon_core::Error::BudgetExceeded`] when the budget trips.
-pub fn try_knn_greedy_governed_with_cache(
-    ds: &Dataset,
-    k: usize,
-    cache: &PairwiseDistances,
-    budget: &Budget,
-) -> Result<Partition> {
+pub fn knn_greedy(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
     ds.check_k(k)?;
     budget.check()?;
+    let cache = PairwiseDistances::build(ds, Some(1), budget)?;
     let n = ds.n_rows();
-    if cache.n() != n {
-        return Err(Error::InvalidPartition(format!(
-            "distance cache covers {} rows but the dataset has {n}",
-            cache.n()
-        )));
-    }
     let mut unassigned: Vec<u32> = (0..n as u32).collect();
     let mut blocks: Vec<Vec<u32>> = Vec::new();
     let mut ticker = budget.ticker();
@@ -95,18 +52,19 @@ pub fn try_knn_greedy_governed_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kanon_core::Error;
 
     #[test]
     fn groups_duplicates_together() {
         let ds = Dataset::from_rows(vec![vec![0, 0], vec![9, 9], vec![0, 0], vec![9, 9]]).unwrap();
-        let p = knn_greedy(&ds, 2).unwrap();
+        let p = knn_greedy(&ds, 2, &Budget::unlimited()).unwrap();
         assert_eq!(p.anonymization_cost(&ds), 0);
     }
 
     #[test]
     fn remainder_forms_final_block() {
         let ds = Dataset::from_fn(7, 2, |i, _| i as u32);
-        let p = knn_greedy(&ds, 3).unwrap();
+        let p = knn_greedy(&ds, 3, &Budget::unlimited()).unwrap();
         let mut sizes: Vec<usize> = p.blocks().iter().map(Vec::len).collect();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![3, 4]);
@@ -115,39 +73,25 @@ mod tests {
     #[test]
     fn k_equals_n() {
         let ds = Dataset::from_fn(4, 2, |i, _| i as u32);
-        let p = knn_greedy(&ds, 4).unwrap();
+        let p = knn_greedy(&ds, 4, &Budget::unlimited()).unwrap();
         assert_eq!(p.n_blocks(), 1);
-    }
-
-    #[test]
-    fn shared_cache_matches_internal_build() {
-        let ds = Dataset::from_fn(11, 3, |i, j| ((i * 7 + j) % 5) as u32);
-        let cache = PairwiseDistances::build(&ds);
-        let a = knn_greedy(&ds, 3).unwrap();
-        let b = knn_greedy_with_cache(&ds, 3, &cache).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mismatched_cache_rejected() {
-        let ds = Dataset::from_fn(6, 2, |i, _| i as u32);
-        let other = Dataset::from_fn(5, 2, |i, _| i as u32);
-        let cache = PairwiseDistances::build(&other);
-        assert!(knn_greedy_with_cache(&ds, 2, &cache).is_err());
     }
 
     #[test]
     fn bad_k() {
         let ds = Dataset::from_fn(3, 2, |i, _| i as u32);
-        assert!(knn_greedy(&ds, 0).is_err());
-        assert!(knn_greedy(&ds, 4).is_err());
+        assert!(knn_greedy(&ds, 0, &Budget::unlimited()).is_err());
+        assert!(knn_greedy(&ds, 4, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(19, 3, |i, j| ((i * 7 + j * 5) % 6) as u32);
-        let a = knn_greedy(&ds, 3).unwrap();
-        let b = try_knn_greedy_governed(&ds, 3, &Budget::unlimited()).unwrap();
+        let a = knn_greedy(&ds, 3, &Budget::unlimited()).unwrap();
+        let b = knn_greedy(&ds, 3, &roomy).unwrap();
         assert_eq!(a, b);
     }
 
@@ -156,7 +100,7 @@ mod tests {
         let ds = Dataset::from_fn(19, 3, |i, j| ((i * 7 + j * 5) % 6) as u32);
         let budget = Budget::unlimited();
         budget.cancel();
-        let err = try_knn_greedy_governed(&ds, 3, &budget).unwrap_err();
+        let err = knn_greedy(&ds, 3, &budget).unwrap_err();
         assert!(matches!(err, Error::BudgetExceeded { .. }), "{err}");
     }
 
@@ -170,7 +114,7 @@ mod tests {
             vec![9, 9, 8],
         ])
         .unwrap();
-        let p = knn_greedy(&ds, 2).unwrap();
+        let p = knn_greedy(&ds, 2, &Budget::unlimited()).unwrap();
         // Each within-cluster pair suppresses 1 column in 2 rows.
         assert_eq!(p.anonymization_cost(&ds), 4);
     }

@@ -26,15 +26,13 @@
 
 use std::time::{Duration, Instant};
 
-use kanon_core::algo::{
-    anonymization_from_partition, try_center_greedy_governed, try_exhaustive_greedy_governed,
-};
+use kanon_core::algo::{anonymization_from_partition, center_greedy, exhaustive_greedy};
 use kanon_core::error::{Error, Result};
 use kanon_core::govern::Budget;
 use kanon_core::greedy::{CenterConfig, FullCoverConfig};
 use kanon_core::{Algorithm, Anonymization, Dataset};
 
-use crate::agglomerative::try_agglomerative_governed;
+use crate::agglomerative::agglomerative;
 
 /// One rung of the degradation ladder, in descending guarantee order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -200,10 +198,10 @@ fn attempt(
             solver: "generalization-lattice",
             limit: "requires hierarchies; driven by the pipeline auto path".to_string(),
         }),
-        Rung::FullGreedyCover => try_exhaustive_greedy_governed(ds, k, &config.full, budget),
-        Rung::CenterGreedy => try_center_greedy_governed(ds, k, &config.center, budget),
+        Rung::FullGreedyCover => exhaustive_greedy(ds, k, &config.full, budget),
+        Rung::CenterGreedy => center_greedy(ds, k, &config.center, budget),
         Rung::Agglomerative => {
-            let partition = try_agglomerative_governed(ds, k, budget)?;
+            let partition = agglomerative(ds, k, budget)?;
             anonymization_from_partition(ds, partition, k, Algorithm::External("agglomerative"))
         }
     }
@@ -316,8 +314,9 @@ mod tests {
         assert!(!report.degraded());
         assert_eq!(report.guarantee, "3k(1+ln k)");
         assert_eq!(report.attempts.len(), 1);
-        // Byte-identical to the ungoverned Theorem 4.1 pipeline.
-        let direct = exhaustive_greedy(&ds, 3, &FullCoverConfig::default()).unwrap();
+        // Byte-identical to the Theorem 4.1 pipeline run directly.
+        let direct =
+            exhaustive_greedy(&ds, 3, &FullCoverConfig::default(), &Budget::unlimited()).unwrap();
         assert_eq!(anon.partition, direct.partition);
         assert_eq!(anon.cost, direct.cost);
         assert!(anon.table.is_k_anonymous(3));

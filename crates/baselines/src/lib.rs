@@ -37,21 +37,17 @@ pub mod ladder;
 pub mod mondrian;
 pub mod random;
 
-pub use agglomerative::{
-    agglomerative, agglomerative_with_cache, try_agglomerative_governed,
-    try_agglomerative_governed_with_cache,
-};
+pub use agglomerative::agglomerative;
 pub use forest::forest;
-pub use knn::{
-    knn_greedy, knn_greedy_with_cache, try_knn_greedy_governed, try_knn_greedy_governed_with_cache,
-};
+pub use knn::knn_greedy;
 pub use ladder::{run_ladder, LadderConfig, RunReport, Rung, RungOutcome, RungReport};
-pub use mondrian::{mondrian, try_mondrian_governed};
+pub use mondrian::mondrian;
 pub use random::random_partition;
 
 #[cfg(test)]
 mod tests {
     use kanon_core::rounding::suppressor_for_partition;
+    use kanon_core::Budget;
     use kanon_core::Dataset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -64,9 +60,9 @@ mod tests {
         let k = 3;
         let partitions = vec![
             super::random_partition(&mut rng, ds.n_rows(), k).unwrap(),
-            super::knn_greedy(&ds, k).unwrap(),
-            super::agglomerative(&ds, k).unwrap(),
-            super::mondrian(&ds, k).unwrap(),
+            super::knn_greedy(&ds, k, &Budget::unlimited()).unwrap(),
+            super::agglomerative(&ds, k, &Budget::unlimited()).unwrap(),
+            super::mondrian(&ds, k, &Budget::unlimited()).unwrap(),
         ];
         for p in partitions {
             assert!(p.min_block_size().unwrap() >= k);

@@ -12,30 +12,22 @@ use kanon_core::error::Result;
 use kanon_core::govern::{Budget, PollTicker};
 use kanon_core::{Dataset, Partition};
 
-/// Builds a partition by recursive median splits.
+/// Builds a partition by recursive median splits. The splitter polls
+/// `budget` once per row scanned while choosing and applying each cut.
 ///
 /// ```
-/// use kanon_core::Dataset;
+/// use kanon_core::{Budget, Dataset};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![0, 0], vec![0, 1], vec![9, 9], vec![9, 8],
 /// ]).unwrap();
-/// let p = kanon_baselines::mondrian(&ds, 2).unwrap();
+/// let p = kanon_baselines::mondrian(&ds, 2, &Budget::unlimited()).unwrap();
 /// assert_eq!(p.n_blocks(), 2); // splits on the wide first column
 /// ```
 ///
 /// # Errors
-/// Standard `k` validation errors.
-pub fn mondrian(ds: &Dataset, k: usize) -> Result<Partition> {
-    try_mondrian_governed(ds, k, &Budget::unlimited())
-}
-
-/// [`mondrian`] under a [`Budget`]: the recursive splitter polls the budget
-/// once per row scanned while choosing and applying each cut.
-///
-/// # Errors
-/// As [`mondrian`]; additionally [`kanon_core::Error::BudgetExceeded`] when
-/// the budget trips.
-pub fn try_mondrian_governed(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
+/// Standard `k` validation errors, or
+/// [`kanon_core::Error::BudgetExceeded`] when the budget trips.
+pub fn mondrian(ds: &Dataset, k: usize, budget: &Budget) -> Result<Partition> {
     ds.check_k(k)?;
     budget.check()?;
     let n = ds.n_rows();
@@ -130,7 +122,7 @@ mod tests {
     #[test]
     fn splits_two_obvious_clusters() {
         let ds = Dataset::from_rows(vec![vec![0, 0], vec![0, 1], vec![9, 9], vec![9, 8]]).unwrap();
-        let p = mondrian(&ds, 2).unwrap();
+        let p = mondrian(&ds, 2, &Budget::unlimited()).unwrap();
         assert_eq!(p.n_blocks(), 2);
         assert_eq!(p.anonymization_cost(&ds), 4);
     }
@@ -138,7 +130,7 @@ mod tests {
     #[test]
     fn constant_table_single_block() {
         let ds = Dataset::from_fn(10, 3, |_, _| 7);
-        let p = mondrian(&ds, 2).unwrap();
+        let p = mondrian(&ds, 2, &Budget::unlimited()).unwrap();
         assert_eq!(p.n_blocks(), 1);
         assert_eq!(p.anonymization_cost(&ds), 0);
     }
@@ -147,7 +139,7 @@ mod tests {
     fn block_sizes_at_least_k() {
         let ds = Dataset::from_fn(31, 4, |i, j| ((i * 13 + j * 5) % 7) as u32);
         for k in [2, 3, 5] {
-            let p = mondrian(&ds, k).unwrap();
+            let p = mondrian(&ds, k, &Budget::unlimited()).unwrap();
             assert!(p.min_block_size().unwrap() >= k, "k = {k}");
             let total: usize = p.blocks().iter().map(Vec::len).sum();
             assert_eq!(total, 31);
@@ -159,7 +151,7 @@ mod tests {
         // 9 copies of value 0 and 3 of value 1: median is 0; strict < cut
         // yields an empty left, so the <= fallback must fire.
         let ds = Dataset::from_fn(12, 1, |i, _| u32::from(i >= 9));
-        let p = mondrian(&ds, 3).unwrap();
+        let p = mondrian(&ds, 3, &Budget::unlimited()).unwrap();
         assert_eq!(p.n_blocks(), 2);
         assert_eq!(p.anonymization_cost(&ds), 0);
     }
@@ -167,15 +159,18 @@ mod tests {
     #[test]
     fn bad_k() {
         let ds = Dataset::from_fn(3, 1, |i, _| i as u32);
-        assert!(mondrian(&ds, 0).is_err());
-        assert!(mondrian(&ds, 4).is_err());
+        assert!(mondrian(&ds, 0, &Budget::unlimited()).is_err());
+        assert!(mondrian(&ds, 4, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(31, 4, |i, j| ((i * 13 + j * 5) % 7) as u32);
-        let a = mondrian(&ds, 3).unwrap();
-        let b = try_mondrian_governed(&ds, 3, &Budget::unlimited()).unwrap();
+        let a = mondrian(&ds, 3, &Budget::unlimited()).unwrap();
+        let b = mondrian(&ds, 3, &roomy).unwrap();
         assert_eq!(a, b);
     }
 
@@ -184,6 +179,6 @@ mod tests {
         let ds = Dataset::from_fn(31, 4, |i, j| ((i * 13 + j * 5) % 7) as u32);
         let budget = Budget::unlimited();
         budget.cancel();
-        assert!(try_mondrian_governed(&ds, 3, &budget).is_err());
+        assert!(mondrian(&ds, 3, &budget).is_err());
     }
 }

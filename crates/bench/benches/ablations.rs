@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_core::greedy::{center_greedy_cover, reduce, CenterConfig};
+use kanon_core::Budget;
 use kanon_workloads::{zipf, ZipfParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +29,8 @@ fn bench_zero_radius(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(zero), &config, |b, config| {
             b.iter(|| {
-                let cover = center_greedy_cover(&ds, k, config).unwrap();
+                let cover =
+                    center_greedy_cover(&ds, k, config, None, &Budget::unlimited()).unwrap();
                 reduce(&cover, k).unwrap().anonymization_cost(&ds)
             });
         });
@@ -48,7 +50,8 @@ fn bench_split_large(c: &mut Criterion) {
         },
     );
     let k = 4usize;
-    let cover = center_greedy_cover(&ds, k, &CenterConfig::default()).unwrap();
+    let cover =
+        center_greedy_cover(&ds, k, &CenterConfig::default(), None, &Budget::unlimited()).unwrap();
     let partition = reduce(&cover, k).unwrap();
     let mut group = c.benchmark_group("ablations/split_large");
     group.sample_size(10);
@@ -88,7 +91,8 @@ fn bench_threads(c: &mut Criterion) {
             &config,
             |b, config| {
                 b.iter(|| {
-                    let cover = center_greedy_cover(&ds, k, config).unwrap();
+                    let cover =
+                        center_greedy_cover(&ds, k, config, None, &Budget::unlimited()).unwrap();
                     reduce(&cover, k).unwrap().anonymization_cost(&ds)
                 });
             },

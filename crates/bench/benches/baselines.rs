@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_baselines::forest::{forest, ForestConfig};
 use kanon_baselines::{agglomerative, knn_greedy, mondrian, random_partition};
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_workloads::{zipf, ZipfParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,19 +26,31 @@ fn bench_partitioners(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function(BenchmarkId::from_parameter("center_greedy"), |b| {
         b.iter(|| {
-            algo::center_greedy(&ds, k, &Default::default())
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .unwrap()
                 .cost
         });
     });
     group.bench_function(BenchmarkId::from_parameter("knn_greedy"), |b| {
-        b.iter(|| knn_greedy(&ds, k).unwrap().anonymization_cost(&ds));
+        b.iter(|| {
+            knn_greedy(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds)
+        });
     });
     group.bench_function(BenchmarkId::from_parameter("agglomerative"), |b| {
-        b.iter(|| agglomerative(&ds, k).unwrap().anonymization_cost(&ds));
+        b.iter(|| {
+            agglomerative(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds)
+        });
     });
     group.bench_function(BenchmarkId::from_parameter("mondrian"), |b| {
-        b.iter(|| mondrian(&ds, k).unwrap().anonymization_cost(&ds));
+        b.iter(|| {
+            mondrian(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds)
+        });
     });
     group.bench_function(BenchmarkId::from_parameter("forest"), |b| {
         b.iter(|| {

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_workloads::{clustered, uniform, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +16,7 @@ fn bench_n_sweep(c: &mut Criterion) {
         let ds = uniform(&mut rng, n, 16, 4);
         group.bench_with_input(BenchmarkId::from_parameter(n), &ds, |b, ds| {
             b.iter(|| {
-                algo::center_greedy(ds, 5, &Default::default())
+                algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });
@@ -32,7 +33,7 @@ fn bench_m_sweep(c: &mut Criterion) {
         let ds = uniform(&mut rng, 300, m, 4);
         group.bench_with_input(BenchmarkId::from_parameter(m), &ds, |b, ds| {
             b.iter(|| {
-                algo::center_greedy(ds, 5, &Default::default())
+                algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });
@@ -60,7 +61,7 @@ fn bench_workload_shapes(c: &mut Criterion) {
     for (name, ds) in [("uniform", &uniform_ds), ("clustered", &clustered_ds)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), ds, |b, ds| {
             b.iter(|| {
-                algo::center_greedy(ds, 5, &Default::default())
+                algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });

@@ -19,6 +19,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kanon_core::distcache::PairwiseDistances;
 use kanon_core::greedy::{full_greedy_cover, FullCoverConfig};
 use kanon_core::metric::hamming;
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,14 +45,14 @@ fn bench_full_greedy(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("sequential", |b| {
         b.iter(|| {
-            full_greedy_cover(&ds, 3, &config(false, 1))
+            full_greedy_cover(&ds, 3, &config(false, 1), None, &Budget::unlimited())
                 .unwrap()
                 .n_sets()
         });
     });
     group.bench_function("parallel4", |b| {
         b.iter(|| {
-            full_greedy_cover(&ds, 3, &config(true, 4))
+            full_greedy_cover(&ds, 3, &config(true, 4), None, &Budget::unlimited())
                 .unwrap()
                 .n_sets()
         });
@@ -61,7 +62,7 @@ fn bench_full_greedy(c: &mut Criterion) {
 
 fn bench_diameter_source(c: &mut Criterion) {
     let ds = headline_instance();
-    let cache = PairwiseDistances::build(&ds);
+    let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
     let n = ds.n_rows();
     let mut group = c.benchmark_group("distcache/diameter_source_n60_s3");
     group.sample_size(10);
@@ -105,10 +106,22 @@ fn bench_cache_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("distcache/build_n1500_m16");
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        b.iter(|| black_box(PairwiseDistances::build(&ds).n()));
+        b.iter(|| {
+            black_box(
+                PairwiseDistances::build(&ds, Some(1), &Budget::unlimited())
+                    .unwrap()
+                    .n(),
+            )
+        });
     });
     group.bench_function("parallel4", |b| {
-        b.iter(|| black_box(PairwiseDistances::build_parallel(&ds, Some(4)).n()));
+        b.iter(|| {
+            black_box(
+                PairwiseDistances::build(&ds, Some(4), &Budget::unlimited())
+                    .unwrap()
+                    .n(),
+            )
+        });
     });
     group.finish();
 }

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_core::exact::{
     branch_and_bound, pattern_bb, subset_dp, BranchBoundConfig, PatternConfig, SubsetDpConfig,
 };
+use kanon_core::Budget;
 use kanon_workloads::{clustered, uniform, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +17,11 @@ fn bench_subset_dp(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(5 + n as u64);
         let ds = uniform(&mut rng, n, 6, 3);
         group.bench_with_input(BenchmarkId::from_parameter(n), &ds, |b, ds| {
-            b.iter(|| subset_dp(ds, 3, &SubsetDpConfig::default()).unwrap().cost);
+            b.iter(|| {
+                subset_dp(ds, 3, &SubsetDpConfig::default(), &Budget::unlimited())
+                    .unwrap()
+                    .cost
+            });
         });
     }
     group.finish();
@@ -40,7 +45,7 @@ fn bench_branch_and_bound(c: &mut Criterion) {
         let n = inst.dataset.n_rows();
         group.bench_with_input(BenchmarkId::from_parameter(n), &inst.dataset, |b, ds| {
             b.iter(|| {
-                branch_and_bound(ds, 3, &BranchBoundConfig::default())
+                branch_and_bound(ds, 3, &BranchBoundConfig::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });
@@ -65,7 +70,11 @@ fn bench_pattern_bb(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::from_parameter(m), &inst.dataset, |b, ds| {
-            b.iter(|| pattern_bb(ds, 3, &PatternConfig::default()).unwrap().cost);
+            b.iter(|| {
+                pattern_bb(ds, 3, &PatternConfig::default(), &Budget::unlimited())
+                    .unwrap()
+                    .cost
+            });
         });
     }
     group.finish();

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +17,7 @@ fn bench_n_sweep_k2(c: &mut Criterion) {
         let ds = uniform(&mut rng, n, 6, 3);
         group.bench_with_input(BenchmarkId::from_parameter(n), &ds, |b, ds| {
             b.iter(|| {
-                algo::exhaustive_greedy(ds, 2, &Default::default())
+                algo::exhaustive_greedy(ds, 2, &Default::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });
@@ -35,7 +36,7 @@ fn bench_k_sweep(c: &mut Criterion) {
     for k in [2usize, 3, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
-                algo::exhaustive_greedy(&ds, k, &Default::default())
+                algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                     .unwrap()
                     .cost
             });

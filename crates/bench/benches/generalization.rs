@@ -2,6 +2,7 @@
 //! cell-level generalization, and the linkage attacker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kanon_core::Budget;
 use kanon_relation::cellgen::anonymize_cells;
 use kanon_relation::{linkage_attack, GeneralizationLattice, Hierarchy, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
@@ -38,7 +39,7 @@ fn bench_lattice_search(c: &mut Criterion) {
     for k in [2usize, 5] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let lattice = GeneralizationLattice::new(&table, hierarchies()).unwrap();
-            b.iter(|| lattice.search_minimal(k).unwrap());
+            b.iter(|| lattice.search_minimal(k, &Budget::unlimited()).unwrap());
         });
     }
     group.finish();

@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use kanon_pipeline::{attack_tables, run_csv_private, PipelineConfig};
+use kanon_pipeline::{attack_tables, run_csv_private_with_progress, PipelineConfig};
 use kanon_privacy::PrivacyModel;
 use kanon_relation::linkage_attack;
 use kanon_workloads::{write_zipf_csv, ZipfParams};
@@ -161,13 +161,14 @@ fn main() {
     for rung in RUNGS {
         let model = PrivacyModel::parse(rung.spec).expect("rung specs are valid");
         let t = Instant::now();
-        let run = run_csv_private(
+        let run = run_csv_private_with_progress(
             csv.as_slice(),
             rung.k,
             None,
             Some("c4"),
             model,
             &PipelineConfig::default(),
+            &|_| {},
         )
         .expect("sweep rung completes");
         let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use kanon_core::distcache::PairwiseDistances;
 use kanon_core::govern::Budget;
-use kanon_core::greedy::{full_greedy_cover_with_cache, CandidateArena, FullCoverConfig};
+use kanon_core::greedy::{full_greedy_cover, CandidateArena, FullCoverConfig};
 use kanon_core::Cover;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
@@ -377,10 +377,12 @@ fn run_workload(spec: &Spec, threads: usize, reps: usize) -> WorkloadReport {
 
     // Cache build, sequential on both sides: isolates the packed kernel.
     let cache_before = time_ms(reps, || legacy::ScalarCache::build(&ds, 1));
-    let cache_after = time_ms(reps, || PairwiseDistances::build(&ds));
+    let cache_after = time_ms(reps, || {
+        PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap()
+    });
 
     let legacy_cache = legacy::ScalarCache::build(&ds, threads);
-    let cache = PairwiseDistances::build_parallel(&ds, Some(threads));
+    let cache = PairwiseDistances::build(&ds, Some(threads), &Budget::unlimited()).unwrap();
 
     // Materialization: per-candidate Vec + O(s²) diameters vs flat arena +
     // incremental prefix diameters, same thread count.
@@ -396,15 +398,16 @@ fn run_workload(spec: &Spec, threads: usize, reps: usize) -> WorkloadReport {
         legacy::greedy_cover(&cands, n, k)
     });
     let e2e_after = time_ms(reps, || {
-        let c = PairwiseDistances::build_parallel(&ds, Some(threads));
-        full_greedy_cover_with_cache(&ds, k, &config, &c).unwrap()
+        let c = PairwiseDistances::build(&ds, Some(threads), &Budget::unlimited()).unwrap();
+        full_greedy_cover(&ds, k, &config, Some(&c), &Budget::unlimited()).unwrap()
     });
 
     // Self-check: the frozen legacy pipeline and the current one must pick
     // the exact same cover, or the timings compare different work.
     let legacy_cands = legacy::materialize(&legacy_cache, n, k, threads);
     let legacy_cover = legacy::greedy_cover(&legacy_cands, n, k);
-    let current_cover: Cover = full_greedy_cover_with_cache(&ds, k, &config, &cache).unwrap();
+    let current_cover: Cover =
+        full_greedy_cover(&ds, k, &config, Some(&cache), &Budget::unlimited()).unwrap();
     let covers_agree = legacy_cover == current_cover;
 
     WorkloadReport {
@@ -446,10 +449,12 @@ fn run_cache_only(
     let mut rng = StdRng::seed_from_u64(seed);
     let ds = uniform(&mut rng, n, m, alphabet);
     let before = time_ms(reps, || legacy::ScalarCache::build(&ds, 1));
-    let after = time_ms(reps, || PairwiseDistances::build(&ds));
+    let after = time_ms(reps, || {
+        PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap()
+    });
     // Agreement spot check on a diagonal stripe.
     let legacy_cache = legacy::ScalarCache::build(&ds, 1);
-    let cache = PairwiseDistances::build(&ds);
+    let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
     let mut agree = true;
     for i in (0..n).step_by(97) {
         for j in (i + 1..n).step_by(31) {

@@ -11,6 +11,7 @@ use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::algo;
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_workloads::{clustered, uniform, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,10 +94,16 @@ pub fn run(ctx: &Ctx) -> String {
                                 clustered(&mut rng, &params).dataset
                             }
                         };
-                        let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
-                            .expect("grid sized for the DP");
-                        let greedy = algo::exhaustive_greedy(&ds, k, &Default::default())
-                            .expect("grid sized for the exhaustive greedy");
+                        let opt =
+                            subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
+                                .expect("grid sized for the DP");
+                        let greedy = algo::exhaustive_greedy(
+                            &ds,
+                            k,
+                            &Default::default(),
+                            &Budget::unlimited(),
+                        )
+                        .expect("grid sized for the exhaustive greedy");
                         pairs.push((greedy.cost, opt.cost));
                     }
                     let stats = ratio_stats(&pairs);

@@ -16,6 +16,7 @@ use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::algo;
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_workloads::{clustered, knn_lower_bound, uniform, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,10 +68,12 @@ pub fn run(ctx: &Ctx) -> String {
                                 clustered(&mut rng, &params).dataset
                             }
                         };
-                        let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
-                            .expect("grid sized for the DP");
-                        let greedy = algo::center_greedy(&ds, k, &Default::default())
-                            .expect("within guards");
+                        let opt =
+                            subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
+                                .expect("grid sized for the DP");
+                        let greedy =
+                            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+                                .expect("within guards");
                         pairs.push((greedy.cost, opt.cost));
                     }
                     let stats = ratio_stats(&pairs);
@@ -114,7 +117,8 @@ pub fn run(ctx: &Ctx) -> String {
         };
         let inst = clustered(&mut rng, &params);
         let greedy =
-            algo::center_greedy(&inst.dataset, k, &Default::default()).expect("within guards");
+            algo::center_greedy(&inst.dataset, k, &Default::default(), &Budget::unlimited())
+                .expect("within guards");
         let lb = knn_lower_bound(&inst.dataset, k);
         let vs_planted = if inst.planted_cost > 0 {
             greedy.cost as f64 / inst.planted_cost as f64

@@ -10,6 +10,7 @@
 use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +35,8 @@ pub fn run(ctx: &Ctx) -> String {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE3 + n as u64));
         let ds = uniform(&mut rng, n, m_fixed, 4);
         let (res, elapsed) = report::time(|| {
-            algo::center_greedy(&ds, k, &Default::default()).expect("within guards")
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+                .expect("within guards")
         });
         n_points.push((n as f64, elapsed.as_secs_f64()));
         table.row(vec![
@@ -58,7 +60,8 @@ pub fn run(ctx: &Ctx) -> String {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE3E3 + m as u64));
         let ds = uniform(&mut rng, n_fixed, m, 4);
         let (res, elapsed) = report::time(|| {
-            algo::center_greedy(&ds, k, &Default::default()).expect("within guards")
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+                .expect("within guards")
         });
         m_points.push((m as f64, elapsed.as_secs_f64()));
         table.row(vec![
@@ -83,8 +86,9 @@ pub fn run(ctx: &Ctx) -> String {
             threads,
             ..Default::default()
         };
-        let (res, elapsed) =
-            report::time(|| algo::center_greedy(&ds, k, &config).expect("within guards"));
+        let (res, elapsed) = report::time(|| {
+            algo::center_greedy(&ds, k, &config, &Budget::unlimited()).expect("within guards")
+        });
         assert_eq!(
             *thread_cost.get_or_insert(res.cost),
             res.cost,

@@ -17,6 +17,7 @@
 use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::exact::{min_diameter_sum, subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,10 +45,10 @@ pub fn run(ctx: &Ctx) -> String {
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE4 + t * 31 + k as u64));
             let ds = uniform(&mut rng, 9, 4, 3);
-            let dsum = min_diameter_sum(&ds, k, &SubsetDpConfig::default())
+            let dsum = min_diameter_sum(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
                 .expect("n = 9 fits")
                 .cost;
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
                 .expect("n = 9 fits")
                 .cost;
             // Lower: (k/2) dPi* <= OPT, i.e. k * dsum <= 2 * opt.

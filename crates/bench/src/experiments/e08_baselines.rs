@@ -12,6 +12,7 @@ use crate::report::Table;
 use crate::Ctx;
 use kanon_baselines::forest::{forest, ForestConfig};
 use kanon_baselines::{agglomerative, knn_greedy, mondrian, random_partition};
+use kanon_core::Budget;
 use kanon_core::{algo, Dataset};
 use kanon_workloads::{
     census_table, clustered, knn_lower_bound, uniform, zipf, CensusParams, ClusteredParams,
@@ -77,17 +78,21 @@ pub fn run(ctx: &Ctx) -> String {
     for (name, ds) in workloads(ctx, n) {
         for &k in ks {
             let lb = knn_lower_bound(&ds, k);
-            let center = algo::center_greedy(&ds, k, &Default::default())
+            let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
                 .cost;
-            let knn = knn_greedy(&ds, k).expect("valid k").anonymization_cost(&ds);
-            let agg = agglomerative(&ds, k)
+            let knn = knn_greedy(&ds, k, &Budget::unlimited())
+                .expect("valid k")
+                .anonymization_cost(&ds);
+            let agg = agglomerative(&ds, k, &Budget::unlimited())
                 .expect("valid k")
                 .anonymization_cost(&ds);
             let frs = forest(&ds, k, &ForestConfig::default())
                 .expect("valid k")
                 .anonymization_cost(&ds);
-            let mon = mondrian(&ds, k).expect("valid k").anonymization_cost(&ds);
+            let mon = mondrian(&ds, k, &Budget::unlimited())
+                .expect("valid k")
+                .anonymization_cost(&ds);
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE8F + k as u64));
             let rnd = random_partition(&mut rng, ds.n_rows(), k)
                 .expect("valid k")

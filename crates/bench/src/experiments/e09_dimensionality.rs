@@ -12,6 +12,7 @@ use crate::Ctx;
 use kanon_baselines::{knn_greedy, mondrian};
 use kanon_core::algo;
 use kanon_core::exact::{pattern_bb, PatternConfig};
+use kanon_core::Budget;
 use kanon_workloads::{clustered, ClusteredParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,10 +53,15 @@ pub fn run(ctx: &Ctx) -> String {
         let ds = &inst.dataset;
         let cells = (ds.n_rows() * ds.n_cols()) as f64;
         let (center, center_time) = report::time(|| {
-            algo::center_greedy(ds, k, &Default::default()).expect("within guards")
+            algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited())
+                .expect("within guards")
         });
-        let knn = knn_greedy(ds, k).expect("valid k").anonymization_cost(ds);
-        let mon = mondrian(ds, k).expect("valid k").anonymization_cost(ds);
+        let knn = knn_greedy(ds, k, &Budget::unlimited())
+            .expect("valid k")
+            .anonymization_cost(ds);
+        let mon = mondrian(ds, k, &Budget::unlimited())
+            .expect("valid k")
+            .anonymization_cost(ds);
         // The exact pattern engine only reaches tiny slices; run it on a
         // 20-row prefix at m = 8 to mark the feasibility frontier.
         let exact_note = if m <= 12 {
@@ -65,7 +71,7 @@ pub fn run(ctx: &Ctx) -> String {
                 max_nodes: 2_000_000,
                 ..Default::default()
             };
-            match pattern_bb(&small, k, &budget) {
+            match pattern_bb(&small, k, &budget, &Budget::unlimited()) {
                 Ok(opt) => format!("cost {} on 20-row slice", opt.cost),
                 Err(_) => "infeasible".to_string(),
             }

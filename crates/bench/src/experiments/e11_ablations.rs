@@ -14,6 +14,7 @@
 use crate::report::Table;
 use crate::Ctx;
 use kanon_core::greedy::{center_greedy_cover, reduce, CenterConfig};
+use kanon_core::Budget;
 use kanon_core::Dataset;
 use kanon_workloads::{clustered, uniform, zipf, ClusteredParams, ZipfParams};
 use rand::rngs::StdRng;
@@ -24,7 +25,7 @@ fn pipeline_cost(ds: &Dataset, k: usize, zero_radius: bool, split: bool) -> usiz
         include_zero_radius: zero_radius,
         ..Default::default()
     };
-    let cover = match center_greedy_cover(ds, k, &config) {
+    let cover = match center_greedy_cover(ds, k, &config, None, &Budget::unlimited()) {
         Ok(c) => c,
         Err(_) => return usize::MAX, // all-duplicate data with zero-radius off
     };

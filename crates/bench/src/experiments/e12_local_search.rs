@@ -12,6 +12,7 @@ use crate::Ctx;
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
 use kanon_core::greedy::{center_greedy_cover, reduce, CenterConfig};
 use kanon_core::local_search::{improve, LocalSearchConfig};
+use kanon_core::Budget;
 use kanon_workloads::{clustered, uniform, zipf, ClusteredParams, ZipfParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,11 +40,20 @@ pub fn run(ctx: &Ctx) -> String {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE12 + s * 131));
         let ds = uniform(&mut rng, 12, 5, 3);
         let k = 3;
-        let cover = center_greedy_cover(&ds, k, &CenterConfig::default()).expect("fits");
+        let cover =
+            center_greedy_cover(&ds, k, &CenterConfig::default(), None, &Budget::unlimited())
+                .expect("fits");
         let greedy = reduce(&cover, k).expect("valid").split_large(k);
         let greedy_cost = greedy.anonymization_cost(&ds);
-        let ls = improve(&ds, &greedy, k, &LocalSearchConfig::default()).expect("valid");
-        let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
+        let ls = improve(
+            &ds,
+            &greedy,
+            k,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .expect("valid");
+        let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
             .expect("fits")
             .cost;
         let gap = greedy_cost.saturating_sub(opt);
@@ -99,10 +109,19 @@ pub fn run(ctx: &Ctx) -> String {
         ),
     ] {
         let k = 5;
-        let cover = center_greedy_cover(&ds, k, &CenterConfig::default()).expect("fits");
+        let cover =
+            center_greedy_cover(&ds, k, &CenterConfig::default(), None, &Budget::unlimited())
+                .expect("fits");
         let greedy = reduce(&cover, k).expect("valid").split_large(k);
         let greedy_cost = greedy.anonymization_cost(&ds);
-        let ls = improve(&ds, &greedy, k, &LocalSearchConfig::default()).expect("valid");
+        let ls = improve(
+            &ds,
+            &greedy,
+            k,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .expect("valid");
         let pct = if greedy_cost == 0 {
             0.0
         } else {

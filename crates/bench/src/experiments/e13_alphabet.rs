@@ -14,6 +14,7 @@ use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::algo;
 use kanon_core::exact::{branch_and_bound, subset_dp, BranchBoundConfig, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,14 +52,16 @@ pub fn run(ctx: &Ctx) -> String {
         for s in 0..seeds {
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE13 + s * 257 + u64::from(alphabet)));
             let ds = uniform(&mut rng, n, m, alphabet);
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
                 .expect("n within the DP guard")
                 .cost;
-            let bb = branch_and_bound(&ds, k, &probe).expect("n within guard");
+            let bb =
+                branch_and_bound(&ds, k, &probe, &Budget::unlimited()).expect("n within guard");
             proven += usize::from(bb.proven_optimal);
             nodes.push(bb.nodes as f64);
             opts.push(opt as f64);
-            let greedy = algo::center_greedy(&ds, k, &Default::default()).expect("within guards");
+            let greedy = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+                .expect("within guards");
             if opt > 0 {
                 worst_ratio = worst_ratio.max(greedy.cost as f64 / opt as f64);
             } else if greedy.cost > 0 {

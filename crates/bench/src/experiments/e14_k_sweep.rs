@@ -12,6 +12,7 @@ use crate::Ctx;
 use kanon_baselines::knn_greedy;
 use kanon_core::rounding::suppressor_for_partition;
 use kanon_core::stats::{entropy_weighted_loss, release_stats};
+use kanon_core::Budget;
 use kanon_core::{algo, Dataset};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
@@ -63,9 +64,10 @@ pub fn run(ctx: &Ctx) -> String {
         "C_AVG",
     ]);
     for &k in ks {
-        let center = algo::center_greedy(&ds, k, &Default::default()).expect("within guards");
+        let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+            .expect("within guards");
         describe(&mut table, &ds, "center(4.2)", k, &center.partition);
-        let knn = knn_greedy(&ds, k).expect("valid k");
+        let knn = knn_greedy(&ds, k, &Budget::unlimited()).expect("valid k");
         describe(&mut table, &ds, "knn", k, &knn);
     }
     out.push_str(&table.render());

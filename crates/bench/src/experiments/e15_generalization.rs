@@ -18,6 +18,7 @@
 use crate::report::{self, Table as Report};
 use crate::Ctx;
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::cellgen::{anonymize_cells, is_table_k_anonymous};
 use kanon_relation::{GeneralizationLattice, Hierarchy, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
@@ -71,12 +72,16 @@ pub fn run(ctx: &Ctx) -> String {
     for &k in ks {
         // Suppression model: star fraction.
         let (ds, _) = table.encode();
-        let suppressed = algo::center_greedy(&ds, k, &Default::default()).expect("within guards");
+        let suppressed = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+            .expect("within guards");
         let supp_loss = suppressed.suppression_rate();
 
         // Full-domain lattice minimum.
         let lattice = GeneralizationLattice::new(&table, hs.clone()).expect("arity matches");
-        let fd_loss = match lattice.search_minimal(k).expect("hierarchies apply") {
+        let fd_loss = match lattice
+            .search_minimal(k, &Budget::unlimited())
+            .expect("hierarchies apply")
+        {
             Some(node) => lattice.precision_loss(&node).expect("node in range"),
             None => 1.0,
         };

@@ -17,6 +17,7 @@ use crate::Ctx;
 use kanon_baselines::forest::{forest, ForestConfig};
 use kanon_core::algo;
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,14 +47,14 @@ pub fn run(ctx: &Ctx) -> String {
         for s in 0..seeds {
             let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE16 + s * 37 + k as u64));
             let ds = uniform(&mut rng, n, m, 3);
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default())
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited())
                 .expect("n = 12 fits")
                 .cost;
-            let center = algo::center_greedy(&ds, k, &Default::default())
+            let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
                 .cost;
             center_pairs.push((center, opt));
-            let full = algo::exhaustive_greedy(&ds, k, &Default::default())
+            let full = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("small instance")
                 .cost;
             full_pairs.push((full, opt));

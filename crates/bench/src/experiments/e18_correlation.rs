@@ -11,6 +11,7 @@
 use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_workloads::correlated::{correlated, CorrelatedParams};
 use kanon_workloads::knn_lower_bound;
 use rand::rngs::StdRng;
@@ -41,7 +42,8 @@ pub fn run(ctx: &Ctx) -> String {
                 rho,
             },
         );
-        let result = algo::center_greedy(&ds, k, &Default::default()).expect("within guards");
+        let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+            .expect("within guards");
         let lb = knn_lower_bound(&ds, k);
         rates.push(result.suppression_rate());
         table.row(vec![

@@ -16,6 +16,7 @@ use kanon_core::local_search::{improve, improve_weighted, LocalSearchConfig};
 use kanon_core::rounding::suppressor_for_partition;
 use kanon_core::stats::entropy_weighted_loss;
 use kanon_core::weighted::{weighted_knn_greedy, ColumnWeights};
+use kanon_core::Budget;
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,10 +44,16 @@ pub fn run(ctx: &Ctx) -> String {
     let mut wins = 0usize;
     for &k in ks {
         // Flat pipeline: knn grouping + flat local search.
-        let flat = knn_greedy(&ds, k).expect("valid k");
-        let flat = improve(&ds, &flat, k, &LocalSearchConfig::default())
-            .expect("valid partition")
-            .partition;
+        let flat = knn_greedy(&ds, k, &Budget::unlimited()).expect("valid k");
+        let flat = improve(
+            &ds,
+            &flat,
+            k,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .expect("valid partition")
+        .partition;
         let flat_s = suppressor_for_partition(&ds, &flat).expect("valid");
         let flat_loss = entropy_weighted_loss(&ds, &flat_s);
 

@@ -12,6 +12,7 @@
 use crate::report::{self, Table};
 use crate::Ctx;
 use kanon_baselines::knn_greedy;
+use kanon_core::Budget;
 use kanon_privacy::{diversity_violations, enforce_l_diversity, is_l_diverse};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
@@ -53,7 +54,7 @@ pub fn run(ctx: &Ctx) -> String {
     ]);
     let mut failures = 0usize;
     for &k in ks {
-        let partition = knn_greedy(&ds, k).expect("valid k");
+        let partition = knn_greedy(&ds, k, &Budget::unlimited()).expect("valid k");
         for &l in ls {
             let violations =
                 diversity_violations(&partition, &sensitive, l).expect("arity matches");

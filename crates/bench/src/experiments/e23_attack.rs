@@ -19,7 +19,7 @@
 //! `BENCH_attack.json`.
 
 use crate::Ctx;
-use kanon_pipeline::{attack_tables, run_csv_private, PipelineConfig};
+use kanon_pipeline::{attack_tables, run_csv_private_with_progress, PipelineConfig};
 use kanon_privacy::PrivacyModel;
 use kanon_relation::linkage_attack;
 use kanon_workloads::{write_zipf_csv, ZipfParams};
@@ -86,13 +86,14 @@ pub fn run(ctx: &Ctx) -> String {
     let mut successes: Vec<(&str, f64)> = Vec::new();
     for &(label, k, spec) in rungs {
         let model = PrivacyModel::parse(spec).expect("rung specs are valid");
-        let run = run_csv_private(
+        let run = run_csv_private_with_progress(
             csv.as_slice(),
             k,
             None,
             Some("c4"),
             model,
             &PipelineConfig::default(),
+            &|_| {},
         )
         .expect("sweep rung completes");
         assert!(run.anonymization.table.is_k_anonymous(k), "{label}");

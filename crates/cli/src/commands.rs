@@ -406,8 +406,7 @@ fn verify(text: &str, k: usize, quasi: Option<&[String]>) -> Result<Outcome, Cli
 }
 
 /// Translates `--deadline-ms`/`--max-memory-mb` into a [`Budget`]. Without
-/// them the budget is unlimited and governed paths behave byte-identically
-/// to the ungoverned ones.
+/// them the budget is unlimited, which changes no solver's output.
 fn build_budget(
     deadline_ms: Option<u64>,
     max_memory_mb: Option<u64>,
@@ -466,10 +465,8 @@ fn anonymize(
     let mut ladder_notes: Vec<String> = Vec::new();
     let mut ladder_report: Option<kanon_baselines::RunReport> = None;
     let result = match algorithm {
-        Algorithm::Center => algo::try_center_greedy_governed(&ds, k, &center_config, &budget),
-        Algorithm::Exhaustive => {
-            algo::try_exhaustive_greedy_governed(&ds, k, &Default::default(), &budget)
-        }
+        Algorithm::Center => algo::center_greedy(&ds, k, &center_config, &budget),
+        Algorithm::Exhaustive => algo::exhaustive_greedy(&ds, k, &Default::default(), &budget),
         Algorithm::Ladder => {
             let config = kanon_baselines::LadderConfig {
                 budget: budget.clone(),
@@ -658,71 +655,43 @@ fn pipeline(
         budget: build_budget(deadline_ms, max_memory_mb),
         ..Default::default()
     };
-    // A privacy model beyond k (or an explicit sensitive column) routes to
-    // the suppression path with the sensitive column carved out; without
-    // either, no --quasi means the schema-driven auto path.
+    // With no --quasi, no privacy model beyond k and no sensitive column,
+    // the run takes the schema-driven auto path. Otherwise it takes the
+    // suppression path, with any sensitive column carved out of the
+    // quasi-identifier.
     let private = privacy.requires_sensitive() || sensitive.is_some();
-    if !private {
-        let Some(quasi) = quasi else {
-            return pipeline_auto(k, input, output, &config, hierarchies, compare, json);
-        };
-        if hierarchies.is_some() || compare {
-            return Err(CliError::Usage(format!(
-                "--hierarchies and --compare belong to the schema-driven auto \
-                 path; drop --quasi to use them\n\n{}",
-                usage()
-            )));
-        }
-        let quasi = Some(quasi);
-        let run = if input == "-" {
-            kanon_pipeline::run_csv(std::io::stdin().lock(), k, quasi, &config)
-        } else {
-            let file = std::fs::File::open(input)
-                .map_err(|e| CliError::Failed(format!("cannot read `{input}`: {e}")))?;
-            kanon_pipeline::run_csv(std::io::BufReader::new(file), k, quasi, &config)
-        }
-        .map_err(|e| map_pipeline_error(e, k))?;
-        return render_pipeline_run(run, output, json);
+    if !private && quasi.is_none() {
+        return pipeline_auto(k, input, output, &config, hierarchies, compare, json);
     }
     if hierarchies.is_some() || compare {
+        let fix = if private {
+            "they cannot combine with --privacy/--sensitive"
+        } else {
+            "drop --quasi to use them"
+        };
         return Err(CliError::Usage(format!(
             "--hierarchies and --compare belong to the schema-driven auto \
-             path; they cannot combine with --privacy/--sensitive\n\n{}",
+             path; {fix}\n\n{}",
             usage()
         )));
     }
-    let run = if input == "-" {
-        kanon_pipeline::run_csv_private(
-            std::io::stdin().lock(),
-            k,
-            quasi,
-            sensitive,
-            privacy,
-            &config,
-        )
+    let reader: Box<dyn Read> = if input == "-" {
+        Box::new(std::io::stdin().lock())
     } else {
         let file = std::fs::File::open(input)
             .map_err(|e| CliError::Failed(format!("cannot read `{input}`: {e}")))?;
-        kanon_pipeline::run_csv_private(
-            std::io::BufReader::new(file),
-            k,
-            quasi,
-            sensitive,
-            privacy,
-            &config,
-        )
-    }
+        Box::new(std::io::BufReader::new(file))
+    };
+    let run = kanon_pipeline::run_csv_private_with_progress(
+        reader,
+        k,
+        quasi,
+        sensitive,
+        privacy,
+        &config,
+        &|_| {},
+    )
     .map_err(|e| map_pipeline_error(e, k))?;
-    render_pipeline_run(run, output, json)
-}
-
-/// Renders a finished pipeline run — notes, released CSV, optional JSON —
-/// shared by the plain and privacy-constrained paths.
-fn render_pipeline_run(
-    run: kanon_pipeline::CsvRun,
-    output: Option<&str>,
-    json: bool,
-) -> Result<Outcome, CliError> {
     let mut notes = vec![
         format!(
             "pipeline: {} rows in {} shard(s) (+{} residue rows), strategy {}, {} worker(s)",

@@ -11,8 +11,7 @@ use crate::error::Result;
 use crate::exact;
 use crate::govern::Budget;
 use crate::greedy::{
-    reduce, try_center_greedy_cover_governed, try_full_greedy_cover_governed, CenterConfig,
-    FullCoverConfig,
+    center_greedy_cover, full_greedy_cover, reduce, CenterConfig, FullCoverConfig,
 };
 use crate::partition::Partition;
 use crate::rounding::suppressor_for_partition;
@@ -100,57 +99,38 @@ pub fn anonymization_from_partition(
 /// The Theorem 4.1 pipeline: exhaustive greedy cover → Reduce → round.
 ///
 /// Only feasible for small `n` and `k` (the candidate family has
-/// `Σ C(n, k..2k−1)` sets); see [`FullCoverConfig::max_candidates`].
+/// `Σ C(n, k..2k−1)` sets); see [`FullCoverConfig::max_candidates`]. The
+/// candidate enumeration and the greedy cover poll `budget` at bounded
+/// intervals.
 ///
 /// # Errors
-/// Bad `k`, oversized instance, or internal invariant breaches.
+/// Bad `k`, oversized instance, internal invariant breaches, or
+/// [`crate::Error::BudgetExceeded`] when the budget trips.
 pub fn exhaustive_greedy(
-    ds: &Dataset,
-    k: usize,
-    config: &FullCoverConfig,
-) -> Result<Anonymization> {
-    try_exhaustive_greedy_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// [`exhaustive_greedy`] under a [`Budget`]: the candidate enumeration and
-/// the greedy cover poll the budget at bounded intervals.
-///
-/// # Errors
-/// As [`exhaustive_greedy`]; additionally [`crate::Error::BudgetExceeded`]
-/// when the budget trips.
-pub fn try_exhaustive_greedy_governed(
     ds: &Dataset,
     k: usize,
     config: &FullCoverConfig,
     budget: &Budget,
 ) -> Result<Anonymization> {
-    let cover = try_full_greedy_cover_governed(ds, k, config, budget)?;
+    let cover = full_greedy_cover(ds, k, config, None, budget)?;
     let partition = reduce(&cover, k)?.split_large(k);
     finish(ds, partition, k, Algorithm::ExhaustiveGreedy)
 }
 
 /// The Theorem 4.2 pipeline: center-ball greedy cover → Reduce → split →
-/// round. Strongly polynomial: `O(m·n² + n³)`.
+/// round. Strongly polynomial: `O(m·n² + n³)`. The distance-cache build
+/// and the center scans poll `budget` at bounded intervals.
 ///
 /// # Errors
-/// Bad `k` or an instance above [`CenterConfig::max_rows`].
-pub fn center_greedy(ds: &Dataset, k: usize, config: &CenterConfig) -> Result<Anonymization> {
-    try_center_greedy_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// [`center_greedy`] under a [`Budget`]: the distance-cache build and the
-/// center scans poll the budget at bounded intervals.
-///
-/// # Errors
-/// As [`center_greedy`]; additionally [`crate::Error::BudgetExceeded`] when
-/// the budget trips.
-pub fn try_center_greedy_governed(
+/// Bad `k`, an instance above [`CenterConfig::max_rows`], or
+/// [`crate::Error::BudgetExceeded`] when the budget trips.
+pub fn center_greedy(
     ds: &Dataset,
     k: usize,
     config: &CenterConfig,
     budget: &Budget,
 ) -> Result<Anonymization> {
-    let cover = try_center_greedy_cover_governed(ds, k, config, budget)?;
+    let cover = center_greedy_cover(ds, k, config, None, budget)?;
     let partition = reduce(&cover, k)?.split_large(k);
     finish(ds, partition, k, Algorithm::CenterGreedy)
 }
@@ -184,8 +164,8 @@ mod tests {
     fn all_three_pipelines_agree_on_feasibility() {
         let ds = hospital();
         for k in 1..=4 {
-            let a = exhaustive_greedy(&ds, k, &Default::default()).unwrap();
-            let b = center_greedy(&ds, k, &Default::default()).unwrap();
+            let a = exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+            let b = center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
             let c = exact_optimal(&ds, k).unwrap();
             for r in [&a, &b, &c] {
                 assert!(r.table.is_k_anonymous(k), "k = {k}");
@@ -210,7 +190,7 @@ mod tests {
     #[test]
     fn suppression_rate_bounds() {
         let ds = hospital();
-        let a = center_greedy(&ds, 4, &Default::default()).unwrap();
+        let a = center_greedy(&ds, 4, &Default::default(), &Budget::unlimited()).unwrap();
         assert!(a.suppression_rate() > 0.0 && a.suppression_rate() <= 1.0);
     }
 
@@ -218,13 +198,13 @@ mod tests {
     fn algorithm_tags() {
         let ds = hospital();
         assert_eq!(
-            exhaustive_greedy(&ds, 2, &Default::default())
+            exhaustive_greedy(&ds, 2, &Default::default(), &Budget::unlimited())
                 .unwrap()
                 .algorithm,
             Algorithm::ExhaustiveGreedy
         );
         assert_eq!(
-            center_greedy(&ds, 2, &Default::default())
+            center_greedy(&ds, 2, &Default::default(), &Budget::unlimited())
                 .unwrap()
                 .algorithm,
             Algorithm::CenterGreedy
@@ -245,8 +225,10 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(8, 3, flat).unwrap();
-            let greedy = exhaustive_greedy(&ds, k, &Default::default()).unwrap();
-            let centered = center_greedy(&ds, k, &Default::default()).unwrap();
+            let greedy =
+                exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+            let centered =
+                center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
             let opt = exact_optimal(&ds, k).unwrap();
             prop_assert!(greedy.table.is_k_anonymous(k));
             prop_assert!(centered.table.is_k_anonymous(k));

@@ -74,13 +74,13 @@ fn triangle_len(n: usize) -> Result<usize> {
 /// Precomputed pairwise Hamming distances, triangular `u32` storage.
 ///
 /// ```
-/// use kanon_core::{Dataset, distcache::PairwiseDistances};
+/// use kanon_core::{Budget, Dataset, distcache::PairwiseDistances};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![1, 0, 1, 0],
 ///     vec![1, 1, 1, 0],
 ///     vec![0, 1, 1, 0],
 /// ]).unwrap();
-/// let cache = PairwiseDistances::build(&ds);
+/// let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
 /// assert_eq!(cache.get(0, 2), 2); // the paper's §4 example pair
 /// assert_eq!(cache.get(2, 0), 2); // symmetric
 /// assert_eq!(cache.get(1, 1), 0); // zero diagonal
@@ -112,45 +112,18 @@ impl PairwiseDistances {
         i * (2 * self.n - i - 1) / 2 + (j - i - 1)
     }
 
-    /// Sequential `O(m·n²/2)` build.
-    #[must_use]
-    pub fn build(ds: &Dataset) -> Self {
-        Self::build_with_threads(ds, 1)
-    }
-
-    /// Parallel build across [`resolve_threads`]`(threads)` OS threads.
-    /// Produces output identical to [`PairwiseDistances::build`].
-    #[must_use]
-    pub fn build_parallel(ds: &Dataset, threads: Option<usize>) -> Self {
-        Self::build_with_threads(ds, resolve_threads(threads))
-    }
-
-    fn build_with_threads(ds: &Dataset, threads: usize) -> Self {
-        // A fresh unlimited budget can neither expire nor be cancelled.
-        Self::try_build_with_threads(ds, threads, &Budget::unlimited())
-            .expect("unlimited budget cannot be exceeded")
-    }
-
-    /// Budget-governed build: polls `budget` every [`crate::govern::POLL_INTERVAL`]
+    /// Builds the cache across [`resolve_threads`]`(threads)` OS threads
+    /// under `budget`: polls it every [`crate::govern::POLL_INTERVAL`]
     /// entries (per worker), charges the `4·n(n−1)/2`-byte triangle against
     /// the memory cap before allocating, and validates the triangular index
-    /// arithmetic with checked multiplication.
-    ///
-    /// Produces output byte-identical to [`PairwiseDistances::build_parallel`]
-    /// whenever the budget suffices.
+    /// arithmetic with checked multiplication. The output is byte-identical
+    /// for every thread count.
     ///
     /// # Errors
     /// [`Error::BudgetExceeded`] when a limit trips mid-build;
     /// [`Error::Overflow`] when `n(n−1)/2` does not fit a `usize`.
-    pub fn try_build_governed(
-        ds: &Dataset,
-        threads: Option<usize>,
-        budget: &Budget,
-    ) -> Result<Self> {
-        Self::try_build_with_threads(ds, resolve_threads(threads), budget)
-    }
-
-    fn try_build_with_threads(ds: &Dataset, threads: usize, budget: &Budget) -> Result<Self> {
+    pub fn build(ds: &Dataset, threads: Option<usize>, budget: &Budget) -> Result<Self> {
+        let threads = resolve_threads(threads);
         let n = ds.n_rows();
         let total = triangle_len(n)?;
         budget.check()?;
@@ -390,7 +363,7 @@ mod tests {
     #[test]
     fn matches_direct_hamming_and_symmetry() {
         let ds = Dataset::from_fn(17, 5, |i, j| ((i * 7 + j * 3) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         for i in 0..17 {
             for j in 0..17 {
                 assert_eq!(cache.get(i, j) as usize, row_distance(&ds, i, j));
@@ -403,9 +376,9 @@ mod tests {
     #[test]
     fn parallel_build_is_byte_identical() {
         let ds = Dataset::from_fn(200, 6, |i, j| ((i * 31 + j * 17) % 5) as u32);
-        let seq = PairwiseDistances::build(&ds);
+        let seq = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         for threads in [1, 2, 3, 4, 7, 16] {
-            let par = PairwiseDistances::build_parallel(&ds, Some(threads));
+            let par = PairwiseDistances::build(&ds, Some(threads), &Budget::unlimited()).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
@@ -413,12 +386,12 @@ mod tests {
     #[test]
     fn single_row_and_pair() {
         let one = Dataset::from_rows(vec![vec![1, 2]]).unwrap();
-        let cache = PairwiseDistances::build(&one);
+        let cache = PairwiseDistances::build(&one, Some(1), &Budget::unlimited()).unwrap();
         assert_eq!(cache.get(0, 0), 0);
         assert_eq!(cache.diameter(&[0]), 0);
 
         let two = Dataset::from_rows(vec![vec![1, 2], vec![3, 2]]).unwrap();
-        let cache = PairwiseDistances::build(&two);
+        let cache = PairwiseDistances::build(&two, Some(1), &Budget::unlimited()).unwrap();
         assert_eq!(cache.get(0, 1), 1);
         assert_eq!(cache.anon_cost(&two, &[0, 1]), 2);
     }
@@ -427,7 +400,7 @@ mod tests {
     fn kth_neighbor_matches_distance_matrix() {
         let ds = Dataset::from_fn(12, 4, |i, j| ((i + j) % 3) as u32);
         let dm = crate::metric::DistanceMatrix::build(&ds);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         for i in 0..12 {
             for t in 0..14 {
                 assert_eq!(
@@ -442,15 +415,18 @@ mod tests {
     #[test]
     fn governed_build_matches_ungoverned_and_respects_budget() {
         let ds = Dataset::from_fn(150, 4, |i, j| ((i * 13 + j * 7) % 6) as u32);
-        let plain = PairwiseDistances::build_parallel(&ds, Some(4));
-        let governed =
-            PairwiseDistances::try_build_governed(&ds, Some(4), &Budget::unlimited()).unwrap();
+        let plain = PairwiseDistances::build(&ds, Some(4), &Budget::unlimited()).unwrap();
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .max_memory_bytes(1 << 30)
+            .build();
+        let governed = PairwiseDistances::build(&ds, Some(4), &roomy).unwrap();
         assert_eq!(plain, governed);
 
         // The triangle needs 150·149/2·4 = 44 700 bytes; a 1 KiB cap fails
         // before any distance is computed.
         let tight = Budget::builder().max_memory_bytes(1024).build();
-        let err = PairwiseDistances::try_build_governed(&ds, Some(4), &tight).unwrap_err();
+        let err = PairwiseDistances::build(&ds, Some(4), &tight).unwrap_err();
         assert!(matches!(
             err,
             Error::BudgetExceeded {
@@ -463,7 +439,7 @@ mod tests {
         let cancelled = Budget::unlimited();
         cancelled.cancel();
         for threads in [1, 4] {
-            assert!(PairwiseDistances::try_build_governed(&ds, Some(threads), &cancelled).is_err());
+            assert!(PairwiseDistances::build(&ds, Some(threads), &cancelled).is_err());
         }
     }
 
@@ -496,7 +472,7 @@ mod tests {
             subset in proptest::collection::btree_set(0usize..9, 2..7),
         ) {
             let ds = Dataset::from_flat(9, 4, flat).unwrap();
-            let cache = PairwiseDistances::build(&ds);
+            let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
             let rows: Vec<usize> = subset.into_iter().collect();
             prop_assert_eq!(cache.diameter(&rows), diameter(&ds, &rows));
             prop_assert_eq!(cache.anon_cost(&ds, &rows), anon_cost(&ds, &rows));

@@ -21,7 +21,7 @@ use crate::diameter::GroupCost;
 use crate::distcache::PairwiseDistances;
 use crate::error::{Error, Result};
 use crate::govern::{Budget, PollTicker};
-use crate::greedy::{reduce, try_center_greedy_cover_governed_with_cache, CenterConfig};
+use crate::greedy::{center_greedy_cover, reduce, CenterConfig};
 use crate::partition::Partition;
 
 /// Tuning knobs for the branch and bound.
@@ -159,28 +159,16 @@ impl Searcher<'_> {
     }
 }
 
-/// Runs the branch and bound.
+/// Runs the branch and bound. The distance cache, the greedy incumbent and
+/// every expanded node poll `budget`; a tripped limit unwinds the whole
+/// search as [`Error::BudgetExceeded`] (the soft `max_nodes` cap, by
+/// contrast, still returns the incumbent unproven).
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
-/// * [`Error::InstanceTooLarge`] when `n > config.max_rows`.
+/// * [`Error::InstanceTooLarge`] when `n > config.max_rows`;
+/// * [`Error::BudgetExceeded`] / [`Error::Overflow`] from `budget`.
 pub fn branch_and_bound(
-    ds: &Dataset,
-    k: usize,
-    config: &BranchBoundConfig,
-) -> Result<BranchBoundResult> {
-    try_branch_and_bound_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`branch_and_bound`]: the distance cache, the greedy
-/// incumbent, and every expanded node poll `budget`; a tripped limit
-/// unwinds the whole search as [`Error::BudgetExceeded`] (the soft
-/// `max_nodes` cap, by contrast, still returns the incumbent unproven).
-///
-/// # Errors
-/// As [`branch_and_bound`], plus [`Error::BudgetExceeded`] /
-/// [`Error::Overflow`].
-pub fn try_branch_and_bound_governed(
     ds: &Dataset,
     k: usize,
     config: &BranchBoundConfig,
@@ -198,7 +186,7 @@ pub fn try_branch_and_bound_governed(
 
     // One shared distance cache serves both the k-NN bound and the greedy
     // incumbent below.
-    let dm = PairwiseDistances::try_build_governed(ds, Some(1), budget)?;
+    let dm = PairwiseDistances::build(ds, Some(1), budget)?;
     let lb: Vec<u64> = (0..n)
         .map(|r| u64::from(dm.kth_neighbor_distance(r, k - 1).unwrap_or(0)))
         .collect();
@@ -210,13 +198,12 @@ pub fn try_branch_and_bound_governed(
     // Greedy incumbent. Its own failures are tolerated (the search can still
     // run from scratch), but a tripped budget is not a solver failure and
     // must propagate.
-    let greedy =
-        try_center_greedy_cover_governed_with_cache(ds, k, &CenterConfig::default(), &dm, budget)
-            .and_then(|c| reduce(&c, k))
-            .map(|p| {
-                let p = p.split_large(k);
-                (p.anonymization_cost(ds) as u64, p)
-            });
+    let greedy = center_greedy_cover(ds, k, &CenterConfig::default(), Some(&dm), budget)
+        .and_then(|c| reduce(&c, k))
+        .map(|p| {
+            let p = p.split_large(k);
+            (p.anonymization_cost(ds) as u64, p)
+        });
     let (mut best_cost, mut best_partition) = match greedy {
         Ok((c, p)) => (c, Some(p)),
         Err(e @ (Error::BudgetExceeded { .. } | Error::Overflow { .. })) => return Err(e),
@@ -276,7 +263,7 @@ mod tests {
 
     fn bb(rows: Vec<Vec<u32>>, k: usize) -> BranchBoundResult {
         let ds = Dataset::from_rows(rows).unwrap();
-        branch_and_bound(&ds, k, &BranchBoundConfig::default()).unwrap()
+        branch_and_bound(&ds, k, &BranchBoundConfig::default(), &Budget::unlimited()).unwrap()
     }
 
     #[test]
@@ -324,7 +311,7 @@ mod tests {
             max_nodes: 10,
             ..Default::default()
         };
-        let res = branch_and_bound(&ds, 2, &config).unwrap();
+        let res = branch_and_bound(&ds, 2, &config, &Budget::unlimited()).unwrap();
         assert!(!res.proven_optimal);
         // The incumbent still rounds to a feasible anonymization.
         assert!(res.partition.min_block_size().unwrap() >= 2);
@@ -332,22 +319,20 @@ mod tests {
 
     #[test]
     fn governed_unlimited_matches_and_cancellation_propagates() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(10, 3, |i, j| ((i * 3 + j) % 4) as u32);
-        let plain = branch_and_bound(&ds, 2, &BranchBoundConfig::default()).unwrap();
-        let governed = try_branch_and_bound_governed(
-            &ds,
-            2,
-            &BranchBoundConfig::default(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
+        let plain =
+            branch_and_bound(&ds, 2, &BranchBoundConfig::default(), &Budget::unlimited()).unwrap();
+        let governed = branch_and_bound(&ds, 2, &BranchBoundConfig::default(), &roomy).unwrap();
         assert_eq!(plain.cost, governed.cost);
         assert_eq!(plain.partition, governed.partition);
 
         let cancelled = Budget::unlimited();
         cancelled.cancel();
         assert!(matches!(
-            try_branch_and_bound_governed(&ds, 2, &BranchBoundConfig::default(), &cancelled),
+            branch_and_bound(&ds, 2, &BranchBoundConfig::default(), &cancelled),
             Err(Error::BudgetExceeded { .. })
         ));
     }
@@ -356,7 +341,7 @@ mod tests {
     fn guard_rejects_large_instances() {
         let ds = Dataset::from_fn(100, 2, |i, _| i as u32);
         assert!(matches!(
-            branch_and_bound(&ds, 2, &BranchBoundConfig::default()),
+            branch_and_bound(&ds, 2, &BranchBoundConfig::default(), &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
@@ -370,8 +355,9 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(8, 3, flat).unwrap();
-            let dp = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
-            let bb = branch_and_bound(&ds, k, &BranchBoundConfig::default()).unwrap();
+            let dp = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+            let bb =
+                branch_and_bound(&ds, k, &BranchBoundConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert!(bb.proven_optimal);
             prop_assert_eq!(bb.cost, dp.cost);
         }

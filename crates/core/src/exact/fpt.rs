@@ -263,27 +263,15 @@ pub(crate) fn pattern_count_within(ds: &Dataset, cap: usize) -> bool {
     true
 }
 
-/// Runs the pattern-collapsed fixed-parameter exact search.
+/// Runs the pattern-collapsed fixed-parameter exact search. The collapse
+/// pass and every evaluated search node poll `budget`.
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
 /// * [`Error::InstanceTooLarge`] when the pattern cap, node budget, or
-///   depth backstop is exceeded.
-pub fn fpt(ds: &Dataset, k: usize, config: &FptConfig) -> Result<Optimal> {
-    try_fpt_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`fpt`]: the collapse pass and every evaluated search
-/// node poll `budget`.
-///
-/// # Errors
-/// As [`fpt`], plus [`Error::BudgetExceeded`] / [`Error::Overflow`].
-pub fn try_fpt_governed(
-    ds: &Dataset,
-    k: usize,
-    config: &FptConfig,
-    budget: &Budget,
-) -> Result<Optimal> {
+///   depth backstop is exceeded;
+/// * [`Error::BudgetExceeded`] / [`Error::Overflow`] from `budget`.
+pub fn fpt(ds: &Dataset, k: usize, config: &FptConfig, budget: &Budget) -> Result<Optimal> {
     ds.check_k(k)?;
     budget.check()?;
     let (patterns, rows_of) = collapse(ds, budget)?;
@@ -366,14 +354,14 @@ mod tests {
 
     fn solve(rows: Vec<Vec<u32>>, k: usize) -> Optimal {
         let ds = Dataset::from_rows(rows).unwrap();
-        fpt(&ds, k, &FptConfig::default()).unwrap()
+        fpt(&ds, k, &FptConfig::default(), &Budget::unlimited()).unwrap()
     }
 
     #[test]
     fn duplicates_are_free_at_any_scale() {
         // 10_000 identical rows: one pattern, zero cost, instantly.
         let ds = Dataset::from_fn(10_000, 4, |_, j| j as u32);
-        let opt = fpt(&ds, 7, &FptConfig::default()).unwrap();
+        let opt = fpt(&ds, 7, &FptConfig::default(), &Budget::unlimited()).unwrap();
         assert_eq!(opt.cost, 0);
         assert!(opt.partition.min_block_size() >= Some(7));
     }
@@ -408,7 +396,7 @@ mod tests {
     fn pattern_cap_rejects_diverse_tables() {
         let ds = Dataset::from_fn(40, 2, |i, _| i as u32);
         assert!(matches!(
-            fpt(&ds, 2, &FptConfig::default()),
+            fpt(&ds, 2, &FptConfig::default(), &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
         assert!(!pattern_count_within(&ds, 12));
@@ -425,23 +413,25 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            fpt(&ds, 2, &config),
+            fpt(&ds, 2, &config, &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
 
     #[test]
     fn governed_matches_and_cancellation_propagates() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(12, 3, |i, j| ((i * 3 + j) % 3) as u32);
-        let plain = fpt(&ds, 2, &FptConfig::default()).unwrap();
-        let governed =
-            try_fpt_governed(&ds, 2, &FptConfig::default(), &Budget::unlimited()).unwrap();
+        let plain = fpt(&ds, 2, &FptConfig::default(), &Budget::unlimited()).unwrap();
+        let governed = fpt(&ds, 2, &FptConfig::default(), &roomy).unwrap();
         assert_eq!(plain.cost, governed.cost);
 
         let cancelled = Budget::unlimited();
         cancelled.cancel();
         assert!(matches!(
-            try_fpt_governed(&ds, 2, &FptConfig::default(), &cancelled),
+            fpt(&ds, 2, &FptConfig::default(), &cancelled),
             Err(Error::BudgetExceeded { .. })
         ));
     }
@@ -457,7 +447,7 @@ mod tests {
             vec![1, 0],
         ];
         let ds = Dataset::from_rows(rows).unwrap();
-        let opt = fpt(&ds, 2, &FptConfig::default()).unwrap();
+        let opt = fpt(&ds, 2, &FptConfig::default(), &Budget::unlimited()).unwrap();
         assert_eq!(opt.partition.anonymization_cost(&ds), opt.cost);
         assert!(opt.partition.min_block_size() >= Some(2));
     }
@@ -472,8 +462,8 @@ mod tests {
             k in 1usize..5,
         ) {
             let ds = Dataset::from_flat(8, 4, flat).unwrap();
-            let dp = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
-            let ft = fpt(&ds, k, &FptConfig::default()).unwrap();
+            let dp = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+            let ft = fpt(&ds, k, &FptConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert_eq!(ft.cost, dp.cost);
             prop_assert!(ft.partition.min_block_size() >= Some(k));
         }

@@ -22,7 +22,7 @@ use super::Optimal;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::govern::{Budget, PollTicker};
-use crate::greedy::{reduce, try_center_greedy_cover_governed, CenterConfig};
+use crate::greedy::{center_greedy_cover, reduce, CenterConfig};
 use crate::partition::Partition;
 
 /// Tuning knobs for the pattern search.
@@ -139,22 +139,15 @@ impl Searcher<'_> {
     }
 }
 
-/// Runs the pattern-based exact search.
+/// Runs the pattern-based exact search. The `2^m`-pattern cell-universe
+/// build, the greedy incumbent, and every expanded node poll `budget`.
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
 /// * [`Error::InstanceTooLarge`] when the guards or the node budget are
-///   exceeded.
-pub fn pattern_bb(ds: &Dataset, k: usize, config: &PatternConfig) -> Result<Optimal> {
-    try_pattern_bb_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`pattern_bb`]: the `2^m`-pattern cell-universe build,
-/// the greedy incumbent, and every expanded node poll `budget`.
-///
-/// # Errors
-/// As [`pattern_bb`], plus [`Error::BudgetExceeded`] / [`Error::Overflow`].
-pub fn try_pattern_bb_governed(
+///   exceeded;
+/// * [`Error::BudgetExceeded`] / [`Error::Overflow`] from `budget`.
+pub fn pattern_bb(
     ds: &Dataset,
     k: usize,
     config: &PatternConfig,
@@ -225,7 +218,7 @@ pub fn try_pattern_bb_governed(
 
     // Incumbent from the polynomial greedy; its failures are tolerated
     // except a tripped budget, which must propagate.
-    let incumbent = match try_center_greedy_cover_governed(ds, k, &CenterConfig::default(), budget)
+    let incumbent = match center_greedy_cover(ds, k, &CenterConfig::default(), None, budget)
         .and_then(|c| reduce(&c, k))
         .map(|p| p.anonymization_cost(ds) as u64)
     {
@@ -283,7 +276,7 @@ mod tests {
 
     fn pb(rows: Vec<Vec<u32>>, k: usize) -> Optimal {
         let ds = Dataset::from_rows(rows).unwrap();
-        pattern_bb(&ds, k, &PatternConfig::default()).unwrap()
+        pattern_bb(&ds, k, &PatternConfig::default(), &Budget::unlimited()).unwrap()
     }
 
     #[test]
@@ -318,29 +311,30 @@ mod tests {
     fn guards_reject_oversize() {
         let wide = Dataset::from_fn(4, 20, |i, j| (i + j) as u32);
         assert!(matches!(
-            pattern_bb(&wide, 2, &PatternConfig::default()),
+            pattern_bb(&wide, 2, &PatternConfig::default(), &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
         let tall = Dataset::from_fn(40, 2, |i, _| i as u32);
         assert!(matches!(
-            pattern_bb(&tall, 2, &PatternConfig::default()),
+            pattern_bb(&tall, 2, &PatternConfig::default(), &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
 
     #[test]
     fn governed_unlimited_matches_and_cancellation_propagates() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(8, 3, |i, j| ((i * 3 + j) % 3) as u32);
-        let plain = pattern_bb(&ds, 2, &PatternConfig::default()).unwrap();
-        let governed =
-            try_pattern_bb_governed(&ds, 2, &PatternConfig::default(), &Budget::unlimited())
-                .unwrap();
+        let plain = pattern_bb(&ds, 2, &PatternConfig::default(), &Budget::unlimited()).unwrap();
+        let governed = pattern_bb(&ds, 2, &PatternConfig::default(), &roomy).unwrap();
         assert_eq!(plain.cost, governed.cost);
 
         let cancelled = Budget::unlimited();
         cancelled.cancel();
         assert!(matches!(
-            try_pattern_bb_governed(&ds, 2, &PatternConfig::default(), &cancelled),
+            pattern_bb(&ds, 2, &PatternConfig::default(), &cancelled),
             Err(Error::BudgetExceeded { .. })
         ));
     }
@@ -353,7 +347,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            pattern_bb(&ds, 2, &config),
+            pattern_bb(&ds, 2, &config, &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
@@ -367,8 +361,8 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(7, 3, flat).unwrap();
-            let dp = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
-            let pb = pattern_bb(&ds, k, &PatternConfig::default()).unwrap();
+            let dp = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+            let pb = pattern_bb(&ds, k, &PatternConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert_eq!(pb.cost, dp.cost);
         }
     }

@@ -35,32 +35,25 @@ impl Default for SubsetDpConfig {
     }
 }
 
-/// Computes the exact optimum.
+/// Computes the exact optimum. The `2^n`-slot tables are charged against
+/// `budget`'s memory cap before allocation and the mask/subset enumeration
+/// loops poll it at bounded intervals.
 ///
 /// ```
-/// use kanon_core::{Dataset, exact::{subset_dp, SubsetDpConfig}};
+/// use kanon_core::{Budget, Dataset, exact::{subset_dp, SubsetDpConfig}};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![0, 0], vec![0, 1], vec![5, 5], vec![5, 5],
 /// ]).unwrap();
-/// let opt = subset_dp(&ds, 2, &SubsetDpConfig::default()).unwrap();
+/// let opt = subset_dp(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
 /// assert_eq!(opt.cost, 2); // pair {0,1} stars one column each; {2,3} is free
 /// assert_eq!(opt.partition.n_blocks(), 2);
 /// ```
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
-/// * [`Error::InstanceTooLarge`] when `n > config.max_rows` or `n > 24`.
-pub fn subset_dp(ds: &Dataset, k: usize, config: &SubsetDpConfig) -> Result<Optimal> {
-    try_subset_dp_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`subset_dp`]: the `2^n`-slot tables are charged against
-/// the memory cap before allocation and the mask/subset enumeration loops
-/// poll `budget` at bounded intervals.
-///
-/// # Errors
-/// As [`subset_dp`], plus [`Error::BudgetExceeded`].
-pub fn try_subset_dp_governed(
+/// * [`Error::InstanceTooLarge`] when `n > config.max_rows` or `n > 24`;
+/// * [`Error::BudgetExceeded`] when the budget trips.
+pub fn subset_dp(
     ds: &Dataset,
     k: usize,
     config: &SubsetDpConfig,
@@ -79,15 +72,7 @@ pub fn try_subset_dp_governed(
 ///
 /// # Errors
 /// Same as [`subset_dp`].
-pub fn min_diameter_sum(ds: &Dataset, k: usize, config: &SubsetDpConfig) -> Result<Optimal> {
-    try_min_diameter_sum_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`min_diameter_sum`]; see [`try_subset_dp_governed`].
-///
-/// # Errors
-/// As [`min_diameter_sum`], plus [`Error::BudgetExceeded`].
-pub fn try_min_diameter_sum_governed(
+pub fn min_diameter_sum(
     ds: &Dataset,
     k: usize,
     config: &SubsetDpConfig,
@@ -220,7 +205,7 @@ mod tests {
 
     fn solve(rows: Vec<Vec<u32>>, k: usize) -> Optimal {
         let ds = Dataset::from_rows(rows).unwrap();
-        subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap()
+        subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap()
     }
 
     #[test]
@@ -301,25 +286,26 @@ mod tests {
     fn guard_rejects_large_instances() {
         let ds = Dataset::from_fn(21, 1, |i, _| i as u32);
         assert!(matches!(
-            subset_dp(&ds, 2, &SubsetDpConfig::default()),
+            subset_dp(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
 
     #[test]
     fn governed_unlimited_matches_and_memory_cap_trips() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(14, 3, |i, j| ((i * 5 + j) % 4) as u32);
-        let plain = subset_dp(&ds, 2, &SubsetDpConfig::default()).unwrap();
-        let governed =
-            try_subset_dp_governed(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited())
-                .unwrap();
+        let plain = subset_dp(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+        let governed = subset_dp(&ds, 2, &SubsetDpConfig::default(), &roomy).unwrap();
         assert_eq!(plain.cost, governed.cost);
         assert_eq!(plain.partition, governed.partition);
 
         // 2^14 masks need 12 B each ≈ 196 KiB; a 1 KiB cap fails up front.
         let starved = Budget::builder().max_memory_bytes(1024).build();
         assert!(matches!(
-            try_subset_dp_governed(&ds, 2, &SubsetDpConfig::default(), &starved),
+            subset_dp(&ds, 2, &SubsetDpConfig::default(), &starved),
             Err(Error::BudgetExceeded { .. })
         ));
     }
@@ -335,7 +321,7 @@ mod tests {
             vec![4, 5, 3],
         ])
         .unwrap();
-        let opt = subset_dp(&ds, 2, &SubsetDpConfig::default()).unwrap();
+        let opt = subset_dp(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
         assert_eq!(opt.cost, opt.partition.anonymization_cost(&ds));
         assert!(opt.partition.min_block_size().unwrap() >= 2);
     }
@@ -382,7 +368,8 @@ mod tests {
             vec![7, 7, 8],
         ])
         .unwrap();
-        let opt = min_diameter_sum(&ds, 2, &SubsetDpConfig::default()).unwrap();
+        let opt =
+            min_diameter_sum(&ds, 2, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
         // Pairing within clusters: d = 1 + 1.
         assert_eq!(opt.cost, 2);
         assert_eq!(opt.cost, opt.partition.diameter_sum(&ds));
@@ -402,8 +389,9 @@ mod tests {
         ])
         .unwrap();
         let k = 3;
-        let dsum = min_diameter_sum(&ds, k, &SubsetDpConfig::default()).unwrap();
-        let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+        let dsum =
+            min_diameter_sum(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+        let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
         // Lower bound of Lemma 4.1: (k/2)·dΠ* ≤ OPT.
         assert!(k * dsum.cost <= 2 * opt.cost);
     }
@@ -418,8 +406,9 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(6, 4, flat).unwrap();
-            let dsum = min_diameter_sum(&ds, k, &SubsetDpConfig::default()).unwrap();
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+            let dsum =
+                min_diameter_sum(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert!(k * dsum.cost <= 2 * opt.cost,
                 "k = {k}, dΠ* = {}, OPT = {}", dsum.cost, opt.cost);
         }
@@ -435,7 +424,7 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(6, 3, flat).unwrap();
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert_eq!(opt.cost, brute_force(&ds, k));
             prop_assert_eq!(opt.cost, opt.partition.anonymization_cost(&ds));
         }

@@ -24,7 +24,7 @@
 //! Consequently a cancellation or an elapsed deadline is observed within one
 //! poll interval, i.e. within microseconds of real work, and an
 //! already-exceeded budget is reported before any significant work starts
-//! (every governed entry point calls [`Budget::check`] up front).
+//! (every solver entry point calls [`Budget::check`] up front).
 //!
 //! ## What the memory budget measures
 //!
@@ -41,10 +41,10 @@
 //! ## Determinism
 //!
 //! Governance never changes *what* a solver computes, only *whether it is
-//! allowed to finish*: a governed run with an unlimited budget is
-//! byte-identical to the ungoverned path (the ungoverned entry points
-//! delegate to the governed ones with [`Budget::unlimited`]). The
-//! differential suite in `crates/tests/tests/governance.rs` pins this.
+//! allowed to finish*: every solver has one entry point taking a
+//! `&Budget` last, and a run under a budget that never trips is
+//! byte-identical to a run under [`Budget::unlimited`]. The differential
+//! suite in `crates/tests/tests/governance.rs` pins this.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,8 +119,8 @@ impl Default for Budget {
 
 impl Budget {
     /// A budget with no limits. Polling it is a single relaxed atomic load
-    /// (the cancellation flag), so ungoverned entry points route through the
-    /// governed implementations with this at negligible cost.
+    /// (the cancellation flag), so callers that want no limit pass this to
+    /// any solver at negligible cost.
     #[must_use]
     pub fn unlimited() -> Self {
         BudgetBuilder::default().build()

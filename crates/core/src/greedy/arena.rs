@@ -62,7 +62,7 @@ impl SizeClass {
 /// use kanon_core::greedy::CandidateArena;
 /// use kanon_core::govern::Budget;
 /// let ds = Dataset::from_rows(vec![vec![0, 0], vec![0, 1], vec![2, 2], vec![2, 2]]).unwrap();
-/// let cache = PairwiseDistances::build(&ds);
+/// let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
 /// let arena = CandidateArena::try_materialize(&cache, 2, 1, &Budget::unlimited()).unwrap();
 /// // k = 2 over n = 4: C(4,2) + C(4,3) = 6 + 4 candidates.
 /// assert_eq!(arena.len(), 10);
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn materialize_matches_enumeration_counts() {
         let ds = Dataset::from_fn(7, 3, |i, j| ((i * 3 + j) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let arena = CandidateArena::try_materialize(&cache, 2, 1, &Budget::unlimited()).unwrap();
         // C(7,2) + C(7,3) = 21 + 35.
         assert_eq!(arena.len(), 56);

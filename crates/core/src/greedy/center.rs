@@ -90,89 +90,40 @@ impl Default for CenterConfig {
 /// Runs Phase 1 of Theorem 4.2, returning a `(k, ·)`-cover of ball-shaped
 /// sets (sizes may exceed `2k−1`; `Reduce` + block splitting handle that).
 ///
+/// `cache` is a caller-supplied triangular distance cache to reuse; with
+/// `None` the cover packs the table column-major instead and only builds
+/// a cache of its own when packing is unavailable (forced scalar, wide
+/// alphabet, or a refused memory charge). The cache build, the per-center
+/// order construction and every round's center scan poll `budget` at
+/// bounded intervals; the output does not depend on the budget when it
+/// suffices.
+///
 /// ```
-/// use kanon_core::{Dataset, greedy::{center_greedy_cover, reduce, CenterConfig}};
+/// use kanon_core::{Budget, Dataset, greedy::{center_greedy_cover, reduce, CenterConfig}};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![0, 0], vec![0, 1],   // one tight pair
 ///     vec![9, 9], vec![9, 8],   // another
 /// ]).unwrap();
-/// let cover = center_greedy_cover(&ds, 2, &CenterConfig::default()).unwrap();
+/// let cover =
+///     center_greedy_cover(&ds, 2, &CenterConfig::default(), None, &Budget::unlimited()).unwrap();
 /// let partition = reduce(&cover, 2).unwrap();
 /// assert_eq!(partition.anonymization_cost(&ds), 4); // pairs, never cross-cluster
 /// ```
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
-/// * [`Error::InstanceTooLarge`] when `n` exceeds `config.max_rows`.
-pub fn center_greedy_cover(ds: &Dataset, k: usize, config: &CenterConfig) -> Result<Cover> {
-    try_center_greedy_cover_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`center_greedy_cover`]: identical output when the
-/// budget suffices; the distance-cache build, the per-center order
-/// construction, and every round's center scan poll `budget` at bounded
-/// intervals.
-///
-/// # Errors
-/// As [`center_greedy_cover`], plus [`Error::BudgetExceeded`] /
-/// [`Error::Overflow`].
-pub fn try_center_greedy_cover_governed(
+/// * [`Error::InstanceTooLarge`] when `n` exceeds `config.max_rows`;
+/// * [`Error::InvalidPartition`] if `cache` covers a different row count;
+/// * [`Error::BudgetExceeded`] / [`Error::Overflow`] from `budget`.
+pub fn center_greedy_cover(
     ds: &Dataset,
     k: usize,
     config: &CenterConfig,
+    cache: Option<&PairwiseDistances>,
     budget: &Budget,
 ) -> Result<Cover> {
     ds.check_k(k)?;
     budget.check()?;
-    // When the active kernel packs this table, the column-major sweeps
-    // supply every distance the cover reads — skip the O(n²/2) triangular
-    // cache entirely. Forced-scalar or wide-alphabet tables still build it.
-    cover_impl(ds, k, config, None, budget)
-}
-
-/// [`center_greedy_cover`] over a caller-supplied distance cache.
-///
-/// # Errors
-/// As [`center_greedy_cover`]; additionally [`Error::InvalidPartition`] if
-/// the cache was built for a different row count.
-pub fn center_greedy_cover_with_cache(
-    ds: &Dataset,
-    k: usize,
-    config: &CenterConfig,
-    dm: &PairwiseDistances,
-) -> Result<Cover> {
-    try_center_greedy_cover_governed_with_cache(ds, k, config, dm, &Budget::unlimited())
-}
-
-/// Budget-governed [`center_greedy_cover_with_cache`]; see
-/// [`try_center_greedy_cover_governed`].
-///
-/// # Errors
-/// As [`center_greedy_cover_with_cache`], plus [`Error::BudgetExceeded`].
-pub fn try_center_greedy_cover_governed_with_cache(
-    ds: &Dataset,
-    k: usize,
-    config: &CenterConfig,
-    dm: &PairwiseDistances,
-    budget: &Budget,
-) -> Result<Cover> {
-    ds.check_k(k)?;
-    budget.check()?;
-    cover_impl(ds, k, config, Some(dm), budget)
-}
-
-/// The cover body behind both governed entry points. `dm` is a
-/// caller-supplied triangular cache to reuse; with `None` the impl packs
-/// the table column-major instead and only builds a cache of its own when
-/// packing is unavailable (forced scalar, wide alphabet, or a refused
-/// memory charge).
-fn cover_impl(
-    ds: &Dataset,
-    k: usize,
-    config: &CenterConfig,
-    dm: Option<&PairwiseDistances>,
-    budget: &Budget,
-) -> Result<Cover> {
     let n = ds.n_rows();
     if n > config.max_rows {
         return Err(Error::InstanceTooLarge {
@@ -180,11 +131,11 @@ fn cover_impl(
             limit: format!("n = {n} exceeds max_rows = {}", config.max_rows),
         });
     }
-    if let Some(dm) = dm {
-        if dm.n() != n {
+    if let Some(cache) = cache {
+        if cache.n() != n {
             return Err(Error::InvalidPartition(format!(
                 "distance cache covers {} rows but the dataset has {n}",
-                dm.n()
+                cache.n()
             )));
         }
     }
@@ -215,11 +166,10 @@ fn cover_impl(
     // Distance source when the table doesn't pack: the caller's cache, or
     // a triangular cache built (and budget-charged) here.
     let owned_dm;
-    let dm = match (&packed, dm) {
-        (Some(_), _) | (None, Some(_)) => dm,
+    let dm = match (&packed, cache) {
+        (Some(_), _) | (None, Some(_)) => cache,
         (None, None) => {
-            owned_dm =
-                PairwiseDistances::try_build_governed(ds, Some(config.threads.max(1)), budget)?;
+            owned_dm = PairwiseDistances::build(ds, Some(config.threads.max(1)), budget)?;
             Some(&owned_dm)
         }
     };
@@ -462,7 +412,9 @@ mod tests {
     #[test]
     fn finds_the_planted_clusters() {
         let ds = clustered();
-        let cover = center_greedy_cover(&ds, 3, &CenterConfig::default()).unwrap();
+        let cover =
+            center_greedy_cover(&ds, 3, &CenterConfig::default(), None, &Budget::unlimited())
+                .unwrap();
         // Each cluster is a radius-1 ball around any of its members; the
         // greedy should never pay a cross-cluster diameter.
         assert_eq!(cover.diameter_sum(&ds), 3);
@@ -482,7 +434,9 @@ mod tests {
             vec![7, 7],
         ])
         .unwrap();
-        let cover = center_greedy_cover(&ds, 3, &CenterConfig::default()).unwrap();
+        let cover =
+            center_greedy_cover(&ds, 3, &CenterConfig::default(), None, &Budget::unlimited())
+                .unwrap();
         // The duplicate triple costs 0; the other three form a radius-1 ball.
         assert_eq!(cover.diameter_sum(&ds), 1);
     }
@@ -494,7 +448,7 @@ mod tests {
             include_zero_radius: false,
             ..Default::default()
         };
-        let cover = center_greedy_cover(&ds, 2, &config).unwrap();
+        let cover = center_greedy_cover(&ds, 2, &config, None, &Budget::unlimited()).unwrap();
         let p = reduce(&cover, 2).unwrap();
         assert!(p.min_block_size().unwrap() >= 2);
     }
@@ -502,7 +456,9 @@ mod tests {
     #[test]
     fn all_identical_rows_are_free() {
         let ds = Dataset::from_fn(10, 3, |_, _| 42);
-        let cover = center_greedy_cover(&ds, 4, &CenterConfig::default()).unwrap();
+        let cover =
+            center_greedy_cover(&ds, 4, &CenterConfig::default(), None, &Budget::unlimited())
+                .unwrap();
         assert_eq!(cover.diameter_sum(&ds), 0);
     }
 
@@ -514,7 +470,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            center_greedy_cover(&ds, 2, &config),
+            center_greedy_cover(&ds, 2, &config, None, &Budget::unlimited()),
             Err(Error::InstanceTooLarge { .. })
         ));
     }
@@ -522,7 +478,9 @@ mod tests {
     #[test]
     fn k_equals_n() {
         let ds = Dataset::from_rows(vec![vec![0, 0], vec![1, 1], vec![2, 2]]).unwrap();
-        let cover = center_greedy_cover(&ds, 3, &CenterConfig::default()).unwrap();
+        let cover =
+            center_greedy_cover(&ds, 3, &CenterConfig::default(), None, &Budget::unlimited())
+                .unwrap();
         assert_eq!(cover.n_sets(), 1);
         assert_eq!(cover.sets()[0].len(), 3);
     }
@@ -530,35 +488,44 @@ mod tests {
     #[test]
     fn bad_k_rejected() {
         let ds = Dataset::from_rows(vec![vec![0], vec![1]]).unwrap();
-        assert!(center_greedy_cover(&ds, 0, &CenterConfig::default()).is_err());
-        assert!(center_greedy_cover(&ds, 5, &CenterConfig::default()).is_err());
+        assert!(
+            center_greedy_cover(&ds, 0, &CenterConfig::default(), None, &Budget::unlimited())
+                .is_err()
+        );
+        assert!(
+            center_greedy_cover(&ds, 5, &CenterConfig::default(), None, &Budget::unlimited())
+                .is_err()
+        );
     }
 
     #[test]
     fn parallel_scan_matches_sequential() {
         let ds = Dataset::from_fn(90, 5, |i, j| ((i * 13 + j * 29) % 6) as u32);
-        let seq = center_greedy_cover(&ds, 4, &CenterConfig::default()).unwrap();
+        let seq = center_greedy_cover(&ds, 4, &CenterConfig::default(), None, &Budget::unlimited())
+            .unwrap();
         for threads in [2, 3, 8] {
             let config = CenterConfig {
                 threads,
                 ..Default::default()
             };
-            let par = center_greedy_cover(&ds, 4, &config).unwrap();
+            let par = center_greedy_cover(&ds, 4, &config, None, &Budget::unlimited()).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(70, 4, |i, j| ((i * 17 + j * 5) % 7) as u32);
         for threads in [1, 4] {
             let config = CenterConfig {
                 threads,
                 ..Default::default()
             };
-            let plain = center_greedy_cover(&ds, 3, &config).unwrap();
-            let governed =
-                try_center_greedy_cover_governed(&ds, 3, &config, &Budget::unlimited()).unwrap();
+            let plain = center_greedy_cover(&ds, 3, &config, None, &Budget::unlimited()).unwrap();
+            let governed = center_greedy_cover(&ds, 3, &config, None, &roomy).unwrap();
             assert_eq!(plain, governed, "threads = {threads}");
         }
     }
@@ -569,7 +536,7 @@ mod tests {
         let config = CenterConfig::default();
         let starved = Budget::builder().max_memory_bytes(64).build();
         assert!(matches!(
-            try_center_greedy_cover_governed(&ds, 3, &config, &starved),
+            center_greedy_cover(&ds, 3, &config, None, &starved),
             Err(Error::BudgetExceeded {
                 resource: crate::govern::Resource::Memory,
                 ..
@@ -577,7 +544,7 @@ mod tests {
         ));
         let cancelled = Budget::unlimited();
         cancelled.cancel();
-        assert!(try_center_greedy_cover_governed(&ds, 3, &config, &cancelled).is_err());
+        assert!(center_greedy_cover(&ds, 3, &config, None, &cancelled).is_err());
     }
 
     #[test]
@@ -593,7 +560,9 @@ mod tests {
             vec![2, 2, 2],
         ])
         .unwrap();
-        let cover = center_greedy_cover(&ds, 2, &CenterConfig::default()).unwrap();
+        let cover =
+            center_greedy_cover(&ds, 2, &CenterConfig::default(), None, &Budget::unlimited())
+                .unwrap();
         let p = reduce(&cover, 2).unwrap();
         assert!(p.min_block_size().unwrap() >= 2);
         let total: usize = p.blocks().iter().map(Vec::len).sum();

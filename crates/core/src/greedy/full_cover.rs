@@ -16,7 +16,7 @@
 //! whose cached count is still current is globally optimal. The priority
 //! queue behind it is a bucket queue over the (tiny) set of distinct ratio
 //! values — see the comment in
-//! [`try_full_greedy_cover_governed_with_cache`].
+//! [`full_greedy_cover`].
 //!
 //! ## Incremental prefix diameters
 //!
@@ -394,69 +394,36 @@ pub(crate) fn materialize_candidates(
 
 /// Runs Phase 1 of Theorem 4.1, returning a `(k, 2k−1)`-cover.
 ///
-/// Builds a [`PairwiseDistances`] cache internally; callers that already
-/// hold one should use [`full_greedy_cover_with_cache`].
+/// `cache` is a caller-supplied distance cache shared with other solvers;
+/// with `None` a [`PairwiseDistances`] is built here. The cache build,
+/// candidate enumeration (every parallel worker) and the lazy-greedy cover
+/// loop poll `budget` at bounded intervals and stop with
+/// [`Error::BudgetExceeded`] when a limit trips; the output does not depend
+/// on the budget when it suffices.
 ///
 /// # Errors
 /// * [`Error::KZero`] / [`Error::KExceedsRows`] on a bad `k`;
 /// * [`Error::InstanceTooLarge`] when `Σ C(n, s)` exceeds
-///   `config.max_candidates`.
-pub fn full_greedy_cover(ds: &Dataset, k: usize, config: &FullCoverConfig) -> Result<Cover> {
-    try_full_greedy_cover_governed(ds, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`full_greedy_cover`]: same algorithm, same output when
-/// the budget suffices, but the distance-cache build, candidate
-/// enumeration (every parallel worker), and the lazy-greedy cover loop all
-/// poll `budget` at bounded intervals and stop with
-/// [`Error::BudgetExceeded`] when a limit trips.
-///
-/// # Errors
-/// As [`full_greedy_cover`], plus [`Error::BudgetExceeded`] /
-/// [`Error::Overflow`].
-pub fn try_full_greedy_cover_governed(
+///   `config.max_candidates`;
+/// * [`Error::InvalidPartition`] if `cache` covers a different row count;
+/// * [`Error::BudgetExceeded`] / [`Error::Overflow`] from `budget`.
+pub fn full_greedy_cover(
     ds: &Dataset,
     k: usize,
     config: &FullCoverConfig,
+    cache: Option<&PairwiseDistances>,
     budget: &Budget,
 ) -> Result<Cover> {
     ds.check_k(k)?;
     budget.check()?;
-    let threads = config.effective_threads();
-    let cache = PairwiseDistances::try_build_governed(ds, Some(threads), budget)?;
-    try_full_greedy_cover_governed_with_cache(ds, k, config, &cache, budget)
-}
-
-/// [`full_greedy_cover`] over a caller-supplied distance cache (shared with
-/// other solvers, e.g. an incumbent search inside branch-and-bound).
-///
-/// # Errors
-/// As [`full_greedy_cover`]; additionally [`Error::InvalidPartition`] if the
-/// cache was built for a different row count.
-pub fn full_greedy_cover_with_cache(
-    ds: &Dataset,
-    k: usize,
-    config: &FullCoverConfig,
-    cache: &PairwiseDistances,
-) -> Result<Cover> {
-    try_full_greedy_cover_governed_with_cache(ds, k, config, cache, &Budget::unlimited())
-}
-
-/// Budget-governed [`full_greedy_cover_with_cache`]; see
-/// [`try_full_greedy_cover_governed`].
-///
-/// # Errors
-/// As [`full_greedy_cover_with_cache`], plus [`Error::BudgetExceeded`] /
-/// [`Error::Overflow`].
-pub fn try_full_greedy_cover_governed_with_cache(
-    ds: &Dataset,
-    k: usize,
-    config: &FullCoverConfig,
-    cache: &PairwiseDistances,
-    budget: &Budget,
-) -> Result<Cover> {
-    ds.check_k(k)?;
-    budget.check()?;
+    let owned;
+    let cache = match cache {
+        Some(cache) => cache,
+        None => {
+            owned = PairwiseDistances::build(ds, Some(config.effective_threads()), budget)?;
+            &owned
+        }
+    };
     let n = ds.n_rows();
     if cache.n() != n {
         return Err(Error::InvalidPartition(format!(
@@ -680,7 +647,7 @@ mod tests {
     #[test]
     fn combination_edge_cases() {
         let ds = Dataset::from_fn(4, 2, |i, _| i as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         assert_eq!(collect_weighted(&cache, 4, 4).len(), 1);
         assert_eq!(collect_weighted(&cache, 4, 5).len(), 0);
         assert_eq!(collect_weighted(&cache, 4, 0).len(), 0);
@@ -689,7 +656,7 @@ mod tests {
     #[test]
     fn weighted_walk_matches_plain_enumeration_and_fresh_diameters() {
         let ds = Dataset::from_fn(9, 4, |i, j| ((i * 7 + j * 5) % 3) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         for s in 1..=5 {
             let mut plain = Vec::new();
             for_each_combination(9, s, &mut |c| plain.push(c.to_vec()));
@@ -705,7 +672,7 @@ mod tests {
     #[test]
     fn first_element_blocks_reassemble_the_full_weighted_enumeration() {
         let ds = Dataset::from_fn(9, 3, |i, j| ((i * 11 + j) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         for (n, s) in [(7, 3), (6, 1), (5, 5), (9, 4)] {
             let whole = collect_weighted(&cache, n, s);
             let mut stitched = Vec::new();
@@ -745,7 +712,7 @@ mod tests {
     #[test]
     fn parallel_materialization_is_byte_identical() {
         let ds = Dataset::from_fn(18, 4, |i, j| ((i * 11 + j * 5) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let count = candidate_count(18, 3).unwrap();
         assert!(count >= 4_096, "instance must clear the parallel floor");
         let unlimited = Budget::unlimited();
@@ -765,7 +732,7 @@ mod tests {
     #[test]
     fn arena_ids_resolve_to_enumeration_order() {
         let ds = Dataset::from_fn(10, 3, |i, j| ((i * 5 + j) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let arena = CandidateArena::try_materialize(&cache, 2, 1, &Budget::unlimited()).unwrap();
         // Reference order: sizes ascending, lexicographic within a size.
         let mut expected: Vec<Vec<u32>> = Vec::new();
@@ -788,14 +755,15 @@ mod tests {
     fn parallel_cover_matches_sequential_cover() {
         let ds = Dataset::from_fn(16, 5, |i, j| ((i * 7 + j * 13) % 3) as u32);
         for k in [2, 3] {
-            let base = full_greedy_cover(&ds, k, &sequential()).unwrap();
+            let base =
+                full_greedy_cover(&ds, k, &sequential(), None, &Budget::unlimited()).unwrap();
             for threads in [1, 2, 4, 8] {
                 let config = FullCoverConfig {
                     parallel: true,
                     num_threads: Some(threads),
                     ..Default::default()
                 };
-                let par = full_greedy_cover(&ds, k, &config).unwrap();
+                let par = full_greedy_cover(&ds, k, &config, None, &Budget::unlimited()).unwrap();
                 assert_eq!(base, par, "k={k} threads={threads}");
             }
         }
@@ -804,7 +772,14 @@ mod tests {
     #[test]
     fn duplicates_get_zero_cost_groups() {
         let ds = Dataset::from_rows(vec![vec![1, 1], vec![1, 1], vec![2, 2], vec![2, 2]]).unwrap();
-        let cover = full_greedy_cover(&ds, 2, &FullCoverConfig::default()).unwrap();
+        let cover = full_greedy_cover(
+            &ds,
+            2,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(cover.diameter_sum(&ds), 0);
     }
 
@@ -818,7 +793,14 @@ mod tests {
             vec![9, 9, 9],
         ])
         .unwrap();
-        let cover = full_greedy_cover(&ds, 2, &FullCoverConfig::default()).unwrap();
+        let cover = full_greedy_cover(
+            &ds,
+            2,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         // Cover::new inside already validated coverage and sizes. The two
         // near-duplicate pairs cost 1 each; the isolated row 4 must share a
         // set with some far row (distance 3), so 5 is optimal here.
@@ -835,22 +817,27 @@ mod tests {
             max_candidates: 100,
             ..Default::default()
         };
-        let err = full_greedy_cover(&ds, 3, &config).unwrap_err();
+        let err = full_greedy_cover(&ds, 3, &config, None, &Budget::unlimited()).unwrap_err();
         assert!(matches!(err, Error::InstanceTooLarge { .. }));
     }
 
     #[test]
     fn governed_unlimited_matches_ungoverned() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(14, 4, |i, j| ((i * 5 + j * 3) % 3) as u32);
         for k in [2, 3] {
-            let plain = full_greedy_cover(&ds, k, &FullCoverConfig::default()).unwrap();
-            let governed = try_full_greedy_cover_governed(
+            let plain = full_greedy_cover(
                 &ds,
                 k,
                 &FullCoverConfig::default(),
+                None,
                 &Budget::unlimited(),
             )
             .unwrap();
+            let governed =
+                full_greedy_cover(&ds, k, &FullCoverConfig::default(), None, &roomy).unwrap();
             assert_eq!(plain, governed, "k = {k}");
         }
     }
@@ -863,7 +850,7 @@ mod tests {
         // Candidate cap below Σ C(16, 2..=3) = 680.
         let capped = Budget::builder().max_candidates(100).build();
         assert!(matches!(
-            try_full_greedy_cover_governed(&ds, 2, &config, &capped),
+            full_greedy_cover(&ds, 2, &config, None, &capped),
             Err(Error::BudgetExceeded {
                 resource: crate::govern::Resource::Candidates,
                 ..
@@ -873,7 +860,7 @@ mod tests {
         // Memory cap that the distance cache alone exceeds.
         let starved = Budget::builder().max_memory_bytes(16).build();
         assert!(matches!(
-            try_full_greedy_cover_governed(&ds, 2, &config, &starved),
+            full_greedy_cover(&ds, 2, &config, None, &starved),
             Err(Error::BudgetExceeded {
                 resource: crate::govern::Resource::Memory,
                 ..
@@ -883,21 +870,35 @@ mod tests {
         // Cancellation is observed before any work.
         let cancelled = Budget::unlimited();
         cancelled.cancel();
-        assert!(try_full_greedy_cover_governed(&ds, 2, &config, &cancelled).is_err());
+        assert!(full_greedy_cover(&ds, 2, &config, None, &cancelled).is_err());
     }
 
     #[test]
     fn mismatched_cache_rejected() {
         let ds = Dataset::from_fn(6, 2, |i, _| i as u32);
         let other = Dataset::from_fn(5, 2, |i, _| i as u32);
-        let cache = PairwiseDistances::build(&other);
-        assert!(full_greedy_cover_with_cache(&ds, 2, &FullCoverConfig::default(), &cache).is_err());
+        let cache = PairwiseDistances::build(&other, Some(1), &Budget::unlimited()).unwrap();
+        assert!(full_greedy_cover(
+            &ds,
+            2,
+            &FullCoverConfig::default(),
+            Some(&cache),
+            &Budget::unlimited()
+        )
+        .is_err());
     }
 
     #[test]
     fn k_equals_n_single_group() {
         let ds = Dataset::from_rows(vec![vec![0], vec![1], vec![2]]).unwrap();
-        let cover = full_greedy_cover(&ds, 3, &FullCoverConfig::default()).unwrap();
+        let cover = full_greedy_cover(
+            &ds,
+            3,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(cover.n_sets(), 1);
         assert_eq!(cover.sets()[0], vec![0, 1, 2]);
     }
@@ -905,15 +906,36 @@ mod tests {
     #[test]
     fn k_one_yields_zero_diameter() {
         let ds = Dataset::from_rows(vec![vec![0], vec![1], vec![2]]).unwrap();
-        let cover = full_greedy_cover(&ds, 1, &FullCoverConfig::default()).unwrap();
+        let cover = full_greedy_cover(
+            &ds,
+            1,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(cover.diameter_sum(&ds), 0);
     }
 
     #[test]
     fn bad_k_rejected() {
         let ds = Dataset::from_rows(vec![vec![0], vec![1]]).unwrap();
-        assert!(full_greedy_cover(&ds, 0, &FullCoverConfig::default()).is_err());
-        assert!(full_greedy_cover(&ds, 3, &FullCoverConfig::default()).is_err());
+        assert!(full_greedy_cover(
+            &ds,
+            0,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited()
+        )
+        .is_err());
+        assert!(full_greedy_cover(
+            &ds,
+            3,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited()
+        )
+        .is_err());
     }
 
     /// Reference implementation: plain greedy that rescans every candidate
@@ -967,7 +989,14 @@ mod tests {
             let m = rng.gen_range(2..5);
             let ds = Dataset::from_fn(n, m, |_, _| rng.gen_range(0..3u32));
             let k = rng.gen_range(1usize..4).min(n);
-            let heap_cover = full_greedy_cover(&ds, k, &FullCoverConfig::default()).unwrap();
+            let heap_cover = full_greedy_cover(
+                &ds,
+                k,
+                &FullCoverConfig::default(),
+                None,
+                &Budget::unlimited(),
+            )
+            .unwrap();
             let naive = naive_greedy_cover(&ds, k);
             let naive_sum: u64 = naive.iter().map(|&(_, d)| d).sum();
             assert_eq!(
@@ -983,7 +1012,14 @@ mod tests {
         let ds = Dataset::from_rows(vec![]).unwrap();
         // check_k rejects k > n = 0... k must be 0 < k <= 0: impossible, so
         // any k errors. That is the documented behaviour.
-        assert!(full_greedy_cover(&ds, 1, &FullCoverConfig::default()).is_err());
+        assert!(full_greedy_cover(
+            &ds,
+            1,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited()
+        )
+        .is_err());
     }
 
     use proptest::prelude::*;
@@ -1001,7 +1037,7 @@ mod tests {
             k in 1usize..=4,
         ) {
             let ds = Dataset::from_fn(n, 3, |i, j| flat[i * 3 + j]);
-            let cache = PairwiseDistances::build(&ds);
+            let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
             let k = k.min(n);
             for s in k..=(2 * k - 1).min(n) {
                 for_each_weighted_combination_until(&cache, n, s, &mut |combo, d| {
@@ -1025,7 +1061,7 @@ mod tests {
             k in 1usize..=3,
         ) {
             let ds = Dataset::from_fn(n, 3, |i, j| flat[i * 3 + j]);
-            let cache = PairwiseDistances::build(&ds);
+            let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
             let k = k.min(n);
             let arena =
                 CandidateArena::try_materialize(&cache, k, 1, &Budget::unlimited()).unwrap();

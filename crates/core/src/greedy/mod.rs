@@ -18,14 +18,8 @@ pub mod full_cover;
 pub mod reduce;
 
 pub use arena::CandidateArena;
-pub use center::{
-    center_greedy_cover, center_greedy_cover_with_cache, try_center_greedy_cover_governed,
-    try_center_greedy_cover_governed_with_cache, CenterConfig,
-};
-pub use full_cover::{
-    full_greedy_cover, full_greedy_cover_with_cache, try_full_greedy_cover_governed,
-    try_full_greedy_cover_governed_with_cache, FullCoverConfig,
-};
+pub use center::{center_greedy_cover, CenterConfig};
+pub use full_cover::{full_greedy_cover, FullCoverConfig};
 pub use reduce::reduce;
 
 /// An exact rational ratio `num / den` used to order greedy candidates

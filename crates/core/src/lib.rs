@@ -32,7 +32,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use kanon_core::{Dataset, algo};
+//! use kanon_core::{Budget, Dataset, algo};
 //!
 //! // Four 3-attribute records (dictionary-coded values).
 //! let ds = Dataset::from_rows(vec![
@@ -42,7 +42,7 @@
 //!     vec![1, 20, 2],
 //! ]).unwrap();
 //!
-//! let result = algo::center_greedy(&ds, 2, &Default::default()).unwrap();
+//! let result = algo::center_greedy(&ds, 2, &Default::default(), &Budget::unlimited()).unwrap();
 //! assert!(result.table.is_k_anonymous(2));
 //! // Cost = number of suppressed cells.
 //! assert_eq!(result.cost, result.table.suppressed_cells());

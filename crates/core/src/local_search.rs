@@ -15,7 +15,6 @@
 
 use crate::dataset::Dataset;
 use crate::diameter::anon_cost;
-use crate::distcache::PairwiseDistances;
 use crate::error::Result;
 use crate::govern::Budget;
 use crate::partition::Partition;
@@ -53,39 +52,29 @@ pub struct LocalSearchResult {
     pub passes: usize,
 }
 
-/// Hill-climbs `partition` under relocate and swap moves.
+/// Hill-climbs `partition` under relocate and swap moves. The relocate
+/// and swap move-evaluation loops poll `budget` at bounded intervals.
+/// Because hill climbing is monotone, interrupting it loses only further
+/// improvement — callers that prefer the partial result over the error can
+/// keep their own pre-move snapshot.
 ///
 /// ```
-/// use kanon_core::{Dataset, Partition, local_search::{improve, LocalSearchConfig}};
+/// use kanon_core::{Budget, Dataset, Partition, local_search::{improve, LocalSearchConfig}};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![0, 0], vec![0, 1], vec![9, 9], vec![9, 8],
 /// ]).unwrap();
 /// // A deliberately crossed pairing costs 8; the fix costs 4.
 /// let crossed = Partition::new(vec![vec![0, 2], vec![1, 3]], 4, 2).unwrap();
-/// let result = improve(&ds, &crossed, 2, &LocalSearchConfig::default()).unwrap();
+/// let config = LocalSearchConfig::default();
+/// let result = improve(&ds, &crossed, 2, &config, &Budget::unlimited()).unwrap();
 /// assert_eq!(result.final_cost, 4);
 /// ```
 ///
 /// # Errors
 /// Propagates partition validation errors (cannot occur when the input
-/// partition is valid for `ds` and `k`).
+/// partition is valid for `ds` and `k`), plus
+/// [`crate::Error::BudgetExceeded`] when the budget trips.
 pub fn improve(
-    ds: &Dataset,
-    partition: &Partition,
-    k: usize,
-    config: &LocalSearchConfig,
-) -> Result<LocalSearchResult> {
-    try_improve_governed(ds, partition, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`improve`]: the relocate and swap move-evaluation loops
-/// poll `budget` at bounded intervals. Because hill climbing is monotone,
-/// interrupting it loses only further improvement — callers that prefer the
-/// partial result over the error can keep their own pre-move snapshot.
-///
-/// # Errors
-/// As [`improve`], plus [`crate::Error::BudgetExceeded`].
-pub fn try_improve_governed(
     ds: &Dataset,
     partition: &Partition,
     k: usize,
@@ -95,59 +84,6 @@ pub fn try_improve_governed(
     let initial_cost = partition.anonymization_cost(ds);
     let (result, moves, passes) = improve_by_cost(ds, partition, k, config, budget, |ds, rows| {
         block_cost(ds, rows) as f64
-    })?;
-    let final_cost = result.anonymization_cost(ds);
-    debug_assert!(final_cost <= initial_cost);
-    Ok(LocalSearchResult {
-        partition: result,
-        initial_cost,
-        final_cost,
-        moves,
-        passes,
-    })
-}
-
-/// [`improve`] with block costs served by a shared [`PairwiseDistances`]
-/// cache: the pair and zero-diameter fast paths skip the `O(|S|·m)` column
-/// scan that dominates the move evaluation loop. Produces exactly the same
-/// partition as [`improve`] (the cost function is identical, only cheaper).
-///
-/// # Errors
-/// As [`improve`]; additionally [`crate::Error::InvalidPartition`] if the
-/// cache was built for a different row count.
-pub fn improve_cached(
-    ds: &Dataset,
-    cache: &PairwiseDistances,
-    partition: &Partition,
-    k: usize,
-    config: &LocalSearchConfig,
-) -> Result<LocalSearchResult> {
-    try_improve_cached_governed(ds, cache, partition, k, config, &Budget::unlimited())
-}
-
-/// Budget-governed [`improve_cached`]; see [`try_improve_governed`].
-///
-/// # Errors
-/// As [`improve_cached`], plus [`crate::Error::BudgetExceeded`].
-pub fn try_improve_cached_governed(
-    ds: &Dataset,
-    cache: &PairwiseDistances,
-    partition: &Partition,
-    k: usize,
-    config: &LocalSearchConfig,
-    budget: &Budget,
-) -> Result<LocalSearchResult> {
-    if cache.n() != ds.n_rows() {
-        return Err(crate::error::Error::InvalidPartition(format!(
-            "distance cache covers {} rows but the dataset has {}",
-            cache.n(),
-            ds.n_rows()
-        )));
-    }
-    let initial_cost = partition.anonymization_cost(ds);
-    let (result, moves, passes) = improve_by_cost(ds, partition, k, config, budget, |ds, rows| {
-        let idx: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
-        cache.anon_cost(ds, &idx) as f64
     })?;
     let final_cost = result.anonymization_cost(ds);
     debug_assert!(final_cost <= initial_cost);
@@ -334,7 +270,14 @@ mod tests {
         .unwrap();
         let crossed = Partition::new(vec![vec![0, 2], vec![1, 3]], 4, 2).unwrap();
         assert_eq!(crossed.anonymization_cost(&ds), 12);
-        let res = improve(&ds, &crossed, 2, &LocalSearchConfig::default()).unwrap();
+        let res = improve(
+            &ds,
+            &crossed,
+            2,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(res.final_cost, 4);
         assert!(res.moves >= 1);
         assert_eq!(res.partition.anonymization_cost(&ds), 4);
@@ -344,7 +287,14 @@ mod tests {
     fn leaves_an_optimal_partition_alone() {
         let ds = Dataset::from_rows(vec![vec![0, 0], vec![0, 0], vec![5, 5], vec![5, 5]]).unwrap();
         let good = Partition::new(vec![vec![0, 1], vec![2, 3]], 4, 2).unwrap();
-        let res = improve(&ds, &good, 2, &LocalSearchConfig::default()).unwrap();
+        let res = improve(
+            &ds,
+            &good,
+            2,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert_eq!(res.final_cost, 0);
         assert_eq!(res.moves, 0);
         assert_eq!(res.passes, 1);
@@ -354,42 +304,22 @@ mod tests {
     fn relocation_respects_min_size() {
         let ds = Dataset::from_rows(vec![vec![0, 0], vec![0, 1], vec![0, 0], vec![0, 0]]).unwrap();
         let p = Partition::new(vec![vec![0, 1], vec![2, 3]], 4, 2).unwrap();
-        let res = improve(&ds, &p, 2, &LocalSearchConfig::default()).unwrap();
+        let res = improve(
+            &ds,
+            &p,
+            2,
+            &LocalSearchConfig::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap();
         assert!(res.partition.min_block_size().unwrap() >= 2);
     }
 
     #[test]
-    fn cached_variant_matches_uncached() {
-        let ds = Dataset::from_fn(12, 4, |i, j| ((i * 5 + j * 3) % 4) as u32);
-        let cache = PairwiseDistances::build(&ds);
-        let p = Partition::new(
-            vec![
-                (0..4u32).collect(),
-                (4..8u32).collect(),
-                (8..12u32).collect(),
-            ],
-            12,
-            3,
-        )
-        .unwrap();
-        let plain = improve(&ds, &p, 3, &LocalSearchConfig::default()).unwrap();
-        let cached = improve_cached(&ds, &cache, &p, 3, &LocalSearchConfig::default()).unwrap();
-        assert_eq!(plain.partition, cached.partition);
-        assert_eq!(plain.final_cost, cached.final_cost);
-        assert_eq!(plain.moves, cached.moves);
-    }
-
-    #[test]
-    fn cached_variant_rejects_mismatched_cache() {
-        let ds = Dataset::from_fn(6, 2, |i, _| i as u32);
-        let other = Dataset::from_fn(4, 2, |i, _| i as u32);
-        let cache = PairwiseDistances::build(&other);
-        let p = Partition::new(vec![(0..6u32).collect()], 6, 2).unwrap();
-        assert!(improve_cached(&ds, &cache, &p, 2, &LocalSearchConfig::default()).is_err());
-    }
-
-    #[test]
     fn governed_unlimited_matches_and_cancellation_propagates() {
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .build();
         let ds = Dataset::from_fn(12, 4, |i, j| ((i * 5 + j * 3) % 4) as u32);
         let p = Partition::new(
             vec![
@@ -401,8 +331,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let plain = improve(&ds, &p, 3, &LocalSearchConfig::default()).unwrap();
-        let governed = try_improve_governed(
+        let plain = improve(
             &ds,
             &p,
             3,
@@ -410,14 +339,13 @@ mod tests {
             &Budget::unlimited(),
         )
         .unwrap();
+        let governed = improve(&ds, &p, 3, &LocalSearchConfig::default(), &roomy).unwrap();
         assert_eq!(plain.partition, governed.partition);
         assert_eq!(plain.moves, governed.moves);
 
         let cancelled = Budget::unlimited();
         cancelled.cancel();
-        assert!(
-            try_improve_governed(&ds, &p, 3, &LocalSearchConfig::default(), &cancelled).is_err()
-        );
+        assert!(improve(&ds, &p, 3, &LocalSearchConfig::default(), &cancelled).is_err());
     }
 
     #[test]
@@ -461,10 +389,11 @@ mod tests {
                 (0..cut as u32).collect(),
                 (cut as u32..9).collect(),
             ], 9, k).unwrap();
-            let res = improve(&ds, &p, k, &LocalSearchConfig::default()).unwrap();
+            let res =
+                improve(&ds, &p, k, &LocalSearchConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert!(res.final_cost <= res.initial_cost);
             prop_assert!(res.partition.min_block_size().unwrap() >= k);
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert!(res.final_cost >= opt.cost);
         }
     }

@@ -5,7 +5,7 @@
 //! raw bytes with `kanon-schema`, infers per-column types and a ranked
 //! quasi-identifier suggestion, auto-derives a
 //! [`kanon_relation::Hierarchy`] per column, and attempts **full-domain
-//! generalization** ([`GeneralizationLattice::try_search_minimal_governed`])
+//! generalization** ([`GeneralizationLattice::search_minimal`])
 //! on the quasi projection under half the remaining budget. Generalization
 //! is the top rung of the ladder ([`kanon_baselines::ladder::Rung::Generalization`]):
 //! it coarsens *every* row the same way instead of suppressing cells, so
@@ -289,7 +289,7 @@ pub fn try_generalize(
     }
     let table = Table::with_rows(qi_schema, rows).map_err(Error::Relation)?;
     let lattice = GeneralizationLattice::new(&table, hierarchies.to_vec())?;
-    let Some(node) = lattice.try_search_minimal_governed(k, budget)? else {
+    let Some(node) = lattice.search_minimal(k, budget)? else {
         return Ok(None);
     };
     // Belt and braces: the released node must pass the checker on its own,

@@ -16,7 +16,7 @@ use kanon_relation::encode::StreamingEncoder;
 use kanon_relation::Codec;
 
 use crate::config::PipelineConfig;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::report::PipelineReport;
 
 /// Reads CSV from `reader` in chunks and dictionary-encodes the records as
@@ -78,13 +78,14 @@ pub struct CsvRun {
 }
 
 /// End-to-end convenience: ingest CSV, project the quasi-identifier, run
-/// the sharded pipeline.
+/// the sharded pipeline — [`crate::run_csv_private_with_progress`] with no
+/// sensitive column, plain k, and no progress listener.
 ///
 /// `quasi` selects quasi-identifier columns by header name; `None` treats
 /// every column as quasi-identifying.
 ///
 /// # Errors
-/// Ingestion errors from [`ingest_csv`], [`Error::UnknownColumn`] (naming
+/// Ingestion errors from [`ingest_csv`], [`crate::Error::UnknownColumn`] (naming
 /// the header's actual columns) for an unrecognized column name, and every
 /// [`crate::engine::run_pipeline`] error.
 pub fn run_csv<R: io::Read>(
@@ -93,56 +94,21 @@ pub fn run_csv<R: io::Read>(
     quasi: Option<&[String]>,
     config: &PipelineConfig,
 ) -> Result<CsvRun> {
-    run_csv_with_progress(reader, k, quasi, config, &|_| {})
-}
-
-/// As [`run_csv`], forwarding live [`crate::engine::Progress`] events to
-/// `on_progress` — the serving layer uses this to publish per-job status
-/// while the run is in flight.
-///
-/// # Errors
-/// As [`run_csv`].
-pub fn run_csv_with_progress<R: io::Read>(
-    reader: R,
-    k: usize,
-    quasi: Option<&[String]>,
-    config: &PipelineConfig,
-    on_progress: &(dyn Fn(crate::engine::Progress) + Sync),
-) -> Result<CsvRun> {
-    let (dataset, codec) = ingest_csv(reader)?;
-    let quasi_cols: Vec<usize> = match quasi {
-        None => (0..codec.arity()).collect(),
-        Some(names) => names
-            .iter()
-            .map(|name| {
-                codec
-                    .header()
-                    .iter()
-                    .position(|h| h == name)
-                    .ok_or_else(|| Error::UnknownColumn {
-                        name: name.clone(),
-                        known: codec.header().to_vec(),
-                    })
-            })
-            .collect::<Result<_>>()?,
-    };
-    let qi = dataset
-        .project_columns(&quasi_cols)
-        .map_err(|e| Error::Relation(kanon_relation::Error::Core(e)))?;
-    let (anonymization, report) =
-        crate::engine::run_pipeline_with_progress(&qi, k, config, on_progress)?;
-    Ok(CsvRun {
-        dataset,
-        codec,
-        quasi: quasi_cols,
-        anonymization,
-        report,
-    })
+    crate::privacy::run_csv_private_with_progress(
+        reader,
+        k,
+        quasi,
+        None,
+        kanon_privacy::PrivacyModel::KOnly,
+        config,
+        &|_| {},
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     const CSV: &str = "age,zip,job\n34,90210,cook\n34,90210,cook\n35,90210,cook\n\
                        35,90211,nurse\n34,90211,nurse\n35,90211,nurse\n";

@@ -28,11 +28,13 @@
 //!    against the (k, 2k-1) band before the final
 //!    [`kanon_core::Anonymization`] is assembled.
 //!
-//! A fifth, optional stage ([`run_csv_private`]) holds the merged release
-//! to a [`kanon_privacy::PrivacyModel`] beyond k-anonymity: the sensitive
-//! column is kept out of the quasi-identifier (it never keys the shard
-//! hash), violating blocks are greedily merged post-merge, and the result
-//! is independently re-verified before it is reported.
+//! A fifth stage, in the same CSV path ([`run_csv_private_with_progress`]),
+//! holds the merged release to a [`kanon_privacy::PrivacyModel`] beyond
+//! k-anonymity: the sensitive column is kept out of the quasi-identifier
+//! (it never keys the shard hash), violating blocks are greedily merged
+//! post-merge, and the result is independently re-verified before it is
+//! reported. Under plain k the stage is a no-op, and [`run_csv`] is that
+//! path with no sensitive column.
 //!
 //! Solver memory scales with `shard_size²`, not `n²`; the table itself is
 //! held encoded (4 bytes per cell). Sharding costs approximation quality —
@@ -60,8 +62,8 @@ pub use delta::{ApplyReport, DeltaConfig, DeltaOp, DeltaStatus, DeltaStore};
 pub use engine::{run_pipeline, run_pipeline_with_progress, Progress};
 pub use error::{Error, Result};
 pub use generalize::{run_csv_auto, AutoConfig, AutoOutcome, AutoRun, Generalized};
-pub use ingest::{ingest_csv, ingest_csv_with_delimiter, run_csv, run_csv_with_progress, CsvRun};
-pub use privacy::{run_csv_private, run_csv_private_with_progress};
+pub use ingest::{ingest_csv, ingest_csv_with_delimiter, run_csv, CsvRun};
+pub use privacy::run_csv_private_with_progress;
 pub use release::{attack_tables, write_generalized_release, write_release};
 pub use report::{
     json_escape, GeneralizationReport, PipelineReport, PrivacyReport, ShardReport, SolvedBy,

@@ -39,34 +39,26 @@ fn resolve_column(codec: &Codec, name: &str) -> Result<usize> {
         })
 }
 
-/// As [`crate::run_csv`], held to `model` on the `sensitive` column.
+/// The one CSV path through the pipeline: ingest CSV, project the
+/// quasi-identifier, run the sharded engine, and hold the release to
+/// `model` on the `sensitive` column. Live [`crate::engine::Progress`]
+/// events go to `on_progress`. [`crate::run_csv`] is this path with no
+/// sensitive column, plain k, and no progress listener.
 ///
-/// `quasi = None` treats every column *except* the sensitive one as
-/// quasi-identifying. A model beyond `k` requires a sensitive column; the
-/// sensitive column must not appear in the quasi list.
+/// `quasi` selects quasi-identifier columns by header name; `None` treats
+/// every column *except* the sensitive one as quasi-identifying. A model
+/// beyond `k` requires a sensitive column; the sensitive column must not
+/// appear in the quasi list, and is excluded from the projection even
+/// under plain k.
 ///
 /// # Errors
-/// Everything [`crate::run_csv`] raises, plus [`Error::Privacy`] for a
+/// Ingestion errors from [`ingest_csv`], [`Error::UnknownColumn`] (naming
+/// the header's actual columns) for an unrecognized column name, every
+/// [`crate::engine::run_pipeline`] error, [`Error::Privacy`] for a
 /// sensitive column declared quasi-identifying
 /// ([`kanon_privacy::Error::SensitiveIsQuasi`]) or an unreachable
 /// constraint, and [`Error::Config`] when `model` needs a sensitive
 /// column but none was given.
-pub fn run_csv_private<R: io::Read>(
-    reader: R,
-    k: usize,
-    quasi: Option<&[String]>,
-    sensitive: Option<&str>,
-    model: PrivacyModel,
-    config: &PipelineConfig,
-) -> Result<CsvRun> {
-    run_csv_private_with_progress(reader, k, quasi, sensitive, model, config, &|_| {})
-}
-
-/// As [`run_csv_private`], forwarding live [`crate::engine::Progress`]
-/// events to `on_progress`.
-///
-/// # Errors
-/// As [`run_csv_private`].
 pub fn run_csv_private_with_progress<R: io::Read>(
     reader: R,
     k: usize,
@@ -111,7 +103,9 @@ pub fn run_csv_private_with_progress<R: io::Read>(
                 .collect::<Result<_>>()?
         }
     };
-    if quasi_cols.is_empty() {
+    // Only carving out the sensitive column is an error here; an explicit
+    // empty quasi list without one goes to the engine unchanged.
+    if quasi_cols.is_empty() && sens_col.is_some() {
         return Err(Error::Config(
             "no quasi-identifier columns remain after excluding the sensitive column".into(),
         ));
@@ -175,13 +169,14 @@ mod tests {
 
     #[test]
     fn l_diversity_release_passes_independent_recheck() {
-        let run = run_csv_private(
+        let run = run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             None,
             Some("diagnosis"),
             PrivacyModel::parse("l=2").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         )
         .unwrap();
         // The sensitive column stayed out of the quasi-identifier.
@@ -208,13 +203,14 @@ mod tests {
     #[test]
     fn sensitive_in_quasi_list_is_a_structured_error() {
         let quasi = vec!["age".to_string(), "diagnosis".to_string()];
-        match run_csv_private(
+        match run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             Some(&quasi),
             Some("diagnosis"),
             PrivacyModel::parse("l=2").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         ) {
             Err(Error::Privacy(kanon_privacy::Error::SensitiveIsQuasi { column, quasi })) => {
                 assert_eq!(column, "diagnosis");
@@ -227,13 +223,14 @@ mod tests {
 
     #[test]
     fn model_beyond_k_requires_a_sensitive_column() {
-        match run_csv_private(
+        match run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             None,
             None,
             PrivacyModel::parse("l=2").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         ) {
             Err(Error::Config(msg)) => assert!(msg.contains("--sensitive"), "{msg}"),
             Err(other) => panic!("expected a config error, got {other}"),
@@ -243,13 +240,14 @@ mod tests {
 
     #[test]
     fn unknown_sensitive_column_names_the_header() {
-        match run_csv_private(
+        match run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             None,
             Some("salary"),
             PrivacyModel::parse("l=2").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         ) {
             Err(Error::UnknownColumn { name, known }) => {
                 assert_eq!(name, "salary");
@@ -262,13 +260,14 @@ mod tests {
 
     #[test]
     fn k_only_with_sensitive_still_excludes_it_from_the_projection() {
-        let run = run_csv_private(
+        let run = run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             None,
             Some("diagnosis"),
             PrivacyModel::KOnly,
             &PipelineConfig::default(),
+            &|_| {},
         )
         .unwrap();
         assert_eq!(run.quasi, vec![0, 1]);
@@ -280,13 +279,14 @@ mod tests {
     fn unreachable_constraint_propagates_as_privacy_error() {
         // One sensitive value table-wide: l=2 cannot be satisfied.
         let csv = "age,zip,diagnosis\n34,90210,flu\n34,90210,flu\n35,90211,flu\n35,90211,flu\n";
-        match run_csv_private(
+        match run_csv_private_with_progress(
             csv.as_bytes(),
             2,
             None,
             Some("diagnosis"),
             PrivacyModel::parse("l=2").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         ) {
             Err(Error::Privacy(kanon_privacy::Error::Unreachable(msg))) => {
                 assert!(msg.contains("distinct"), "{msg}");
@@ -298,13 +298,14 @@ mod tests {
 
     #[test]
     fn t_closeness_path_repairs_and_verifies() {
-        let run = run_csv_private(
+        let run = run_csv_private_with_progress(
             CSV.as_bytes(),
             2,
             None,
             Some("diagnosis"),
             PrivacyModel::parse("t=0.25").unwrap(),
             &PipelineConfig::default(),
+            &|_| {},
         )
         .unwrap();
         let privacy = run.report.privacy.as_deref().expect("privacy section");

@@ -268,6 +268,7 @@ mod tests {
     use super::*;
     use crate::spec::ClosenessMetric;
     use kanon_core::algo;
+    use kanon_core::Budget;
 
     /// Two QI clusters; sensitive values chosen so one group is uniform.
     fn setup() -> (Dataset, Partition, Vec<u32>) {
@@ -359,7 +360,8 @@ mod tests {
         // Census-flavoured: anonymize QI, then enforce diversity on a
         // synthetic sensitive column engineered to violate it.
         let ds = Dataset::from_fn(12, 3, |i, j| ((i / 3) * 10 + j) as u32);
-        let result = algo::center_greedy(&ds, 3, &Default::default()).unwrap();
+        let result =
+            algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
         // Sensitive: constant within each natural cluster of 3.
         let sensitive: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         let repaired = enforce_l_diversity(&ds, &result.partition, &sensitive, 2).unwrap();

@@ -255,6 +255,7 @@ mod tests {
     use super::*;
     use crate::lattice::GeneralizationLattice;
     use crate::schema::Schema;
+    use kanon_core::Budget;
 
     fn hospital() -> Table {
         let mut t = Table::new(Schema::new(vec!["first", "last", "age", "race"]).unwrap());
@@ -310,7 +311,10 @@ mod tests {
         let t = hospital();
         let hs = hierarchies();
         let lattice = GeneralizationLattice::new(&t, hs.clone()).unwrap();
-        let node = lattice.search_minimal(2).unwrap().expect("top works");
+        let node = lattice
+            .search_minimal(2, &Budget::unlimited())
+            .unwrap()
+            .expect("top works");
         let full_domain_loss = lattice.precision_loss(&node).unwrap();
         let cell = anonymize_cells(&t, &hs, 2, &Default::default()).unwrap();
         assert!(

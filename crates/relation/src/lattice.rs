@@ -18,8 +18,7 @@ use std::collections::HashMap;
 
 /// Budget instrumentation threaded through the lattice search: one
 /// candidate charge per node evaluated, one amortized poll per generalized
-/// row. The ungoverned entry points run this against
-/// [`Budget::unlimited`], whose checks are branch-cheap.
+/// row. Against [`Budget::unlimited`] its checks are branch-cheap.
 struct Governor<'a> {
     budget: &'a Budget,
     ticker: PollTicker<'a>,
@@ -153,33 +152,17 @@ impl<'a> GeneralizationLattice<'a> {
     ///
     /// Enumerates level-sum strata bottom-up — worst case the whole lattice
     /// (`∏ (height_j + 1)` nodes) — which is exact and fine for the handful
-    /// of quasi-identifier attributes typical in practice.
+    /// of quasi-identifier attributes typical in practice. Polls `budget`'s
+    /// deadline/cancellation flag roughly once per generalized row and
+    /// charges each lattice node evaluated against its candidate cap, so a
+    /// large lattice respects `--deadline-ms` instead of running to
+    /// completion.
     ///
     /// # Errors
-    /// Propagates generalization errors.
-    pub fn search_minimal(&self, k: usize) -> Result<Option<LatticeNode>> {
-        let unlimited = Budget::unlimited();
-        self.search_minimal_with(k, &mut Governor::new(&unlimited))
-    }
-
-    /// Budget-governed twin of [`GeneralizationLattice::search_minimal`]:
-    /// polls the deadline/cancellation flag roughly once per generalized
-    /// row and charges each lattice node evaluated against the candidate
-    /// cap, so a large lattice respects `--deadline-ms` instead of running
-    /// to completion.
-    ///
-    /// # Errors
-    /// [`Error::Core`] wrapping `BudgetExceeded` when the budget trips;
-    /// otherwise as [`GeneralizationLattice::search_minimal`].
-    pub fn try_search_minimal_governed(
-        &self,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Option<LatticeNode>> {
-        self.search_minimal_with(k, &mut Governor::new(budget))
-    }
-
-    fn search_minimal_with(&self, k: usize, gov: &mut Governor) -> Result<Option<LatticeNode>> {
+    /// Propagates generalization errors; [`Error::Core`] wrapping
+    /// `BudgetExceeded` when the budget trips.
+    pub fn search_minimal(&self, k: usize, budget: &Budget) -> Result<Option<LatticeNode>> {
+        let gov = &mut Governor::new(budget);
         let heights = self.heights();
         let max_sum: usize = heights.iter().sum();
         for target in 0..=max_sum {
@@ -189,80 +172,6 @@ impl<'a> GeneralizationLattice<'a> {
             }
         }
         Ok(None)
-    }
-
-    /// Finds **all** minimal k-anonymous nodes: anonymous nodes none of
-    /// whose strict descendants (component-wise ≤, at least one strictly
-    /// smaller) are anonymous. This is the classic *MinGen frontier* a data
-    /// publisher chooses from — different minimal nodes trade precision
-    /// between attributes.
-    ///
-    /// Enumerates the lattice bottom-up by level sum, using monotonicity:
-    /// any node dominating an already-found minimal node is skipped.
-    ///
-    /// # Errors
-    /// Propagates generalization errors.
-    pub fn search_all_minimal(&self, k: usize) -> Result<Vec<LatticeNode>> {
-        let unlimited = Budget::unlimited();
-        self.search_all_minimal_with(k, &mut Governor::new(&unlimited))
-    }
-
-    /// Budget-governed twin of
-    /// [`GeneralizationLattice::search_all_minimal`], with the same polling
-    /// contract as [`GeneralizationLattice::try_search_minimal_governed`].
-    ///
-    /// # Errors
-    /// [`Error::Core`] wrapping `BudgetExceeded` when the budget trips;
-    /// otherwise as [`GeneralizationLattice::search_all_minimal`].
-    pub fn try_search_all_minimal_governed(
-        &self,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Vec<LatticeNode>> {
-        self.search_all_minimal_with(k, &mut Governor::new(budget))
-    }
-
-    fn search_all_minimal_with(&self, k: usize, gov: &mut Governor) -> Result<Vec<LatticeNode>> {
-        let heights = self.heights();
-        let max_sum: usize = heights.iter().sum();
-        let mut minimal: Vec<LatticeNode> = Vec::new();
-        for target in 0..=max_sum {
-            let mut stack = vec![vec![]];
-            // Enumerate all level vectors with the given sum.
-            let mut nodes_at_sum: Vec<Vec<usize>> = Vec::new();
-            while let Some(prefix) = stack.pop() {
-                let j = prefix.len();
-                if j == heights.len() {
-                    if prefix.iter().sum::<usize>() == target {
-                        nodes_at_sum.push(prefix);
-                    }
-                    continue;
-                }
-                let used: usize = prefix.iter().sum();
-                let rest_capacity: usize = heights[j + 1..].iter().sum();
-                for l in 0..=heights[j].min(target.saturating_sub(used)) {
-                    if target - used - l <= rest_capacity {
-                        let mut next = prefix.clone();
-                        next.push(l);
-                        stack.push(next);
-                    }
-                }
-            }
-            for levels in nodes_at_sum {
-                // Skip nodes dominating a known minimal node.
-                let dominated = minimal
-                    .iter()
-                    .any(|m| m.levels.iter().zip(&levels).all(|(&a, &b)| a <= b));
-                if dominated {
-                    continue;
-                }
-                let node = LatticeNode { levels };
-                if self.is_k_anonymous_with(&node, k, gov)? {
-                    minimal.push(node);
-                }
-            }
-        }
-        Ok(minimal)
     }
 
     fn scan_stratum(
@@ -396,7 +305,10 @@ mod tests {
     fn search_finds_minimal_node() {
         let t = hospital();
         let lat = GeneralizationLattice::new(&t, hierarchies()).unwrap();
-        let node = lat.search_minimal(2).unwrap().expect("top node works");
+        let node = lat
+            .search_minimal(2, &Budget::unlimited())
+            .unwrap()
+            .expect("top node works");
         assert!(lat.is_k_anonymous(&node, 2).unwrap());
         // Minimality: no node with a strictly smaller sum is anonymous —
         // guaranteed by the stratum scan; spot-check that the bottom fails.
@@ -408,7 +320,10 @@ mod tests {
     fn monotonicity_spot_check() {
         let t = hospital();
         let lat = GeneralizationLattice::new(&t, hierarchies()).unwrap();
-        let node = lat.search_minimal(2).unwrap().unwrap();
+        let node = lat
+            .search_minimal(2, &Budget::unlimited())
+            .unwrap()
+            .unwrap();
         // Raising every level to the top preserves anonymity.
         let top = LatticeNode {
             levels: lat.heights(),
@@ -418,53 +333,17 @@ mod tests {
     }
 
     #[test]
-    fn all_minimal_nodes_are_minimal_and_anonymous() {
-        let t = hospital();
-        let lat = GeneralizationLattice::new(&t, hierarchies()).unwrap();
-        let frontier = lat.search_all_minimal(2).unwrap();
-        assert!(!frontier.is_empty());
-        // Each is anonymous; no one dominates another.
-        for node in &frontier {
-            assert!(lat.is_k_anonymous(node, 2).unwrap());
-            for other in &frontier {
-                if node != other {
-                    let dominates = node.levels.iter().zip(&other.levels).all(|(&a, &b)| a <= b);
-                    assert!(!dominates, "{node:?} dominates {other:?}");
-                }
-            }
-            // Strict descendants are not anonymous: check each single-step
-            // decrement.
-            for j in 0..node.levels.len() {
-                if node.levels[j] > 0 {
-                    let mut levels = node.levels.clone();
-                    levels[j] -= 1;
-                    let child = LatticeNode { levels };
-                    assert!(
-                        !lat.is_k_anonymous(&child, 2).unwrap(),
-                        "{child:?} under minimal {node:?} is anonymous"
-                    );
-                }
-            }
-        }
-        // The frontier contains a node with the minimal level sum.
-        let minimal_sum: usize = lat.search_minimal(2).unwrap().unwrap().levels.iter().sum();
-        assert!(frontier
-            .iter()
-            .any(|n| n.levels.iter().sum::<usize>() == minimal_sum));
-    }
-
-    #[test]
     fn governed_twins_match_ungoverned_under_unlimited_budget() {
         let t = hospital();
         let lat = GeneralizationLattice::new(&t, hierarchies()).unwrap();
-        let budget = Budget::unlimited();
+        // A budget with room to spare answers exactly as an unlimited one.
+        let roomy = Budget::builder()
+            .deadline(std::time::Duration::from_secs(3600))
+            .max_candidates(1_000_000)
+            .build();
         assert_eq!(
-            lat.try_search_minimal_governed(2, &budget).unwrap(),
-            lat.search_minimal(2).unwrap()
-        );
-        assert_eq!(
-            lat.try_search_all_minimal_governed(2, &budget).unwrap(),
-            lat.search_all_minimal(2).unwrap()
+            lat.search_minimal(2, &roomy).unwrap(),
+            lat.search_minimal(2, &Budget::unlimited()).unwrap()
         );
     }
 
@@ -475,13 +354,11 @@ mod tests {
         // One candidate = one lattice node; the bottom node alone is not
         // anonymous, so the search must trip before finding an answer.
         let budget = Budget::builder().max_candidates(1).build();
-        let err = lat.try_search_minimal_governed(2, &budget).unwrap_err();
+        let err = lat.search_minimal(2, &budget).unwrap_err();
         assert!(
             matches!(err, Error::Core(kanon_core::Error::BudgetExceeded { .. })),
             "{err}"
         );
-        let err = lat.try_search_all_minimal_governed(2, &budget).unwrap_err();
-        assert!(matches!(err, Error::Core(_)), "{err}");
     }
 
     #[test]
@@ -492,7 +369,7 @@ mod tests {
         // before evaluating its first node.
         let cancelled = Budget::unlimited();
         cancelled.cancel();
-        let err = lat.try_search_minimal_governed(2, &cancelled).unwrap_err();
+        let err = lat.search_minimal(2, &cancelled).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -508,10 +385,17 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .build();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = lat
-            .try_search_all_minimal_governed(2, &expired)
-            .unwrap_err();
-        assert!(matches!(err, Error::Core(_)), "{err}");
+        let err = lat.search_minimal(2, &expired).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Core(kanon_core::Error::BudgetExceeded {
+                    resource: kanon_core::govern::Resource::WallClock,
+                    ..
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -523,7 +407,7 @@ mod tests {
         t.push_str_row(&["xyz"]).unwrap();
         let lat =
             GeneralizationLattice::new(&t, vec![Hierarchy::PrefixMask { height: 1 }]).unwrap();
-        assert_eq!(lat.search_minimal(2).unwrap(), None);
+        assert_eq!(lat.search_minimal(2, &Budget::unlimited()).unwrap(), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use kanon_relation::{Table, Schema};
-//! use kanon_core::algo;
+//! use kanon_core::{algo, Budget};
 //!
 //! let schema = Schema::new(vec!["first", "last", "age", "race"]).unwrap();
 //! let mut table = Table::new(schema);
@@ -21,7 +21,8 @@
 //! table.push_str_row(&["John", "Ramos", "22", "Hisp"]).unwrap();
 //!
 //! let (dataset, codec) = table.encode();
-//! let result = algo::center_greedy(&dataset, 2, &Default::default()).unwrap();
+//! let result =
+//!     algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()).unwrap();
 //! let released = codec.decode(&result.table).unwrap();
 //! assert!(released.contains('*'));
 //! ```

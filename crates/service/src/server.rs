@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use kanon_core::BudgetPool;
 use kanon_pipeline::json::JsonObject;
-use kanon_pipeline::{run_csv_private_with_progress, run_csv_with_progress, CsvRun};
+use kanon_pipeline::{run_csv_private_with_progress, CsvRun};
 use kanon_pipeline::{PipelineConfig, Progress};
 use kanon_privacy::PrivacyModel;
 use kanon_relation::linkage_attack;
@@ -461,6 +461,10 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
             ))),
         },
     };
+    // Return the job's memory to the pool before its outcome is published,
+    // so a client that resubmits as soon as it sees `completed` or `failed`
+    // finds the reservation free again.
+    drop(lease);
     match outcome {
         Ok(run) => {
             let k_anonymous = run.anonymization.table.is_k_anonymous(params.k);
@@ -476,13 +480,11 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
             state.jobs.fail(id, e.to_string());
         }
     }
-    drop(lease);
 }
 
-/// Runs one CSV source through the plain pipeline, or the privacy-aware
-/// path when the submission asked for a model beyond k or named a
-/// sensitive column (which must stay out of the quasi-identifier even
-/// under plain k).
+/// Runs one CSV source through the pipeline, held to the submission's
+/// privacy model; a named sensitive column stays out of the
+/// quasi-identifier even under plain k.
 fn run_source<R: Read>(
     reader: R,
     params: &SubmitParams,
@@ -496,20 +498,15 @@ fn run_source<R: Read>(
         Some(spec) => PrivacyModel::parse(spec).map_err(kanon_pipeline::Error::Privacy)?,
         None => PrivacyModel::KOnly,
     };
-    let quasi = params.quasi.as_deref();
-    if model.requires_sensitive() || params.sensitive.is_some() {
-        run_csv_private_with_progress(
-            reader,
-            params.k,
-            quasi,
-            params.sensitive.as_deref(),
-            model,
-            config,
-            on_progress,
-        )
-    } else {
-        run_csv_with_progress(reader, params.k, quasi, config, on_progress)
-    }
+    run_csv_private_with_progress(
+        reader,
+        params.k,
+        params.quasi.as_deref(),
+        params.sensitive.as_deref(),
+        model,
+        config,
+        on_progress,
+    )
 }
 
 /// Rows the post-completion linkage attack samples. The attack joins the

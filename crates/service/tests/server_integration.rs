@@ -234,6 +234,49 @@ fn memory_pool_exhaustion_rejects_even_with_queue_room() {
     server.shutdown();
 }
 
+/// A job's memory goes back to the pool before the job reads `completed`,
+/// so with a pool that fits exactly one job, a client that resubmits the
+/// moment it sees `completed` is admitted every time. The unique `id`
+/// column makes the finished run slow enough to free that a lease released
+/// only after publishing would be caught within a few rounds.
+#[test]
+fn resubmitting_after_completion_is_always_admitted() {
+    let mut body = String::from("id,age,zip\n");
+    for i in 0..2_000 {
+        body.push_str(&format!("u{i},{},{}\n", 30 + i % 7, 90210 + i % 5));
+    }
+    let server = Server::start(ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        pool_memory_bytes: 32 * 1024 * 1024,
+        default_job_memory_bytes: 32 * 1024 * 1024,
+        ..ServiceConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    for round in 0..50 {
+        let (status, _, resp) = common::http(
+            addr,
+            "POST",
+            "/v1/anonymize?k=2&quasi=age,zip",
+            body.as_bytes(),
+        );
+        assert_eq!(status, 202, "round {round}: {resp}");
+        let id = common::extract_number(&resp, "\"id\":").expect("job id");
+        // Poll without sleeping, so the resubmit lands right after the
+        // job is published.
+        loop {
+            let (status, _, job) = common::http(addr, "GET", &format!("/v1/jobs/{id}"), &[]);
+            assert_eq!(status, 200, "{job}");
+            assert!(!job.contains("\"state\":\"failed\""), "{job}");
+            if job.contains("\"state\":\"completed\"") {
+                break;
+            }
+        }
+    }
+    server.shutdown();
+}
+
 #[test]
 fn in_process_bench_reconciles_and_writes_its_report() {
     let out = std::env::temp_dir().join(format!("bench-service-{}.json", std::process::id()));

@@ -45,7 +45,7 @@ fn materialization_allocates_o_k_not_o_candidates() {
     // at least once per candidate; the arena allocates two slabs per size
     // class plus walker scratch.
     let ds = Dataset::from_fn(26, 4, |i, j| ((i * 7 + j * 3) % 5) as u32);
-    let cache = PairwiseDistances::build(&ds);
+    let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
     let budget = Budget::unlimited();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -10,6 +10,7 @@
 //! atomics. Bytes are counted (not calls) because buffer reuse keeps the
 //! call count identical while eliminating the large allocations.
 
+use kanon_core::Budget;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,12 +50,12 @@ fn warm_rebuilds_recycle_the_large_buffers() {
 
     // Warm the pools: the first build allocates the triangle buffer and
     // the packed column block, both returned to the pool on drop.
-    drop(PairwiseDistances::build(&ds));
+    drop(PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap());
 
     let rebuilds: usize = 6;
     let before = BYTES.load(Ordering::Relaxed);
     for _ in 0..rebuilds {
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         assert_eq!(cache.n(), n);
         drop(cache); // hands the buffers back for the next iteration
     }

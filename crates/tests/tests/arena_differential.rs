@@ -30,7 +30,7 @@ proptest! {
     ) {
         let ds = dataset_from(&flat, n, m);
         let k = k.min(ds.n_rows());
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let arena = CandidateArena::try_materialize(&cache, k, 1, &Budget::unlimited()).unwrap();
         for id in 0..arena.len() {
             prop_assert_eq!(
@@ -53,7 +53,7 @@ proptest! {
     ) {
         let ds = dataset_from(&flat, n, m);
         let k = k.min(ds.n_rows());
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let arena = CandidateArena::try_materialize(&cache, k, 1, &Budget::unlimited()).unwrap();
         let mut prev: Option<Vec<u32>> = None;
         for id in 0..arena.len() {
@@ -94,7 +94,7 @@ proptest! {
     ) {
         let ds = dataset_from(&flat, n, m);
         let k = k.min(ds.n_rows());
-        let cache = PairwiseDistances::build(&ds);
+        let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
         let unlimited = Budget::unlimited();
         let seq = CandidateArena::try_materialize(&cache, k, 1, &unlimited).unwrap();
         let par = CandidateArena::try_materialize(&cache, k, threads, &unlimited).unwrap();
@@ -107,7 +107,7 @@ proptest! {
 #[test]
 fn parallel_slab_fill_is_byte_identical_above_the_floor() {
     let ds = Dataset::from_fn(20, 4, |i, j| ((i * 13 + j * 7) % 5) as u32);
-    let cache = PairwiseDistances::build(&ds);
+    let cache = PairwiseDistances::build(&ds, Some(1), &Budget::unlimited()).unwrap();
     let unlimited = Budget::unlimited();
     let seq = CandidateArena::try_materialize(&cache, 3, 1, &unlimited).unwrap();
     assert_eq!(seq.len(), 21_489);

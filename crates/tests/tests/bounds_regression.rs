@@ -21,6 +21,7 @@ use kanon_core::exact::{min_diameter_sum, subset_dp, SubsetDpConfig};
 use kanon_core::greedy::{full_greedy_cover, FullCoverConfig};
 use kanon_core::rounding::suppressor_for_partition;
 use kanon_core::suppression::verify_k_anonymity;
+use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,9 +36,20 @@ fn workload() -> kanon_core::Dataset {
 fn quantities(k: usize) -> (usize, usize, usize) {
     let ds = workload();
     let dp_config = SubsetDpConfig::default();
-    let d_star = min_diameter_sum(&ds, k, &dp_config).unwrap().cost;
-    let opt = subset_dp(&ds, k, &dp_config).unwrap().cost;
-    let cover = full_greedy_cover(&ds, k, &FullCoverConfig::default()).unwrap();
+    let d_star = min_diameter_sum(&ds, k, &dp_config, &Budget::unlimited())
+        .unwrap()
+        .cost;
+    let opt = subset_dp(&ds, k, &dp_config, &Budget::unlimited())
+        .unwrap()
+        .cost;
+    let cover = full_greedy_cover(
+        &ds,
+        k,
+        &FullCoverConfig::default(),
+        None,
+        &Budget::unlimited(),
+    )
+    .unwrap();
     let d_hat = cover.diameter_sum(&ds);
     (d_star, opt, d_hat)
 }
@@ -63,7 +75,14 @@ fn lemma_4_1_sandwich_holds_and_is_pinned_k3() {
 fn corollary_4_1_rounding_guarantee() {
     let ds = workload();
     for k in [2, 3] {
-        let cover = full_greedy_cover(&ds, k, &FullCoverConfig::default()).unwrap();
+        let cover = full_greedy_cover(
+            &ds,
+            k,
+            &FullCoverConfig::default(),
+            None,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let partition = kanon_core::greedy::reduce(&cover, k)
             .unwrap()
             .split_large(k);

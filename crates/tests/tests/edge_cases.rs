@@ -6,6 +6,7 @@
 use kanon_baselines::forest::{forest, ForestConfig};
 use kanon_baselines::{agglomerative, knn_greedy, mondrian};
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_core::{algo, Dataset};
 
 #[test]
@@ -13,12 +14,12 @@ fn zero_column_table_is_trivially_anonymous() {
     let ds = Dataset::from_rows(vec![vec![], vec![], vec![]]).unwrap();
     assert_eq!(ds.n_cols(), 0);
     for k in 1..=3 {
-        let a = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+        let a = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
         assert_eq!(a.cost, 0, "k = {k}");
         assert!(a.table.is_k_anonymous(k));
         let b = algo::exact_optimal(&ds, k).unwrap();
         assert_eq!(b.cost, 0);
-        let c = algo::exhaustive_greedy(&ds, k, &Default::default()).unwrap();
+        let c = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
         assert_eq!(c.cost, 0);
     }
 }
@@ -26,9 +27,9 @@ fn zero_column_table_is_trivially_anonymous() {
 #[test]
 fn single_row_table() {
     let ds = Dataset::from_rows(vec![vec![1, 2, 3]]).unwrap();
-    let a = algo::center_greedy(&ds, 1, &Default::default()).unwrap();
+    let a = algo::center_greedy(&ds, 1, &Default::default(), &Budget::unlimited()).unwrap();
     assert_eq!(a.cost, 0);
-    assert!(algo::center_greedy(&ds, 2, &Default::default()).is_err());
+    assert!(algo::center_greedy(&ds, 2, &Default::default(), &Budget::unlimited()).is_err());
 }
 
 #[test]
@@ -36,14 +37,29 @@ fn all_identical_rows_cost_zero_everywhere() {
     let ds = Dataset::from_fn(9, 4, |_, _| 7);
     for k in [1usize, 3, 9] {
         assert_eq!(
-            algo::center_greedy(&ds, k, &Default::default())
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .unwrap()
                 .cost,
             0
         );
-        assert_eq!(knn_greedy(&ds, k).unwrap().anonymization_cost(&ds), 0);
-        assert_eq!(mondrian(&ds, k).unwrap().anonymization_cost(&ds), 0);
-        assert_eq!(agglomerative(&ds, k).unwrap().anonymization_cost(&ds), 0);
+        assert_eq!(
+            knn_greedy(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds),
+            0
+        );
+        assert_eq!(
+            mondrian(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds),
+            0
+        );
+        assert_eq!(
+            agglomerative(&ds, k, &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(&ds),
+            0
+        );
         assert_eq!(
             forest(&ds, k, &ForestConfig::default())
                 .unwrap()
@@ -52,7 +68,9 @@ fn all_identical_rows_cost_zero_everywhere() {
         );
     }
     assert_eq!(
-        subset_dp(&ds, 3, &SubsetDpConfig::default()).unwrap().cost,
+        subset_dp(&ds, 3, &SubsetDpConfig::default(), &Budget::unlimited())
+            .unwrap()
+            .cost,
         0
     );
 }
@@ -61,7 +79,7 @@ fn all_identical_rows_cost_zero_everywhere() {
 fn maximum_distinctness_forces_full_suppression_at_k_equals_n() {
     // Every row distinct in every column: k = n must suppress everything.
     let ds = Dataset::from_fn(5, 3, |i, j| (i * 3 + j) as u32 * 100);
-    let a = algo::center_greedy(&ds, 5, &Default::default()).unwrap();
+    let a = algo::center_greedy(&ds, 5, &Default::default(), &Budget::unlimited()).unwrap();
     assert_eq!(a.cost, 15);
     let opt = algo::exact_optimal(&ds, 5).unwrap();
     assert_eq!(opt.cost, 15);
@@ -72,14 +90,16 @@ fn every_solver_rejects_bad_k_identically() {
     let ds = Dataset::from_fn(4, 2, |i, _| i as u32);
     for k in [0usize, 5] {
         assert!(
-            algo::center_greedy(&ds, k, &Default::default()).is_err(),
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).is_err(),
             "{k}"
         );
-        assert!(algo::exhaustive_greedy(&ds, k, &Default::default()).is_err());
+        assert!(
+            algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).is_err()
+        );
         assert!(algo::exact_optimal(&ds, k).is_err());
-        assert!(knn_greedy(&ds, k).is_err());
-        assert!(mondrian(&ds, k).is_err());
-        assert!(agglomerative(&ds, k).is_err());
+        assert!(knn_greedy(&ds, k, &Budget::unlimited()).is_err());
+        assert!(mondrian(&ds, k, &Budget::unlimited()).is_err());
+        assert!(agglomerative(&ds, k, &Budget::unlimited()).is_err());
         assert!(forest(&ds, k, &ForestConfig::default()).is_err());
     }
 }
@@ -98,7 +118,7 @@ fn binary_single_column_table() {
     // of 2 < k. Best: all five in one block = 5 stars, or {0,0,0,1,1}...
     // the DP decides; sanity: cost is 5 (single suppressed column for all).
     assert_eq!(opt3.cost, 5);
-    let greedy = algo::center_greedy(&ds, 3, &Default::default()).unwrap();
+    let greedy = algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
     assert!(greedy.cost >= opt3.cost);
     assert!(greedy.table.is_k_anonymous(3));
 }
@@ -107,10 +127,11 @@ fn binary_single_column_table() {
 fn guards_fail_loudly_not_silently() {
     // Exhaustive greedy on an instance with a huge candidate family.
     let ds = Dataset::from_fn(200, 2, |i, _| i as u32);
-    let err = algo::exhaustive_greedy(&ds, 5, &Default::default()).unwrap_err();
+    let err =
+        algo::exhaustive_greedy(&ds, 5, &Default::default(), &Budget::unlimited()).unwrap_err();
     assert!(err.to_string().contains("too large"), "{err}");
     // Subset DP beyond its bitmask width.
-    let err = subset_dp(&ds, 5, &SubsetDpConfig::default()).unwrap_err();
+    let err = subset_dp(&ds, 5, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap_err();
     assert!(err.to_string().contains("exceeds limit"), "{err}");
 }
 

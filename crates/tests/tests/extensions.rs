@@ -8,6 +8,7 @@ use kanon_baselines::knn_greedy;
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
 use kanon_core::local_search::{improve_weighted, LocalSearchConfig};
 use kanon_core::weighted::{weighted_knn_greedy, weighted_partition_cost, ColumnWeights};
+use kanon_core::Budget;
 use kanon_privacy::{enforce_l_diversity, is_l_diverse};
 use kanon_relation::cellgen::{anonymize_cells, is_table_k_anonymous};
 use kanon_relation::{Hierarchy, Schema, Table};
@@ -39,7 +40,7 @@ proptest! {
             s.len()
         };
         prop_assume!(distinct >= l);
-        let partition = knn_greedy(&ds, k).unwrap();
+        let partition = knn_greedy(&ds, k, &Budget::unlimited()).unwrap();
         let before = partition.anonymization_cost(&ds);
         let result = enforce_l_diversity(&ds, &partition, &sensitive, l).unwrap();
         prop_assert!(is_l_diverse(&result.partition, &sensitive, l).unwrap());
@@ -64,7 +65,7 @@ proptest! {
         let p = weighted_knn_greedy(&ds, &w, k).unwrap();
         let (improved, _, after) =
             improve_weighted(&ds, &p, k, &w, &LocalSearchConfig::default()).unwrap();
-        let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap().cost;
+        let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap().cost;
         prop_assert!(after + 1e-9 >= opt as f64, "after {after} < OPT {opt}");
         prop_assert!(
             (weighted_partition_cost(&ds, &w, &improved) - after).abs() < 1e-9
@@ -81,8 +82,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let ds = zipf(&mut rng, &ZipfParams { n: 11, m: 4, alphabet: 5, exponent: 1.0 });
         let f = forest(&ds, k, &ForestConfig::default()).unwrap();
-        let g = knn_greedy(&ds, k).unwrap();
-        let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap().cost;
+        let g = knn_greedy(&ds, k, &Budget::unlimited()).unwrap();
+        let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap().cost;
         prop_assert!(f.anonymization_cost(&ds) >= opt);
         prop_assert!(g.anonymization_cost(&ds) >= opt);
         prop_assert!(f.min_block_size().unwrap() >= k);

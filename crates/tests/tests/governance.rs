@@ -3,13 +3,13 @@
 //!
 //! Three contracts from DESIGN.md's govern section are locked down here:
 //!
-//! 1. **Promptness** — a cancelled (or otherwise exhausted) budget surfaces
-//!    as `Error::BudgetExceeded` from every governed entry point, and a
+//! 1. **Promptness** — a cancelled budget or an expired deadline surfaces
+//!    as `Error::BudgetExceeded` from every solver entry point, and a
 //!    cancellation raised mid-run from another thread unwinds the solver
 //!    without finishing its work.
-//! 2. **Transparency** — running any solver with `Budget::unlimited()` is
-//!    byte-identical to the ungoverned entry point (which is itself just a
-//!    delegate, but these tests keep that true under refactoring).
+//! 2. **Transparency** — a budget that never trips changes nothing: every
+//!    solver answers byte-identically under `Budget::unlimited()` and under
+//!    a live budget with room to spare.
 //! 3. **Ladder totality** — whenever *some* rung is affordable, the
 //!    degradation ladder returns a valid k-anonymous table and a report
 //!    naming the rung that answered.
@@ -22,22 +22,20 @@
 
 use std::time::{Duration, Instant};
 
-use kanon_baselines::{
-    agglomerative, knn_greedy, mondrian, run_ladder, try_agglomerative_governed,
-    try_knn_greedy_governed, try_mondrian_governed, LadderConfig, Rung,
-};
+use kanon_baselines::{agglomerative, knn_greedy, mondrian, run_ladder, LadderConfig, Rung};
 use kanon_core::distcache::PairwiseDistances;
 use kanon_core::exact::{
-    try_branch_and_bound_governed, try_min_diameter_sum_governed, try_pattern_bb_governed,
-    try_subset_dp_governed, BranchBoundConfig, PatternConfig, SubsetDpConfig,
+    branch_and_bound, min_diameter_sum, pattern_bb, subset_dp, BranchBoundConfig, PatternConfig,
+    SubsetDpConfig,
 };
+use kanon_core::exact::{fpt, FptConfig};
 use kanon_core::govern::{Budget, Resource};
 use kanon_core::greedy::{
-    center_greedy_cover, full_greedy_cover, reduce, try_center_greedy_cover_governed,
-    try_full_greedy_cover_governed, CenterConfig, FullCoverConfig,
+    center_greedy_cover, full_greedy_cover, reduce, CenterConfig, FullCoverConfig,
 };
-use kanon_core::local_search::{improve, try_improve_governed, LocalSearchConfig};
+use kanon_core::local_search::{improve, LocalSearchConfig};
 use kanon_core::{algo, Dataset, Error};
+use kanon_relation::{GeneralizationLattice, Hierarchy};
 use proptest::prelude::*;
 
 /// Builds a dataset with per-column alphabet sizes in `2..=5`, mixing the
@@ -70,87 +68,118 @@ fn sequential() -> FullCoverConfig {
     }
 }
 
-fn assert_cancelled(what: &str, err: Error) {
-    match err {
-        Error::BudgetExceeded {
-            resource: Resource::Cancelled,
-            ..
-        } => {}
-        other => panic!("{what}: expected BudgetExceeded/Cancelled, got {other:?}"),
+/// A budget with room to spare on every instance in this suite: it is live
+/// (deadline, memory and candidate accounting all run) but never trips.
+fn roomy() -> Budget {
+    Budget::builder()
+        .deadline(Duration::from_secs(3600))
+        .max_memory_bytes(1 << 40)
+        .max_candidates(1 << 40)
+        .build()
+}
+
+fn assert_tripped(what: &str, resource: Resource, result: Result<(), Error>) {
+    match result {
+        Err(Error::BudgetExceeded { resource: r, .. }) if r == resource => {}
+        other => panic!("{what}: expected BudgetExceeded/{resource:?}, got {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// 1. Promptness: a pre-cancelled budget trips every governed entry point.
+// 1. Promptness: a tripped budget stops every solver entry point.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn pre_cancelled_budget_trips_every_governed_entry_point() {
+/// Runs every solver entry point on one fixed instance under `budget`,
+/// keeping only whether each succeeded.
+fn every_entry_point(budget: &Budget) -> Vec<(&'static str, Result<(), Error>)> {
     let ds = fixed_dataset(14, 3);
     let k = 3;
-    let budget = Budget::unlimited();
-    budget.cancel();
-
-    assert_cancelled(
-        "distcache",
-        PairwiseDistances::try_build_governed(&ds, Some(1), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "full cover",
-        try_full_greedy_cover_governed(&ds, k, &sequential(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "center cover",
-        try_center_greedy_cover_governed(&ds, k, &CenterConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "exhaustive pipeline",
-        algo::try_exhaustive_greedy_governed(&ds, k, &sequential(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "center pipeline",
-        algo::try_center_greedy_governed(&ds, k, &CenterConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "branch and bound",
-        try_branch_and_bound_governed(&ds, k, &BranchBoundConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "pattern bb",
-        try_pattern_bb_governed(&ds, k, &PatternConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "subset dp",
-        try_subset_dp_governed(&ds, k, &SubsetDpConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "min diameter sum",
-        try_min_diameter_sum_governed(&ds, k, &SubsetDpConfig::default(), &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "agglomerative",
-        try_agglomerative_governed(&ds, k, &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "knn greedy",
-        try_knn_greedy_governed(&ds, k, &budget).unwrap_err(),
-    );
-    assert_cancelled(
-        "mondrian",
-        try_mondrian_governed(&ds, k, &budget).unwrap_err(),
-    );
-    let seed = mondrian(&ds, k).unwrap();
-    assert_cancelled(
-        "local search",
-        try_improve_governed(&ds, &seed, k, &LocalSearchConfig::default(), &budget).unwrap_err(),
-    );
-    // The ladder does not absorb a cancellation: it aborts wholesale.
-    let config = LadderConfig {
+    let unlimited = Budget::unlimited();
+    let seed = mondrian(&ds, k, &unlimited).unwrap();
+    let table = kanon_relation::csv::parse("a,b\n1,x\n1,y\n2,x\n2,y\n").unwrap();
+    let lattice = GeneralizationLattice::new(&table, vec![Hierarchy::SuppressOnly; 2]).unwrap();
+    let ladder = LadderConfig {
         budget: budget.clone(),
         full: sequential(),
         ..Default::default()
     };
-    assert_cancelled("ladder", run_ladder(&ds, k, &config).unwrap_err());
+    vec![
+        (
+            "distcache",
+            PairwiseDistances::build(&ds, Some(1), budget).map(drop),
+        ),
+        (
+            "full cover",
+            full_greedy_cover(&ds, k, &sequential(), None, budget).map(drop),
+        ),
+        (
+            "center cover",
+            center_greedy_cover(&ds, k, &CenterConfig::default(), None, budget).map(drop),
+        ),
+        (
+            "exhaustive pipeline",
+            algo::exhaustive_greedy(&ds, k, &sequential(), budget).map(drop),
+        ),
+        (
+            "center pipeline",
+            algo::center_greedy(&ds, k, &CenterConfig::default(), budget).map(drop),
+        ),
+        (
+            "branch and bound",
+            branch_and_bound(&ds, k, &BranchBoundConfig::default(), budget).map(drop),
+        ),
+        (
+            "pattern bb",
+            pattern_bb(&ds, k, &PatternConfig::default(), budget).map(drop),
+        ),
+        ("fpt", fpt(&ds, k, &FptConfig::default(), budget).map(drop)),
+        (
+            "subset dp",
+            subset_dp(&ds, k, &SubsetDpConfig::default(), budget).map(drop),
+        ),
+        (
+            "min diameter sum",
+            min_diameter_sum(&ds, k, &SubsetDpConfig::default(), budget).map(drop),
+        ),
+        ("agglomerative", agglomerative(&ds, k, budget).map(drop)),
+        ("knn greedy", knn_greedy(&ds, k, budget).map(drop)),
+        ("mondrian", mondrian(&ds, k, budget).map(drop)),
+        (
+            "local search",
+            improve(&ds, &seed, k, &LocalSearchConfig::default(), budget).map(drop),
+        ),
+        (
+            "lattice search",
+            lattice
+                .search_minimal(2, budget)
+                .map(drop)
+                .map_err(|e| match e {
+                    kanon_relation::Error::Core(e) => e,
+                    other => panic!("lattice search: expected a core error, got {other}"),
+                }),
+        ),
+        // The ladder does not absorb a tripped parent budget: it aborts
+        // wholesale.
+        ("ladder", run_ladder(&ds, k, &ladder).map(drop)),
+    ]
+}
+
+#[test]
+fn pre_cancelled_budget_trips_every_governed_entry_point() {
+    let budget = Budget::unlimited();
+    budget.cancel();
+    for (what, result) in every_entry_point(&budget) {
+        assert_tripped(what, Resource::Cancelled, result);
+    }
+}
+
+#[test]
+fn expired_deadline_trips_every_governed_entry_point() {
+    let budget = Budget::builder().deadline(Duration::ZERO).build();
+    std::thread::sleep(Duration::from_millis(2));
+    for (what, result) in every_entry_point(&budget) {
+        assert_tripped(what, Resource::WallClock, result);
+    }
 }
 
 /// Cancellation raised from another thread mid-run unwinds the solver:
@@ -169,7 +198,7 @@ fn mid_run_cancellation_unwinds_the_solver() {
         remote.cancel();
     });
     let started = Instant::now();
-    let result = try_full_greedy_cover_governed(&ds, 3, &sequential(), &budget);
+    let result = full_greedy_cover(&ds, 3, &sequential(), None, &budget);
     let elapsed = started.elapsed();
     canceller.join().expect("canceller thread");
     match result {
@@ -190,14 +219,14 @@ fn mid_run_cancellation_unwinds_the_solver() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Transparency: unlimited-governed ≡ ungoverned, byte for byte.
+// 2. Transparency: a budget that never trips changes nothing.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every solver with `Budget::unlimited()` is byte-identical to its
-    /// ungoverned entry point.
+    /// Every solver answers byte-identically under `Budget::unlimited()` and
+    /// under a live budget that never trips.
     #[test]
     fn unlimited_budget_is_invisible(
         flat in proptest::collection::vec(0u32..8, 14 * 4),
@@ -208,34 +237,34 @@ proptest! {
     ) {
         let ds = build_dataset(&flat, n, m, aseed);
         let k = k.min(n / 2).max(2);
-        let unlimited = Budget::unlimited();
+        let (unlimited, roomy) = (Budget::unlimited(), roomy());
 
-        let cover = full_greedy_cover(&ds, k, &sequential()).unwrap();
-        let governed = try_full_greedy_cover_governed(&ds, k, &sequential(), &unlimited).unwrap();
+        let cover = full_greedy_cover(&ds, k, &sequential(), None, &unlimited).unwrap();
+        let governed = full_greedy_cover(&ds, k, &sequential(), None, &roomy).unwrap();
         prop_assert_eq!(&cover, &governed);
 
-        let center = center_greedy_cover(&ds, k, &CenterConfig::default()).unwrap();
-        let governed =
-            try_center_greedy_cover_governed(&ds, k, &CenterConfig::default(), &unlimited).unwrap();
-        prop_assert_eq!(&center, &governed);
-
+        let center = CenterConfig::default();
         prop_assert_eq!(
-            agglomerative(&ds, k).unwrap(),
-            try_agglomerative_governed(&ds, k, &unlimited).unwrap()
+            center_greedy_cover(&ds, k, &center, None, &unlimited).unwrap(),
+            center_greedy_cover(&ds, k, &center, None, &roomy).unwrap()
         );
         prop_assert_eq!(
-            knn_greedy(&ds, k).unwrap(),
-            try_knn_greedy_governed(&ds, k, &unlimited).unwrap()
+            agglomerative(&ds, k, &unlimited).unwrap(),
+            agglomerative(&ds, k, &roomy).unwrap()
         );
         prop_assert_eq!(
-            mondrian(&ds, k).unwrap(),
-            try_mondrian_governed(&ds, k, &unlimited).unwrap()
+            knn_greedy(&ds, k, &unlimited).unwrap(),
+            knn_greedy(&ds, k, &roomy).unwrap()
+        );
+        prop_assert_eq!(
+            mondrian(&ds, k, &unlimited).unwrap(),
+            mondrian(&ds, k, &roomy).unwrap()
         );
 
         let seed = reduce(&cover, k).unwrap().split_large(k);
-        let plain = improve(&ds, &seed, k, &LocalSearchConfig::default()).unwrap();
-        let governed =
-            try_improve_governed(&ds, &seed, k, &LocalSearchConfig::default(), &unlimited).unwrap();
+        let search = LocalSearchConfig::default();
+        let plain = improve(&ds, &seed, k, &search, &unlimited).unwrap();
+        let governed = improve(&ds, &seed, k, &search, &roomy).unwrap();
         prop_assert_eq!(plain.partition, governed.partition);
         prop_assert_eq!(plain.final_cost, governed.final_cost);
     }
@@ -301,7 +330,7 @@ fn acceptance_unlimited_ladder_matches_ungoverned_cover() {
     let (anon, report) = run_ladder(&ds, k, &config).unwrap();
     assert_eq!(report.rung, Rung::FullGreedyCover);
 
-    let cover = full_greedy_cover(&ds, k, &sequential()).unwrap();
+    let cover = full_greedy_cover(&ds, k, &sequential(), None, &Budget::unlimited()).unwrap();
     let partition = reduce(&cover, k).unwrap().split_large(k);
     let reference = algo::anonymization_from_partition(
         &ds,

@@ -5,6 +5,7 @@
 use kanon_core::attr::min_suppressed_attributes;
 use kanon_core::exact;
 use kanon_core::rounding::suppressor_for_partition;
+use kanon_core::Budget;
 use kanon_hypergraph::generate::{certified_no_matching, planted_matching};
 use kanon_hypergraph::matching::{find_perfect_matching, MatchingConfig};
 use kanon_reductions::{AttributeReduction, EntryReduction};
@@ -105,7 +106,13 @@ fn greedy_on_reduction_instances_is_feasible_but_not_exact() {
     let mut rng = StdRng::seed_from_u64(77);
     let (h, _) = planted_matching(&mut rng, 12, 3, 6).unwrap();
     let red = EntryReduction::new(&h, 3).unwrap();
-    let greedy = kanon_core::algo::center_greedy(red.dataset(), 3, &Default::default()).unwrap();
+    let greedy = kanon_core::algo::center_greedy(
+        red.dataset(),
+        3,
+        &Default::default(),
+        &Budget::unlimited(),
+    )
+    .unwrap();
     assert!(greedy.table.is_k_anonymous(3));
     let opt = exact::optimal(red.dataset(), 3).unwrap();
     assert!(greedy.cost >= opt.cost);

@@ -20,6 +20,7 @@ use kanon_core::greedy::{
     center_greedy_cover, full_greedy_cover, reduce, CenterConfig, FullCoverConfig,
 };
 use kanon_core::metric::row_distance;
+use kanon_core::Budget;
 use kanon_core::{diameter, Dataset};
 use proptest::prelude::*;
 
@@ -65,10 +66,11 @@ proptest! {
         let ds = build_dataset(&flat, n, m, aseed);
         let k = k.min(n / 2).max(2);
 
-        let base = full_greedy_cover(&ds, k, &sequential()).unwrap();
+        let base = full_greedy_cover(&ds, k, &sequential(), None, &Budget::unlimited()).unwrap();
         let base_cost = reduce(&base, k).unwrap().split_large(k).anonymization_cost(&ds);
         for threads in [1, 2, 4] {
-            let par = full_greedy_cover(&ds, k, &parallel(threads)).unwrap();
+            let par =
+                full_greedy_cover(&ds, k, &parallel(threads), None, &Budget::unlimited()).unwrap();
             prop_assert_eq!(&base, &par, "threads = {}", threads);
             let par_cost = reduce(&par, k).unwrap().split_large(k).anonymization_cost(&ds);
             prop_assert_eq!(base_cost, par_cost, "threads = {}", threads);
@@ -92,11 +94,12 @@ proptest! {
         let ds = build_dataset(&flat, n, m, aseed);
         let k = k.min(n / 2).max(2);
 
-        let base = center_greedy_cover(&ds, k, &CenterConfig::default()).unwrap();
+        let base =
+            center_greedy_cover(&ds, k, &CenterConfig::default(), None, &Budget::unlimited()).unwrap();
         let base_cost = reduce(&base, k).unwrap().split_large(k).anonymization_cost(&ds);
         for threads in [2, 4] {
             let config = CenterConfig { threads, ..Default::default() };
-            let par = center_greedy_cover(&ds, k, &config).unwrap();
+            let par = center_greedy_cover(&ds, k, &config, None, &Budget::unlimited()).unwrap();
             prop_assert_eq!(&base, &par, "threads = {}", threads);
             let par_cost = reduce(&par, k).unwrap().split_large(k).anonymization_cost(&ds);
             prop_assert_eq!(base_cost, par_cost, "threads = {}", threads);
@@ -120,7 +123,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         let ds = build_dataset(&flat, n, m, aseed);
-        let cache = PairwiseDistances::build_parallel(&ds, Some(threads));
+        let cache = PairwiseDistances::build(&ds, Some(threads), &Budget::unlimited()).unwrap();
 
         for i in 0..n {
             prop_assert_eq!(cache.get(i, i), 0);
@@ -144,11 +147,12 @@ fn parallel_pipeline_is_bit_identical_end_to_end() {
     use kanon_core::rounding::suppressor_for_partition;
     let ds = Dataset::from_fn(24, 4, |i, j| ((i * 13 + j * 7) % 5) as u32);
     let k = 3;
-    let base_cover = full_greedy_cover(&ds, k, &sequential()).unwrap();
+    let base_cover = full_greedy_cover(&ds, k, &sequential(), None, &Budget::unlimited()).unwrap();
     let base_partition = reduce(&base_cover, k).unwrap().split_large(k);
     let base_suppressor = suppressor_for_partition(&ds, &base_partition).unwrap();
     for threads in [1, 2, 3, 8] {
-        let cover = full_greedy_cover(&ds, k, &parallel(threads)).unwrap();
+        let cover =
+            full_greedy_cover(&ds, k, &parallel(threads), None, &Budget::unlimited()).unwrap();
         let partition = reduce(&cover, k).unwrap().split_large(k);
         let suppressor = suppressor_for_partition(&ds, &partition).unwrap();
         assert_eq!(base_cover, cover, "threads = {threads}");

@@ -4,6 +4,7 @@
 use kanon_baselines::{agglomerative, knn_greedy, mondrian};
 use kanon_cli::{args::Algorithm, Command};
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::csv;
 use kanon_workloads::{census_table, knn_lower_bound, CensusParams};
 use rand::rngs::StdRng;
@@ -16,7 +17,7 @@ fn census_to_released_csv_and_back() {
     let (ds, codec) = table.encode();
     let k = 4;
 
-    let result = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
     assert!(result.table.is_k_anonymous(k));
 
     // Decode to CSV and re-parse: shape and stars must survive.
@@ -47,15 +48,21 @@ fn all_solvers_dominate_the_lower_bound_and_exact_dominates_all() {
     let k = 3;
 
     let exact = algo::exact_optimal(&ds, k).unwrap().cost;
-    let center = algo::center_greedy(&ds, k, &Default::default())
+    let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
         .unwrap()
         .cost;
-    let exhaustive = algo::exhaustive_greedy(&ds, k, &Default::default())
+    let exhaustive = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
         .unwrap()
         .cost;
-    let knn = knn_greedy(&ds, k).unwrap().anonymization_cost(&ds);
-    let agg = agglomerative(&ds, k).unwrap().anonymization_cost(&ds);
-    let mon = mondrian(&ds, k).unwrap().anonymization_cost(&ds);
+    let knn = knn_greedy(&ds, k, &Budget::unlimited())
+        .unwrap()
+        .anonymization_cost(&ds);
+    let agg = agglomerative(&ds, k, &Budget::unlimited())
+        .unwrap()
+        .anonymization_cost(&ds);
+    let mon = mondrian(&ds, k, &Budget::unlimited())
+        .unwrap()
+        .anonymization_cost(&ds);
     let lb = knn_lower_bound(&ds, k);
 
     for (name, cost) in [
@@ -118,18 +125,23 @@ fn duplicate_rows_survive_every_solver_for_free() {
     let ds = kanon_core::Dataset::from_rows(rows).unwrap();
     assert_eq!(algo::exact_optimal(&ds, 3).unwrap().cost, 0);
     assert_eq!(
-        algo::center_greedy(&ds, 3, &Default::default())
+        algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited())
             .unwrap()
             .cost,
         0
     );
     assert_eq!(
-        algo::exhaustive_greedy(&ds, 3, &Default::default())
+        algo::exhaustive_greedy(&ds, 3, &Default::default(), &Budget::unlimited())
             .unwrap()
             .cost,
         0
     );
-    assert_eq!(knn_greedy(&ds, 3).unwrap().anonymization_cost(&ds), 0);
+    assert_eq!(
+        knn_greedy(&ds, 3, &Budget::unlimited())
+            .unwrap()
+            .anonymization_cost(&ds),
+        0
+    );
 }
 
 #[test]
@@ -156,12 +168,13 @@ fn generalization_and_suppression_agree_on_anonymity() {
     )
     .unwrap();
     let node = lattice
-        .search_minimal(3)
+        .search_minimal(3, &Budget::unlimited())
         .unwrap()
         .expect("top node merges everything");
     assert!(lattice.is_k_anonymous(&node, 3).unwrap());
 
     let (ds, _) = t.encode();
-    let suppressed = algo::center_greedy(&ds, 3, &Default::default()).unwrap();
+    let suppressed =
+        algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
     assert!(suppressed.table.is_k_anonymous(3));
 }

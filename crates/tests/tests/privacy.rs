@@ -5,6 +5,7 @@
 //! attributes.
 
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::cellgen::{anonymize_cells, is_table_k_anonymous};
 use kanon_relation::{csv, linkage_attack, Hierarchy, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
@@ -43,7 +44,7 @@ fn raw_census_is_linkable_suppressed_census_is_not() {
     // Suppressed at k = 4: no unique matches, min candidates >= 4.
     let k = 4;
     let (ds, codec) = external.encode();
-    let result = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
     let released = csv::parse(&codec.decode(&result.table).unwrap()).unwrap();
     let attacked = linkage_attack(&released, &external, &pairs).unwrap();
     assert_eq!(attacked.unique_matches, 0);
@@ -87,7 +88,8 @@ fn anonymity_level_matches_linkage_floor() {
     let external = qi_projection(&census);
     let (ds, codec) = external.encode();
     for k in [2usize, 5] {
-        let result = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+        let result =
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
         let level = result.table.anonymity_level().unwrap();
         let released = csv::parse(&codec.decode(&result.table).unwrap()).unwrap();
         let pairs: Vec<(&str, &str)> = QI.iter().map(|&q| (q, q)).collect();

@@ -9,6 +9,7 @@ use kanon_baselines::knn_greedy;
 use kanon_core::algo::anonymization_from_partition;
 use kanon_core::exact::{fpt, subset_dp, FptConfig, SubsetDpConfig};
 use kanon_core::Algorithm;
+use kanon_core::Budget;
 use kanon_privacy::{
     diversity_violations, enforce, enforce_l_diversity, verify, verify_l_diversity, Error,
     PrivacyModel,
@@ -41,7 +42,7 @@ proptest! {
             2 => PrivacyModel::parse("t=0.4").unwrap(),
             _ => PrivacyModel::parse("emd-t=0.5").unwrap(),
         };
-        let partition = knn_greedy(&ds, k).unwrap();
+        let partition = knn_greedy(&ds, k, &Budget::unlimited()).unwrap();
         match enforce(&ds, &partition, &sensitive, model) {
             Ok(outcome) => {
                 // The repaired partition satisfies the constraint by the
@@ -76,13 +77,14 @@ proptest! {
             &ZipfParams { n: 40, m: 4, alphabet: 4, exponent: 1.2 },
             &mut csv,
         ).unwrap();
-        let run = match kanon_pipeline::run_csv_private(
+        let run = match kanon_pipeline::run_csv_private_with_progress(
             csv.as_slice(),
             k,
             None,
             Some("c3"),
             PrivacyModel::parse("l=2").unwrap(),
             &kanon_pipeline::PipelineConfig::default(),
+            &|_| {},
         ) {
             Ok(run) => run,
             // One sensitive value table-wide: nothing to test.
@@ -115,8 +117,8 @@ proptest! {
         prop_assume!(n >= 2 * k);
         let mut rng = StdRng::seed_from_u64(seed);
         let ds = uniform(&mut rng, n, m, alphabet);
-        let dp = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
-        let fp = fpt(&ds, k, &FptConfig::default()).unwrap();
+        let dp = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
+        let fp = fpt(&ds, k, &FptConfig::default(), &Budget::unlimited()).unwrap();
         prop_assert_eq!(
             fp.cost, dp.cost,
             "FPT and subset DP disagree on n={} m={} |Σ|={} k={}", n, m, alphabet, k
@@ -156,7 +158,7 @@ fn e21_diversity_price_regression_pins() {
         (5, 3, 2, 40, 2, 1055, 1085),
     ];
     for (k, l, violating, blocks, merges, before, after) in pins {
-        let partition = knn_greedy(&ds, k).unwrap();
+        let partition = knn_greedy(&ds, k, &Budget::unlimited()).unwrap();
         assert_eq!(partition.n_blocks(), blocks, "k={k}");
         let violations = diversity_violations(&partition, &sensitive, l).unwrap();
         assert_eq!(violations.len(), violating, "k={k} l={l}");

@@ -4,6 +4,7 @@
 
 use kanon_baselines::{knn_greedy, mondrian, random_partition};
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
+use kanon_core::Budget;
 use kanon_core::{algo, Dataset};
 use kanon_workloads::{clustered, knn_lower_bound, uniform, zipf, ClusteredParams, ZipfParams};
 use proptest::prelude::*;
@@ -33,17 +34,18 @@ proptest! {
                 values_per_cluster: 3,
             }).dataset,
         };
-        let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+        let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
         let lb = knn_lower_bound(&ds, k);
         prop_assert!(lb <= opt.cost, "LB {lb} > OPT {}", opt.cost);
 
-        let center = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+        let center =
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
         prop_assert!(center.table.is_k_anonymous(k));
         prop_assert!(center.cost >= opt.cost);
 
-        let knn_cost = knn_greedy(&ds, k).unwrap().anonymization_cost(&ds);
+        let knn_cost = knn_greedy(&ds, k, &Budget::unlimited()).unwrap().anonymization_cost(&ds);
         prop_assert!(knn_cost >= opt.cost);
-        let mon_cost = mondrian(&ds, k).unwrap().anonymization_cost(&ds);
+        let mon_cost = mondrian(&ds, k, &Budget::unlimited()).unwrap().anonymization_cost(&ds);
         prop_assert!(mon_cost >= opt.cost);
     }
 
@@ -54,7 +56,7 @@ proptest! {
         let ds = uniform(&mut rng, 9, 3, 3);
         let mut prev = 0usize;
         for k in 1..=4 {
-            let opt = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap();
+            let opt = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap();
             prop_assert!(opt.cost >= prev, "OPT({k}) = {} < OPT({}) = {prev}", opt.cost, k-1);
             prev = opt.cost;
         }
@@ -75,8 +77,8 @@ proptest! {
         let ds = &inst.dataset;
         let k = 3;
         let best_heuristic = [
-            algo::center_greedy(ds, k, &Default::default()).unwrap().cost,
-            knn_greedy(ds, k).unwrap().anonymization_cost(ds),
+            algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap().cost,
+            knn_greedy(ds, k, &Budget::unlimited()).unwrap().anonymization_cost(ds),
         ]
         .into_iter()
         .min()
@@ -97,7 +99,8 @@ proptest! {
         let ds = zipf(&mut rng, &ZipfParams { n: 20, m: 5, alphabet: 4, exponent: 0.8 });
         let k = 4;
         let trivial = kanon_core::diameter::anon_cost(&ds, &(0..20).collect::<Vec<_>>());
-        let center = algo::center_greedy(&ds, k, &Default::default()).unwrap();
+        let center =
+            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
         prop_assert!(center.cost <= trivial);
     }
 
@@ -110,8 +113,9 @@ proptest! {
         // Relabel: v -> v + 7 (a bijection per column).
         let relabeled = Dataset::from_fn(10, 4, |i, j| ds.get(i, j) + 7);
         let k = 2;
-        let a = subset_dp(&ds, k, &SubsetDpConfig::default()).unwrap().cost;
-        let b = subset_dp(&relabeled, k, &SubsetDpConfig::default()).unwrap().cost;
+        let a = subset_dp(&ds, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap().cost;
+        let b =
+            subset_dp(&relabeled, k, &SubsetDpConfig::default(), &Budget::unlimited()).unwrap().cost;
         prop_assert_eq!(a, b);
     }
 }

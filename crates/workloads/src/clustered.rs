@@ -128,6 +128,7 @@ pub fn knn_lower_bound(ds: &Dataset, k: usize) -> usize {
 mod tests {
     use super::*;
     use kanon_core::algo;
+    use kanon_core::Budget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -179,7 +180,9 @@ mod tests {
             values_per_cluster: 5,
         };
         let inst = clustered(&mut rng, &params);
-        let result = algo::center_greedy(&inst.dataset, 3, &Default::default()).unwrap();
+        let result =
+            algo::center_greedy(&inst.dataset, 3, &Default::default(), &Budget::unlimited())
+                .unwrap();
         // Never worse than grouping whole clusters pessimally, and the
         // planted partition itself is available, so the greedy should land
         // at or below ~the planted cost times the paper's guarantee. Sanity:

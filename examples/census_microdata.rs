@@ -9,6 +9,7 @@
 
 use kanon_baselines::{knn_greedy, mondrian, random_partition};
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::{Schema, Table};
 use kanon_workloads::{census_table, knn_lower_bound, CensusParams};
 use rand::rngs::StdRng;
@@ -36,7 +37,8 @@ fn main() {
     let (dataset, codec) = qi_table.encode();
     let k = 5;
 
-    let result = algo::center_greedy(&dataset, k, &Default::default()).expect("within guards");
+    let result = algo::center_greedy(&dataset, k, &Default::default(), &Budget::unlimited())
+        .expect("within guards");
     assert!(result.table.is_k_anonymous(k));
 
     println!(
@@ -48,10 +50,10 @@ fn main() {
     );
     println!("k-NN lower bound on OPT: {}", knn_lower_bound(&dataset, k));
 
-    let knn = knn_greedy(&dataset, k)
+    let knn = knn_greedy(&dataset, k, &Budget::unlimited())
         .expect("valid k")
         .anonymization_cost(&dataset);
-    let mon = mondrian(&dataset, k)
+    let mon = mondrian(&dataset, k, &Budget::unlimited())
         .expect("valid k")
         .anonymization_cost(&dataset);
     let rnd = random_partition(&mut rng, dataset.n_rows(), k)

@@ -9,6 +9,7 @@
 //! ```
 
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::{csv, GeneralizationLattice, Hierarchy, Schema, Table};
 
 fn main() {
@@ -37,7 +38,7 @@ fn main() {
         GeneralizationLattice::new(&table, hierarchies).expect("one hierarchy per column");
 
     let node = lattice
-        .search_minimal(2)
+        .search_minimal(2, &Budget::unlimited())
         .expect("hierarchies apply cleanly")
         .expect("the top node is 2-anonymous");
     let released = lattice.generalize(&node).expect("node is in range");

@@ -11,6 +11,7 @@
 //! ```
 
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::{Schema, Table};
 
 fn main() {
@@ -32,11 +33,11 @@ fn main() {
     for (name, run) in [
         (
             "exhaustive greedy (Thm 4.1)",
-            algo::exhaustive_greedy(&dataset, 2, &Default::default()),
+            algo::exhaustive_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()),
         ),
         (
             "center greedy (Thm 4.2)",
-            algo::center_greedy(&dataset, 2, &Default::default()),
+            algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()),
         ),
         ("exact optimum", algo::exact_optimal(&dataset, 2)),
     ] {

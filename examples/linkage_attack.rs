@@ -8,6 +8,7 @@
 //! ```
 
 use kanon_core::algo;
+use kanon_core::Budget;
 use kanon_relation::{csv, linkage_attack, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
@@ -43,7 +44,8 @@ fn main() {
     // Anonymize at k = 5 and attack again.
     let (ds, codec) = public.encode();
     let k = 5;
-    let result = algo::center_greedy(&ds, k, &Default::default()).expect("within guards");
+    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+        .expect("within guards");
     let released =
         csv::parse(&codec.decode(&result.table).expect("same codec")).expect("own output parses");
     let after = linkage_attack(&released, &public, &pairs).expect("columns exist");
@@ -62,7 +64,7 @@ fn main() {
 
     // The same guarantee with better utility: the knn baseline suppresses
     // less, leaving candidate sets near the k floor instead of far above it.
-    let knn = kanon_baselines::knn_greedy(&ds, k).expect("valid k");
+    let knn = kanon_baselines::knn_greedy(&ds, k, &Budget::unlimited()).expect("valid k");
     let suppressor =
         kanon_core::rounding::suppressor_for_partition(&ds, &knn).expect("valid partition");
     let knn_table = suppressor.apply(&ds).expect("shapes match");

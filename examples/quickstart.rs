@@ -4,6 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use kanon_core::Budget;
 use kanon_core::{algo, Dataset};
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     .expect("rectangular rows");
 
     // 2-anonymize with the strongly polynomial algorithm (Theorem 4.2).
-    let result = algo::center_greedy(&dataset, 2, &Default::default())
+    let result = algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited())
         .expect("k <= n and instance within guards");
 
     println!("released table ('*' = suppressed):");
