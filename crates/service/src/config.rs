@@ -16,6 +16,13 @@ pub struct ServiceConfig {
     /// Job-solver threads. Each runs one job at a time end to end, so this
     /// is the service's concurrency limit for solver work.
     pub workers: usize,
+    /// Pipeline worker threads each job may use. `None` splits the
+    /// machine's cores evenly across the `workers` job slots (never below
+    /// one), so concurrent jobs cannot oversubscribe the box; `Some(n)`
+    /// pins every job to `n` workers whatever the host, which makes the
+    /// `workers` figure in a job's report reproducible. See
+    /// [`ServiceConfig::pipeline_workers_per_job`].
+    pub job_pipeline_workers: Option<usize>,
     /// Jobs that may wait in the queue beyond the ones running. Submissions
     /// past this depth are rejected with `429` at admission.
     pub queue_depth: usize,
@@ -52,6 +59,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:8672".to_string(),
             workers,
+            job_pipeline_workers: None,
             queue_depth: 64,
             pool_memory_bytes,
             http_threads: 4,
@@ -69,12 +77,18 @@ impl ServiceConfig {
     /// Validates the configuration before the server starts.
     ///
     /// # Errors
-    /// [`Error::Config`] on zero workers, queue depth, HTTP threads, pool
-    /// bytes, or head/body limits, and when the default per-job memory cap
-    /// exceeds the pool (such a job could never be admitted).
+    /// [`Error::Config`] on zero workers, per-job pipeline workers, queue
+    /// depth, HTTP threads, pool bytes, or head/body limits, and when the
+    /// default per-job memory cap exceeds the pool (such a job could never
+    /// be admitted).
     pub fn validate(&self) -> Result<()> {
         if self.workers == 0 {
             return Err(Error::Config("worker count must be at least 1".into()));
+        }
+        if self.job_pipeline_workers == Some(0) {
+            return Err(Error::Config(
+                "per-job pipeline worker count must be at least 1".into(),
+            ));
         }
         if self.queue_depth == 0 {
             return Err(Error::Config("queue depth must be at least 1".into()));
@@ -102,6 +116,25 @@ impl ServiceConfig {
         }
         Ok(())
     }
+
+    /// Pipeline worker threads each job runs with: `job_pipeline_workers`
+    /// when set, otherwise the machine's cores divided evenly across the
+    /// `workers` job slots, never below one. With as many job slots as
+    /// cores the split gives 1 (one core per job); a service with fewer
+    /// slots than cores hands each job its share of the spare cores
+    /// instead of pinning it to one thread.
+    #[must_use]
+    pub fn pipeline_workers_per_job(&self) -> usize {
+        self.job_pipeline_workers.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            split_cores(cores, self.workers)
+        })
+    }
+}
+
+/// `cores / job_slots`, never below one.
+fn split_cores(cores: usize, job_slots: usize) -> usize {
+    (cores / job_slots.max(1)).max(1)
 }
 
 #[cfg(test)]
@@ -118,6 +151,10 @@ mod tests {
         for broken in [
             ServiceConfig {
                 workers: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                job_pipeline_workers: Some(0),
                 ..ServiceConfig::default()
             },
             ServiceConfig {
@@ -147,5 +184,41 @@ mod tests {
         ] {
             assert!(broken.validate().is_err());
         }
+    }
+
+    #[test]
+    fn pinned_pipeline_workers_ignore_the_host() {
+        for n in [1, 3, 64] {
+            for workers in [1, 4] {
+                let config = ServiceConfig {
+                    workers,
+                    job_pipeline_workers: Some(n),
+                    ..ServiceConfig::default()
+                };
+                assert_eq!(config.pipeline_workers_per_job(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn unpinned_pipeline_workers_split_the_cores_across_job_slots() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        for workers in [1, 2, 3, 4, 64] {
+            let config = ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            };
+            assert_eq!(config.job_pipeline_workers, None);
+            assert_eq!(
+                config.pipeline_workers_per_job(),
+                (cores / workers).max(1),
+                "{cores} cores over {workers} job slots"
+            );
+        }
+        // The split itself, on hosts this one may not be.
+        assert_eq!(split_cores(8, 1), 8);
+        assert_eq!(split_cores(8, 3), 2);
+        assert_eq!(split_cores(2, 4), 1);
+        assert_eq!(split_cores(1, 1), 1);
     }
 }

@@ -408,16 +408,6 @@ fn too_busy(reason: &str) -> Response {
     response
 }
 
-/// Pipeline worker threads each job may use: the machine's cores divided
-/// evenly across the service's job slots, never below one. With the
-/// historical default of as many job slots as cores this stays 1 (one
-/// core per job); a service run with fewer slots than cores hands each
-/// job its fair multi-core share instead of pinning it to one thread.
-fn pipeline_workers_per_job(job_slots: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    (cores / job_slots.max(1)).max(1)
-}
-
 /// Executes one admitted job on a worker thread.
 fn run_job(state: &ServiceState, job: QueuedJob) {
     let QueuedJob {
@@ -432,10 +422,10 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
             .shard_size
             .unwrap_or_else(|| PipelineConfig::default().shard_size),
         strategy: params.strategy.unwrap_or_default(),
-        // Split the machine's cores across the job slots so concurrent
-        // jobs cannot oversubscribe the box, while a lone job on a
-        // multi-core machine still gets real pipeline parallelism.
-        workers: Some(pipeline_workers_per_job(state.config.workers)),
+        // The configured pin, or the machine's cores split across the job
+        // slots so concurrent jobs cannot oversubscribe the box while a
+        // lone job on a multi-core machine still gets real parallelism.
+        workers: Some(state.config.pipeline_workers_per_job()),
         budget: lease.budget().clone(),
         ..PipelineConfig::default()
     };

@@ -58,6 +58,9 @@ fn completed_job_json_shape_is_stable() {
     let server = Server::start(ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
+        // The report embeds the job's pipeline worker count; pin it so the
+        // golden does not depend on the host's core count.
+        job_pipeline_workers: Some(1),
         ..ServiceConfig::default()
     })
     .expect("server starts");
