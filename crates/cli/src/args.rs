@@ -62,8 +62,6 @@ pub enum Command {
         buckets: Option<usize>,
         /// Worker threads (`None` = auto).
         workers: Option<usize>,
-        /// Work-stealing sub-unit row threshold (`None` = whole shards).
-        split_unit: Option<usize>,
         /// Quasi-identifier column names. `None` selects the schema-driven
         /// auto path: infer the schema, rank a quasi-identifier, and try
         /// the generalization rung before degrading to suppression.
@@ -281,7 +279,7 @@ USAGE:
                     [--deadline-ms MS] [--max-memory-mb MB]
     kanon pipeline  -k <K> --input <FILE|-> [--output <FILE>]
                     [--shard-size N] [--strategy hash|sorted] [--buckets N]
-                    [--workers N] [--split-unit N]
+                    [--workers N]
                     [--quasi col1,col2,...] [--hierarchies <FILE>]
                     [--privacy k|l=N|entropy-l=X|t=X|emd-t=X]
                     [--sensitive COL]
@@ -319,10 +317,9 @@ COMMANDS:
                 memory is bounded by --shard-size, not the table).
                 Worker count precedence: --workers, then the
                 RAYON_NUM_THREADS environment variable, then all available
-                CPU cores. --split-unit N cuts shards larger than N rows
-                into independently stolen sub-units (N >= 2k-1; same
-                output at every worker count, at a possible cost penalty
-                versus solving each shard whole).
+                CPU cores. Workers take whole shards in shard order, so
+                the output is the same at every worker count; --shard-size
+                sets how many rows one solver sees.
                 Without --quasi the run takes the schema-driven auto path:
                 the delimiter and column types are inferred, a ranked
                 quasi-identifier is chosen, and full-domain generalization
@@ -538,7 +535,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                     "--strategy",
                     "--buckets",
                     "--workers",
-                    "--split-unit",
                     "--quasi",
                     "--hierarchies",
                     "--privacy",
@@ -592,7 +588,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 strategy,
                 buckets: positive("--buckets")?,
                 workers: positive("--workers")?,
-                split_unit: positive("--split-unit")?,
                 quasi: quasi(flag("--quasi")),
                 hierarchies: flag("--hierarchies").cloned(),
                 compare: has_switch("--compare"),
@@ -1025,7 +1020,7 @@ mod tests {
     fn parse_pipeline() {
         let cmd = parse(&argv(
             "pipeline -k 5 --input big.csv --output out.csv --shard-size 1024 \
-             --strategy sorted --workers 4 --split-unit 256 --quasi age,zip \
+             --strategy sorted --workers 4 --quasi age,zip \
              --deadline-ms 30000 --json",
         ))
         .unwrap();
@@ -1039,7 +1034,6 @@ mod tests {
                 strategy: kanon_pipeline::ShardStrategy::Sorted,
                 buckets: None,
                 workers: Some(4),
-                split_unit: Some(256),
                 quasi: Some(vec!["age".into(), "zip".into()]),
                 hierarchies: None,
                 compare: false,
@@ -1062,7 +1056,6 @@ mod tests {
                 strategy: kanon_pipeline::ShardStrategy::HashQuasi,
                 buckets: None,
                 workers: None,
-                split_unit: None,
                 quasi: None,
                 hierarchies: None,
                 compare: false,
@@ -1119,7 +1112,6 @@ mod tests {
             "pipeline -k 3 --input - --shard-size 0",
             "pipeline -k 3 --input - --buckets 0",
             "pipeline -k 3 --input - --workers 0",
-            "pipeline -k 3 --input - --split-unit 0",
             "pipeline -k 3 --input - --bogus x",
             "pipeline -k 3 --input - --privacy l=1",
             "pipeline -k 3 --input - --privacy bogus",

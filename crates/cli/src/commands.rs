@@ -123,7 +123,6 @@ pub fn execute(cmd: &Command) -> Result<Outcome, CliError> {
             strategy,
             buckets,
             workers,
-            split_unit,
             quasi,
             hierarchies,
             compare,
@@ -140,7 +139,6 @@ pub fn execute(cmd: &Command) -> Result<Outcome, CliError> {
             *strategy,
             *buckets,
             *workers,
-            *split_unit,
             quasi.as_deref(),
             hierarchies.as_deref(),
             *compare,
@@ -555,7 +553,7 @@ fn anonymize(
             Algorithm::Exact => "exact",
             Algorithm::Ladder => "ladder",
         };
-        let mut obj = crate::json::JsonObject::new();
+        let mut obj = kanon_pipeline::json::JsonObject::new();
         obj.string("command", "anonymize")
             .number("k", k as u128)
             .string("algorithm", short_name)
@@ -575,7 +573,7 @@ fn anonymize(
                 if i > 0 {
                     attempts.push(',');
                 }
-                let mut att = crate::json::JsonObject::new();
+                let mut att = kanon_pipeline::json::JsonObject::new();
                 att.string("rung", a.rung.name())
                     .number("elapsed_ms", a.elapsed.as_millis());
                 match &a.outcome {
@@ -590,7 +588,7 @@ fn anonymize(
                 attempts.push_str(&att.finish());
             }
             attempts.push(']');
-            let mut ladder = crate::json::JsonObject::new();
+            let mut ladder = kanon_pipeline::json::JsonObject::new();
             ladder
                 .string("rung", report.rung.name())
                 .string("guarantee", report.guarantee)
@@ -628,7 +626,6 @@ fn pipeline(
     strategy: kanon_pipeline::ShardStrategy,
     buckets: Option<usize>,
     workers: Option<usize>,
-    split_unit: Option<usize>,
     quasi: Option<&[String]>,
     hierarchies: Option<&str>,
     compare: bool,
@@ -651,7 +648,6 @@ fn pipeline(
         strategy,
         n_buckets: buckets,
         workers,
-        split_unit,
         budget: build_budget(deadline_ms, max_memory_mb),
         ..Default::default()
     };
@@ -776,7 +772,7 @@ fn pipeline(
 /// The `pipeline --json` stdout object: the engine's report plus (when no
 /// `--output` captures it) the released CSV.
 fn pipeline_json(run: &kanon_pipeline::CsvRun, csv: Option<&str>) -> String {
-    let mut obj = crate::json::JsonObject::new();
+    let mut obj = kanon_pipeline::json::JsonObject::new();
     obj.string("command", "pipeline")
         .raw("report", &run.report.to_json());
     if let Some(csv) = csv {
@@ -885,7 +881,7 @@ fn auto_json(run: &kanon_pipeline::AutoRun, csv: Option<&str>) -> String {
         kanon_pipeline::AutoOutcome::Generalized(_) => "generalization",
         kanon_pipeline::AutoOutcome::Suppressed { .. } => "suppression",
     };
-    let mut obj = crate::json::JsonObject::new();
+    let mut obj = kanon_pipeline::json::JsonObject::new();
     obj.string("command", "pipeline")
         .string("mode", mode)
         .raw("report", &run.report.to_json());

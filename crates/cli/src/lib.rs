@@ -18,7 +18,6 @@
 
 pub mod args;
 pub mod commands;
-pub mod json;
 
 pub use args::{Algorithm, Command};
 

@@ -30,7 +30,7 @@
 //! scan — then streams `n` contiguous words per word-column instead of
 //! striding `words_per_row` apart, which is what lets the SIMD tiers run
 //! at memory bandwidth. See DESIGN.md §13 for the dispatch rules and the
-//! work-stealing pipeline that sits on top.
+//! sharded pipeline that sits on top.
 
 use crate::dataset::{Dataset, Value};
 use crate::kernel::{self, Kernel};

@@ -80,16 +80,6 @@ pub struct PipelineConfig {
     /// [`kanon_core::distcache::resolve_threads`] (the `RAYON_NUM_THREADS`
     /// environment variable, then available parallelism).
     pub workers: Option<usize>,
-    /// Sub-unit split threshold for the work-stealing pool: shards larger
-    /// than `max(split_unit, 2k−1)` rows are cut into near-equal
-    /// consecutive sub-units no larger than that target (and never smaller
-    /// than `2k−1` rows) that workers solve — and steal — independently, so
-    /// one oversized shard cannot idle the rest of the pool. The split is a
-    /// pure function of the plan (never of worker count or timing), so any
-    /// worker count produces the same table. `None` (the default) disables
-    /// splitting: each shard is one unit and output is identical to earlier
-    /// releases. Must be at least `2k − 1` when set.
-    pub split_unit: Option<usize>,
     /// The global budget divided among shards (deadline proportional to
     /// rows, memory cap split evenly across workers). Unlimited by default.
     pub budget: Budget,
@@ -111,7 +101,6 @@ impl Default for PipelineConfig {
             strategy: ShardStrategy::default(),
             n_buckets: None,
             workers: None,
-            split_unit: None,
             budget: Budget::unlimited(),
             start: None,
             full: FullCoverConfig::default(),
@@ -143,14 +132,6 @@ impl PipelineConfig {
         }
         if let Some(0) = self.workers {
             return Err(Error::Config("worker count must be at least 1".into()));
-        }
-        if let Some(split) = self.split_unit {
-            if split < floor {
-                return Err(Error::Config(format!(
-                    "split unit {split} is below 2k-1 = {floor} (a sub-unit \
-                     must fit at least one (k, 2k-1) band group)"
-                )));
-            }
         }
         if let Some(0) = self.n_buckets {
             return Err(Error::Config("bucket count must be at least 1".into()));
@@ -195,15 +176,5 @@ mod tests {
             ..PipelineConfig::default()
         };
         assert!(pinned.validate(2).is_ok());
-        let tiny_split = PipelineConfig {
-            split_unit: Some(2),
-            ..PipelineConfig::default()
-        };
-        assert!(tiny_split.validate(2).is_err()); // 2 < 2k-1 = 3
-        let ok_split = PipelineConfig {
-            split_unit: Some(3),
-            ..PipelineConfig::default()
-        };
-        assert!(ok_split.validate(2).is_ok());
     }
 }

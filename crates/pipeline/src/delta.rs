@@ -25,9 +25,11 @@
 //! 2. **Pinned buckets** — the hash-bucket count is fixed at init, not
 //!    derived from the (changing) row count, so a row's bucket depends only
 //!    on its codes.
-//! 3. **Shared layout math** — chunking, residue pooling, and sub-`k`
-//!    residue folding replicate [`crate::plan_shards`] exactly; the merge
-//!    goes through the same `engine::finalize_merge`.
+//! 3. **One plan, one executor** — the pinned buckets go through the same
+//!    unit plan as [`crate::plan_shards`] (chunking, residue pooling and
+//!    sub-`k` residue folding), stale units are solved by the batch
+//!    engine's executor, and the merge goes through the same
+//!    `engine::finalize_merge`.
 //!
 //! The `incremental_equiv` differential suite in `crates/tests` holds the
 //! engine to that contract over random op streams.
@@ -55,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use kanon_core::govern::Budget;
-use kanon_core::{Anonymization, Dataset, Partition};
+use kanon_core::{Anonymization, Dataset, Partition, Value};
 use kanon_relation::csv::Reader;
 use kanon_relation::Codec;
 use kanon_store::bytes::{ByteReader, ByteWriter};
@@ -67,7 +69,7 @@ use crate::error::{Error, Result};
 use crate::ingest::ingest_csv;
 use crate::json::JsonObject;
 use crate::release::write_release;
-use crate::shard::{fnv1a_row, residue_chunk_target};
+use crate::shard::{fnv1a_row, plan_units, residue_chunk_target};
 
 /// Snapshot format version; bumped on any payload layout change.
 const SNAPSHOT_VERSION: u32 = 1;
@@ -161,12 +163,16 @@ struct CachedUnit {
     degraded: bool,
 }
 
-/// One solvable unit of the current layout: a bucket with at least `k`
-/// rows (possibly absorbing a sub-`k` residue), or the standalone residue.
+/// One cache unit of the current plan: a bucket of at least `k` rows, as
+/// the shared unit plan chunked it (a folded sub-`k` residue sits at the
+/// end of one chunk), or the standalone residue under [`RESIDUE_KEY`].
 struct Unit {
     key: u32,
-    rows: Vec<u64>,
-    chunk_lens: Vec<usize>,
+    chunks: Vec<Vec<u64>>,
+    /// Content fingerprint of the rows in solve order.
+    fingerprint: u64,
+    /// Whether the cache holds a solve of exactly this content.
+    fresh: bool,
 }
 
 /// What [`DeltaStore::apply`] did.
@@ -351,11 +357,20 @@ fn bucket_of(codes: &[u32], quasi_cols: &[usize], n_buckets: usize) -> usize {
     (fnv1a_row(&qi) % n_buckets as u64) as usize
 }
 
-fn near_equal_lens(len: usize, target: usize) -> Vec<usize> {
-    let q = len.div_ceil(target).max(1);
-    let base = len / q;
-    let extra = len % q;
-    (0..q).map(|i| base + usize::from(i < extra)).collect()
+/// The quasi-identifier projection of the rows `ids`, in order, built in
+/// `buf`.
+fn qi_rows(
+    rows: &BTreeMap<u64, Vec<u32>>,
+    quasi_cols: &[usize],
+    ids: &[u64],
+    mut buf: Vec<Value>,
+) -> Dataset {
+    buf.clear();
+    for id in ids {
+        let codes = &rows[id];
+        buf.extend(quasi_cols.iter().map(|&j| codes[j]));
+    }
+    Dataset::from_flat(ids.len(), quasi_cols.len(), buf).expect("one value per row and column")
 }
 
 fn snapshot_path(dir: &Path) -> PathBuf {
@@ -859,69 +874,42 @@ impl DeltaStore {
     // Layout, fingerprints, solving
     // ------------------------------------------------------------------
 
-    /// The current solve layout: buckets with at least `k` rows (ascending
-    /// key order, chunked like `plan_shards` would), then the residue —
-    /// standalone when it holds at least `k` rows, folded into the
-    /// globally smallest chunk otherwise.
+    /// The current plan: the pinned buckets through the shared unit plan,
+    /// one [`Unit`] per bucket of at least `k` rows in bucket order, then
+    /// the standalone residue, each checked against the cache.
     fn layout(&self) -> Vec<Unit> {
-        let k = self.k;
-        let target = self.pipeline.shard_size;
-        let mut units: Vec<Unit> = Vec::new();
-        let mut residue: Vec<u64> = Vec::new();
-        for (b, ids) in self.buckets.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            if ids.len() < k {
-                residue.extend(ids.iter().copied());
-                continue;
-            }
-            let rows: Vec<u64> = ids.iter().copied().collect();
-            let chunk_lens = near_equal_lens(rows.len(), target);
-            units.push(Unit {
-                key: b as u32,
-                rows,
-                chunk_lens,
-            });
-        }
-        residue.sort_unstable();
-        if residue.is_empty() {
-            return units;
-        }
-        if residue.len() >= k || units.is_empty() {
-            units.push(Unit {
-                key: RESIDUE_KEY,
-                chunk_lens: vec![residue.len()],
-                rows: residue,
-            });
-            return units;
-        }
-        // Sub-k residue: fold into the globally smallest chunk, lowest
-        // global index on ties — byte-for-byte the `plan_shards` rule.
-        let mut best: Option<(usize, usize, usize, usize)> = None; // (len, global, unit, chunk)
-        let mut global = 0usize;
-        for (u, unit) in units.iter().enumerate() {
-            for (c, &len) in unit.chunk_lens.iter().enumerate() {
-                let cand = (len, global + c, u, c);
-                if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best = Some(cand);
+        let plan = plan_units(
+            self.buckets.iter().map(|ids| ids.iter().copied().collect()),
+            self.k,
+            self.pipeline.shard_size,
+        );
+        let residue_extra = u64::try_from(self.residue_target()).unwrap_or(u64::MAX);
+        let residue = (!plan.residue.is_empty()).then(|| (RESIDUE_KEY, vec![plan.residue]));
+        plan.buckets
+            .into_iter()
+            .map(|(b, chunks)| (b as u32, chunks))
+            .chain(residue)
+            .map(|(key, chunks)| {
+                let extra = if key == RESIDUE_KEY { residue_extra } else { 0 };
+                let fingerprint = self.unit_fingerprint(chunks.iter().flatten(), extra);
+                let fresh = self.cache.get(&key).is_some_and(|c| {
+                    c.fingerprint == fingerprint && c.rows.iter().eq(chunks.iter().flatten())
+                });
+                Unit {
+                    key,
+                    chunks,
+                    fingerprint,
+                    fresh,
                 }
-            }
-            global += unit.chunk_lens.len();
-        }
-        let (_, _, u, c) = best.expect("units is non-empty");
-        let unit = &mut units[u];
-        let at: usize = unit.chunk_lens[..=c].iter().sum();
-        unit.rows.splice(at..at, residue.iter().copied());
-        unit.chunk_lens[c] += residue.len();
-        units
+            })
+            .collect()
     }
 
     /// Content fingerprint of a unit: FNV-1a over (id, quasi codes) in
     /// solve order, plus `extra` (the residue's chunk target, which shifts
     /// with the table size). Any membership, order, code, or chunking
     /// change lands here.
-    fn unit_fingerprint(&self, rows: &[u64], extra: u64) -> u64 {
+    fn unit_fingerprint<'a>(&self, rows: impl Iterator<Item = &'a u64>, extra: u64) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -932,9 +920,9 @@ impl DeltaStore {
             }
         };
         mix(&mut h, extra.to_le_bytes());
-        for &id in rows {
+        for id in rows {
             mix(&mut h, id.to_le_bytes());
-            let codes = &self.rows[&id];
+            let codes = &self.rows[id];
             for &j in &self.quasi_cols {
                 mix(&mut h, u64::from(codes[j]).to_le_bytes());
             }
@@ -951,113 +939,68 @@ impl DeltaStore {
         )
     }
 
-    /// Drops cache entries for vanished units and re-solves every unit
-    /// whose fingerprint no longer matches. Returns (units, rows) solved.
+    /// Drops cache entries for vanished units and re-solves every stale
+    /// unit through the batch executor: the stale buckets' chunks are its
+    /// shards, in plan order, and a stale residue is its residue — exactly
+    /// the work a batch run does for the same rows. Returns (units, rows)
+    /// solved.
     fn refresh(&mut self) -> Result<(usize, usize)> {
         let units = self.layout();
         let live: BTreeSet<u32> = units.iter().map(|u| u.key).collect();
         self.cache.retain(|key, _| live.contains(key));
-        let residue_extra = u64::try_from(self.residue_target()).unwrap_or(u64::MAX);
-        let mut stale: Vec<(Unit, u64)> = Vec::new();
-        for unit in units {
-            let extra = if unit.key == RESIDUE_KEY {
-                residue_extra
-            } else {
-                0
-            };
-            let fp = self.unit_fingerprint(&unit.rows, extra);
-            let fresh = self
-                .cache
-                .get(&unit.key)
-                .is_some_and(|c| c.fingerprint == fp && c.rows == unit.rows);
-            if !fresh {
-                stale.push((unit, fp));
-            }
-        }
-        let total_rows: usize = stale.iter().map(|(u, _)| u.rows.len()).sum();
-        let mem = self.pipeline.budget.memory_limit();
-        let mut rows_left = total_rows as u64;
-        let mut solved = Vec::with_capacity(stale.len());
-        for (unit, fp) in &stale {
-            let budget =
-                engine::slice_budget(&self.pipeline.budget, unit.rows.len(), rows_left, 1, mem);
-            rows_left -= unit.rows.len() as u64;
-            solved.push(self.solve_unit(unit, *fp, &budget)?);
-        }
+        let stale: Vec<Unit> = units.into_iter().filter(|u| !u.fresh).collect();
+
+        // The plan puts the residue last, after every bucket.
+        let chunks: Vec<&[u64]> = stale
+            .iter()
+            .filter(|u| u.key != RESIDUE_KEY)
+            .flat_map(|u| u.chunks.iter().map(Vec::as_slice))
+            .collect();
+        let residue: &[u64] = stale
+            .last()
+            .filter(|u| u.key == RESIDUE_KEY)
+            .map_or(&[], |u| &u.chunks[0]);
+        let chunk_rows: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let total_rows = chunk_rows.iter().sum::<usize>() + residue.len();
+        let (k, target) = (self.k, self.residue_target());
+        let (rows, quasi_cols, pipeline) = (&self.rows, &self.quasi_cols, &self.pipeline);
+        let (solved, _) = engine::solve_units(
+            pipeline,
+            &chunk_rows,
+            residue.len(),
+            &|_| {},
+            |i, buf, budget| {
+                let ids = chunks.get(i).copied().unwrap_or(residue);
+                let sub = qi_rows(rows, quasi_cols, ids, std::mem::take(buf));
+                let out = if i < chunks.len() {
+                    engine::solve_shard(i, &sub, k, pipeline, budget)
+                } else {
+                    engine::solve_residue(i, &sub, k, target, pipeline, &budget)
+                };
+                *buf = sub.into_flat_buffer();
+                out
+            },
+        )?;
+
+        // Regroup per unit: the solves come back in the same plan order.
         let n_stale = stale.len();
-        for ((unit, _), cached) in stale.into_iter().zip(solved) {
-            self.cache.insert(unit.key, cached);
+        let mut solved = solved.into_iter();
+        for unit in stale {
+            let pieces = solved.by_ref().take(unit.chunks.len()).collect();
+            let s = engine::combine_solved(unit.key as usize, pieces)?;
+            self.cache.insert(
+                unit.key,
+                CachedUnit {
+                    fingerprint: unit.fingerprint,
+                    rows: unit.chunks.concat(),
+                    blocks: s.partition.blocks().to_vec(),
+                    cost: s.report.cost,
+                    solved_by: s.report.solved_by.name().to_string(),
+                    degraded: s.report.degraded,
+                },
+            );
         }
         Ok((n_stale, total_rows))
-    }
-
-    /// Solves one unit: the residue through the engine's chunked residue
-    /// path, a bucket chunk by chunk — exactly the work a batch run does
-    /// for the same rows.
-    fn solve_unit(&self, unit: &Unit, fingerprint: u64, budget: &Budget) -> Result<CachedUnit> {
-        if unit.key == RESIDUE_KEY {
-            let sub = self.qi_dataset(&unit.rows);
-            let s = engine::solve_residue(
-                0,
-                &sub,
-                self.k,
-                self.residue_target(),
-                &self.pipeline,
-                budget,
-            )?;
-            return Ok(CachedUnit {
-                fingerprint,
-                rows: unit.rows.clone(),
-                blocks: s.partition.blocks().to_vec(),
-                cost: s.report.cost,
-                solved_by: s.report.solved_by.name().to_string(),
-                degraded: s.report.degraded,
-            });
-        }
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        let mut cost = 0usize;
-        let mut degraded = false;
-        let mut solved_by: Option<String> = None;
-        let mut at = 0usize;
-        for &len in &unit.chunk_lens {
-            let ids = &unit.rows[at..at + len];
-            let sub = self.qi_dataset(ids);
-            let s = engine::solve_shard(
-                unit.key as usize,
-                &sub,
-                self.k,
-                &self.pipeline,
-                budget.child(None),
-            )?;
-            let off = at as u32;
-            for block in s.partition.blocks() {
-                blocks.push(block.iter().map(|&i| i + off).collect());
-            }
-            cost += s.report.cost;
-            degraded |= s.report.degraded;
-            let name = s.report.solved_by.name().to_string();
-            solved_by = Some(match solved_by {
-                None => name,
-                Some(prev) if prev == name => prev,
-                Some(_) => "mixed".to_string(),
-            });
-            at += len;
-        }
-        Ok(CachedUnit {
-            fingerprint,
-            rows: unit.rows.clone(),
-            blocks,
-            cost,
-            solved_by: solved_by.expect("units have at least one chunk"),
-            degraded,
-        })
-    }
-
-    /// The quasi-identifier projection of the given rows, in order.
-    fn qi_dataset(&self, ids: &[u64]) -> Dataset {
-        Dataset::from_fn(ids.len(), self.quasi_cols.len(), |i, j| {
-            self.rows[&ids[i]][self.quasi_cols[j]]
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1072,7 +1015,10 @@ impl DeltaStore {
     /// Solver errors from the refresh, merge validation errors.
     pub fn release(&mut self) -> Result<DeltaRelease> {
         self.refresh()?;
-        let units = self.layout();
+        // The cache now holds exactly the live units. Keys sort in plan
+        // order: buckets ascending, then the residue (`u32::MAX`).
+        let mut keys: Vec<u32> = self.cache.keys().copied().collect();
+        keys.sort_unstable();
         let n = self.rows.len();
         let m = self.header.len();
         let mut pos: HashMap<u64, u32> = HashMap::with_capacity(n);
@@ -1086,12 +1032,9 @@ impl DeltaStore {
             .project_columns(&self.quasi_cols)
             .map_err(Error::Core)?;
         let mut perm: Vec<u32> = Vec::with_capacity(n);
-        let mut parts: Vec<Partition> = Vec::with_capacity(units.len());
-        for unit in &units {
-            let cached = self
-                .cache
-                .get(&unit.key)
-                .expect("refresh solved every live unit");
+        let mut parts: Vec<Partition> = Vec::with_capacity(keys.len());
+        for key in &keys {
+            let cached = &self.cache[key];
             perm.extend(cached.rows.iter().map(|id| pos[id]));
             parts.push(Partition::new_unchecked(
                 cached.blocks.clone(),
@@ -1118,24 +1061,7 @@ impl DeltaStore {
     /// 0` and no total cost.
     #[must_use]
     pub fn status(&self) -> DeltaStatus {
-        let units = self.layout();
-        let residue_extra = u64::try_from(self.residue_target()).unwrap_or(u64::MAX);
-        let mut dirty = 0usize;
-        for unit in &units {
-            let extra = if unit.key == RESIDUE_KEY {
-                residue_extra
-            } else {
-                0
-            };
-            let fp = self.unit_fingerprint(&unit.rows, extra);
-            let fresh = self
-                .cache
-                .get(&unit.key)
-                .is_some_and(|c| c.fingerprint == fp && c.rows == unit.rows);
-            if !fresh {
-                dirty += 1;
-            }
-        }
+        let dirty = self.layout().iter().filter(|u| !u.fresh).count();
         DeltaStatus {
             n_rows: self.rows.len(),
             k: self.k,
@@ -1474,18 +1400,26 @@ mod tests {
 
     #[test]
     fn init_release_matches_a_batch_run() {
-        let dir = tmp("init-batch");
-        let table = csv_of(&seed_rows(40));
-        let mut store = DeltaStore::init(&dir, table.as_bytes(), &DeltaConfig::new(3)).unwrap();
-        let release = store.release().unwrap();
-        let (expected, cost) = batch_release(&table, 3, &store);
-        assert_eq!(release.to_csv_string(), expected);
-        assert_eq!(release.anonymization.cost, cost);
-        let status = store.status();
-        assert_eq!(status.n_rows, 40);
-        assert_eq!(status.seq, 0);
-        assert_eq!(status.dirty_units, 0);
-        assert_eq!(status.total_cost, Some(cost));
+        // The second table leaves a sub-k residue pooled from several
+        // buckets, so batch and delta must fold it in the same order.
+        for (n, k, n_buckets) in [(40, 3, None), (37, 5, Some(7))] {
+            let dir = tmp(&format!("init-batch-{n}"));
+            let table = csv_of(&seed_rows(n));
+            let config = DeltaConfig {
+                n_buckets,
+                ..DeltaConfig::new(k)
+            };
+            let mut store = DeltaStore::init(&dir, table.as_bytes(), &config).unwrap();
+            let release = store.release().unwrap();
+            let (expected, cost) = batch_release(&table, k, &store);
+            assert_eq!(release.to_csv_string(), expected, "{n} rows");
+            assert_eq!(release.anonymization.cost, cost);
+            let status = store.status();
+            assert_eq!(status.n_rows, n as usize);
+            assert_eq!(status.seq, 0);
+            assert_eq!(status.dirty_units, 0);
+            assert_eq!(status.total_cost, Some(cost));
+        }
     }
 
     #[test]

@@ -1,24 +1,16 @@
 //! The pipeline engine: solve every shard under a budget slice, then merge.
 //!
-//! ## Work-stealing pool
+//! ## Executor
 //!
-//! Shards are solved by a pool of `std::thread` workers around a shared
-//! injector (a deque of shard ids) and one deque of unit tasks per worker.
-//! A worker pops work from the front of its own deque; when that runs dry
-//! it pulls the next shard id from the injector and expands it into unit
-//! tasks on its own deque, and when the injector is empty too it steals a
-//! unit from the *back* of a sibling's deque — the classic Chase-Lev
-//! discipline (owner LIFO-ish front, thieves FIFO back), here with plain
-//! mutex-guarded deques since contention is one lock per solved unit, not
-//! per distance probe.
-//!
-//! Units are whole shards by default. With [`PipelineConfig::split_unit`]
-//! set, shards larger than the threshold are cut into near-equal
-//! consecutive sub-units that solve (and steal) independently, so one
-//! oversized shard cannot serialize the tail of a run. The split is a pure
-//! function of the plan — never of worker count or timing — and both the
-//! sequential and parallel paths apply it identically, so the output table
-//! is invariant across worker counts.
+//! `solve_units` is the one solve loop, shared by [`run_pipeline`] and
+//! the delta engine's refresh. Workers take shard ids from one shared
+//! counter, in shard order, and solve each shard whole: a single worker
+//! runs on the calling thread, more run as scoped `std::thread`s while the
+//! calling thread collects their results and reports progress. What each
+//! solver sees is fixed by the plan ([`crate::shard`]), never by worker
+//! count or timing, so the output table is the same at every worker count.
+//! A unit's error stops dispatch and is returned; a panic in a unit's
+//! solve is re-raised on the calling thread.
 //!
 //! Workers materialize each unit's sub-table into a worker-local flat
 //! buffer that is recycled from unit to unit
@@ -28,16 +20,15 @@
 //!
 //! ## Budget slicing
 //!
-//! Each shard receives a [`Budget::child_with_memory`] slice, computed in
-//! shard-id order *before* the pool starts (so scheduling cannot influence
-//! any shard's allowance): its deadline share is `remaining × shard_rows ×
-//! workers / unsliced_rows` (proportional to its size, scaled up because
-//! `workers` shards run concurrently, capped at the parent's remaining
-//! time), and its memory cap is `global_cap / workers` so the pool's
-//! aggregate planned allocations respect the global cap. Sub-units of one
-//! shard share that shard's slice (budget clones share the deadline
-//! window, the memory counter, and the cancellation flag). The residue
-//! group is solved last, alone, with everything that remains.
+//! Each shard's deadline allowance is computed in shard-id order *before*
+//! any worker starts (so scheduling cannot influence it): `remaining ×
+//! shard_rows × workers / unsliced_rows`, proportional to its size and
+//! scaled up because `workers` shards run concurrently. The shard's
+//! [`Budget::child_with_memory`] slice is cut when a worker takes it, so
+//! its clock starts then, capped at the parent's remaining time; its
+//! memory cap is `global_cap / workers`, so the pool's aggregate planned
+//! allocations respect the global cap. The residue group is solved last,
+//! alone, with everything that remains.
 //!
 //! ## Fallback
 //!
@@ -48,9 +39,9 @@
 //! always finishes, so a pipeline run completes — possibly degraded, never
 //! wedged — whatever the budget.
 
-use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use kanon_baselines::ladder::{run_ladder, LadderConfig, Rung};
@@ -98,11 +89,6 @@ pub enum Progress {
 pub(crate) struct Solved {
     pub(crate) partition: Partition,
     pub(crate) report: ShardReport,
-}
-
-pub(crate) fn select(ds: &Dataset, rows: &[u32]) -> Dataset {
-    ds.select_rows_into(rows, Vec::new())
-        .expect("shard plan only holds in-range row indices")
 }
 
 /// The first rung worth attempting for a shard of `s` rows: the exhaustive
@@ -193,56 +179,27 @@ pub(crate) fn solve_shard(
     }
 }
 
-/// A dispatch-time budget slice: deadline proportional to the shard's share
-/// of undispatched rows (scaled by the worker count, since `workers` slices
-/// run concurrently), memory capped at `mem_slice`.
-pub(crate) fn slice_budget(
+/// A shard's deadline allowance: its share of the parent's remaining time,
+/// proportional to its share of the unsliced rows and scaled by the worker
+/// count (`workers` slices run concurrently). `None` without a deadline.
+fn slice_allowance(
     parent: &Budget,
     shard_rows: usize,
     rows_left: u64,
     workers: usize,
-    mem_slice: Option<u64>,
-) -> Budget {
-    let allowance = parent.remaining().map(|rem| {
+) -> Option<Duration> {
+    parent.remaining().map(|rem| {
         let nanos = rem
             .as_nanos()
             .saturating_mul(shard_rows as u128)
             .saturating_mul(workers as u128)
             / u128::from(rows_left.max(1));
         Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX)).min(rem)
-    });
-    parent.child_with_memory(allowance, mem_slice)
+    })
 }
 
-/// The consecutive sub-unit ranges a shard of `len` rows splits into under
-/// `split_unit`. Mirrors [`chunk_near_equal`]'s arithmetic exactly: with a
-/// target of `max(split, 2k-1)`, an oversized shard becomes
-/// `ceil(len / target)` near-equal consecutive pieces, each at least `k`
-/// rows. `None` (and any shard at or under the target) yields the whole
-/// shard as one unit — the pre-splitting behaviour, byte for byte.
-pub(crate) fn unit_ranges(len: usize, split: Option<usize>, k: usize) -> Vec<(usize, usize)> {
-    let target = match split {
-        Some(s) => s.max(2 * k.max(1) - 1),
-        None => return vec![(0, len)],
-    };
-    if len <= target {
-        return vec![(0, len)];
-    }
-    let q = len.div_ceil(target).max(1);
-    let base = len / q;
-    let extra = len % q; // first `extra` pieces get one more row
-    let mut out = Vec::with_capacity(q);
-    let mut at = 0;
-    for i in 0..q {
-        let size = base + usize::from(i < extra);
-        out.push((at, at + size));
-        at += size;
-    }
-    out
-}
-
-/// Combines the solved pieces of one logical shard (sub-units in range
-/// order, or residue chunks in chunk order) into a single [`Solved`]: the
+/// Combines the solved pieces of one logical unit (residue chunks, or a
+/// delta bucket's chunks, in order) into a single [`Solved`]: the
 /// concatenated partition plus one report entry whose `solved_by` is the
 /// weakest piece's guarantee — a degraded piece is never hidden behind a
 /// stronger sibling. `elapsed` is the *sum* of piece times (CPU cost, not
@@ -371,73 +328,124 @@ pub(crate) fn finalize_merge(
         .map_err(Error::Core)
 }
 
-/// One stealable unit of work: a consecutive range of one shard's rows.
-#[derive(Clone, Copy)]
-struct Unit {
-    shard: usize,
-    unit: usize,
-    lo: usize,
-    hi: usize,
-}
+/// The one solve loop. Solves shard units `0..shard_rows.len()` (their
+/// row counts, in shard order) on up to `config.workers` threads, then —
+/// when `residue_rows > 0` — the residue as unit `shard_rows.len()` on the
+/// calling thread with what remains of `config.budget`.
+///
+/// `solve(unit, buf, budget)` solves one unit; `buf` is the worker's
+/// recycled row buffer for materializing the unit's sub-table. Progress
+/// ticks once per unit, on the calling thread, in completion order.
+/// Returns the solved units in unit order and the worker count used,
+/// `min(workers, shards)` (at least 1).
+///
+/// # Errors
+/// The first unit error. Dispatch stops there; units already in flight
+/// finish, and `config.budget` is left uncancelled (the caller may share
+/// its flag).
+///
+/// # Panics
+/// Re-raises, on the calling thread, a panic from any unit's solve.
+pub(crate) fn solve_units<F>(
+    config: &PipelineConfig,
+    shard_rows: &[usize],
+    residue_rows: usize,
+    on_progress: &(dyn Fn(Progress) + Sync),
+    solve: F,
+) -> Result<(Vec<Solved>, usize)>
+where
+    F: Fn(usize, &mut Vec<Value>, Budget) -> Result<Solved> + Sync,
+{
+    let n = shard_rows.len();
+    let units = n + usize::from(residue_rows > 0);
+    let workers = resolve_threads(config.workers).max(1).min(n.max(1));
+    let mem_slice = config.budget.memory_limit().map(|m| m / workers as u64);
+    let mut rows_left = (shard_rows.iter().sum::<usize>() + residue_rows) as u64;
+    let allowances: Vec<Option<Duration>> = shard_rows
+        .iter()
+        .map(|&rows| {
+            let allowance = slice_allowance(&config.budget, rows, rows_left, workers);
+            rows_left -= rows as u64;
+            allowance
+        })
+        .collect();
 
-/// Shared state of the work-stealing pool. All precomputed — workers only
-/// ever *remove* work (the injector drains shard ids, deques drain units),
-/// so the unit count is fixed up front and `remaining` is the sole
-/// termination signal.
-struct Pool<'a> {
-    /// Per-shard unit ranges, indexed by shard id.
-    ranges: &'a [Vec<(usize, usize)>],
-    /// Shard ids not yet expanded into unit tasks.
-    injector: Mutex<VecDeque<usize>>,
-    /// One unit deque per worker: the owner pops the front, thieves pop
-    /// the back, so an owner keeps the cache-warm front of its own shard
-    /// while thieves drain the far end.
-    deques: Vec<Mutex<VecDeque<Unit>>>,
-    /// Units not yet finished. Workers exit when this reaches zero.
-    remaining: AtomicUsize,
-    /// Parked workers wait here (with a short timeout) when a scan finds
-    /// no runnable unit but `remaining > 0` — i.e. every outstanding unit
-    /// is either mid-solve or mid-expansion on another worker.
-    idle_gate: Mutex<()>,
-    idle: Condvar,
-}
+    // Takes the next shard and solves it; `None` once dispatch is over.
+    let next = AtomicUsize::new(0);
+    let work = |buf: &mut Vec<Value>| {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        (i < n).then(|| {
+            let budget = config.budget.child_with_memory(allowances[i], mem_slice);
+            (
+                i,
+                panic::catch_unwind(AssertUnwindSafe(|| solve(i, buf, budget))),
+            )
+        })
+    };
+    let mut solved: Vec<Option<Solved>> = (0..n).map(|_| None).collect();
+    let mut done = 0;
+    let mut collect = |(i, out): (usize, std::thread::Result<Result<Solved>>)| match out {
+        Ok(Ok(s)) => {
+            done += 1;
+            on_progress(Progress::UnitSolved {
+                done,
+                units,
+                degraded: s.report.degraded,
+            });
+            solved[i] = Some(s);
+            Ok(())
+        }
+        // Stop dispatch: every later fetch lands past the end.
+        Ok(Err(e)) => {
+            next.store(n, Ordering::Relaxed);
+            Err(e)
+        }
+        Err(payload) => {
+            next.store(n, Ordering::Relaxed);
+            panic::resume_unwind(payload)
+        }
+    };
+    // One worker solves on the calling thread. More run as scoped threads
+    // while the calling thread only collects, so its thread-local scratch
+    // pools stay as small as the worker count implies.
+    let spawned = if workers > 1 { workers } else { 0 };
+    let mut buf = Vec::new();
+    std::thread::scope(|scope| -> Result<()> {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..spawned {
+            let (tx, work) = (tx.clone(), &work);
+            scope.spawn(move || {
+                let mut buf = Vec::new();
+                while let Some(out) = work(&mut buf) {
+                    if tx.send(out).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        if spawned == 0 {
+            while let Some(out) = work(&mut buf) {
+                collect(out)?;
+            }
+        }
+        rx.into_iter().try_for_each(collect)
+    })?;
 
-impl Pool<'_> {
-    /// Finds the next unit for worker `w`: own deque front, then injector
-    /// expansion, then a steal from a sibling's back. `None` means nothing
-    /// is runnable *right now* (work may still appear from an in-flight
-    /// expansion — the caller checks `remaining` before sleeping/exiting).
-    fn find_work(&self, w: usize) -> Option<Unit> {
-        if let Some(u) = self.deques[w].lock().expect("own deque").pop_front() {
-            return Some(u);
-        }
-        let shard = self.injector.lock().expect("injector").pop_front();
-        if let Some(s) = shard {
-            let mut q = self.deques[w].lock().expect("own deque");
-            for (i, &(lo, hi)) in self.ranges[s].iter().enumerate() {
-                q.push_back(Unit {
-                    shard: s,
-                    unit: i,
-                    lo,
-                    hi,
-                });
-            }
-            let first = q.pop_front();
-            drop(q);
-            if self.ranges[s].len() > 1 {
-                // New stealable units appeared; wake anyone parked.
-                self.idle.notify_all();
-            }
-            return first;
-        }
-        for i in 1..self.deques.len() {
-            let v = (w + i) % self.deques.len();
-            if let Some(u) = self.deques[v].lock().expect("sibling deque").pop_back() {
-                return Some(u);
-            }
-        }
-        None
+    let mut solved: Vec<Solved> = solved
+        .into_iter()
+        .map(|s| s.expect("every unit was solved or the error returned"))
+        .collect();
+    if residue_rows > 0 {
+        let s = solve(n, &mut buf, config.budget.clone())?;
+        on_progress(Progress::UnitSolved {
+            done: units,
+            units,
+            degraded: s.report.degraded,
+        });
+        solved.push(s);
     }
+    Ok((solved, workers))
 }
 
 /// Runs the sharded pipeline over an already-encoded table: plan shards,
@@ -490,208 +498,37 @@ pub fn run_pipeline_with_progress(
         }));
     }
 
-    // The unit split is fixed by the plan alone (shard sizes, split_unit,
-    // k) — both execution paths below apply exactly these ranges, which is
-    // what makes the output invariant across worker counts.
-    let ranges: Vec<Vec<(usize, usize)>> = plan
-        .shards
-        .iter()
-        .map(|rows| unit_ranges(rows.len(), config.split_unit, k))
-        .collect();
-    let total_units: usize = ranges.iter().map(Vec::len).sum();
-
-    let workers = resolve_threads(config.workers)
-        .max(1)
-        .min(total_units.max(1));
-    let mem_slice = config.budget.memory_limit().map(|m| m / workers as u64);
-    let total_rows: u64 =
-        plan.shards.iter().map(|s| s.len() as u64).sum::<u64>() + plan.residue.len() as u64;
-
-    let mut solved: Vec<Option<Solved>> = (0..plan.shards.len()).map(|_| None).collect();
-
-    if workers <= 1 || total_units <= 1 {
-        let mut rows_left = total_rows;
-        let mut buf: Vec<Value> = Vec::new();
-        for (id, rows) in plan.shards.iter().enumerate() {
-            let budget = slice_budget(&config.budget, rows.len(), rows_left, 1, mem_slice);
-            rows_left -= rows.len() as u64;
-            let mut pieces = Vec::with_capacity(ranges[id].len());
-            for &(lo, hi) in &ranges[id] {
-                let sub = ds
-                    .select_rows_into(&rows[lo..hi], std::mem::take(&mut buf))
-                    .expect("shard plan only holds in-range row indices");
-                pieces.push(solve_shard(id, &sub, k, config, budget.clone())?);
-                buf = sub.into_flat_buffer();
-            }
-            let s = combine_solved(id, pieces)?;
-            on_progress(Progress::UnitSolved {
-                done: id + 1,
-                units,
-                degraded: s.report.degraded,
-            });
-            solved[id] = Some(s);
-        }
-    } else {
-        // Budget slices are fixed in shard-id order before any worker
-        // starts: `rows_left` must shrink deterministically, so the pool's
-        // schedule cannot influence any shard's allowance.
-        let mut shard_budgets = Vec::with_capacity(plan.shards.len());
-        {
-            let mut rows_left = total_rows;
-            for rows in &plan.shards {
-                shard_budgets.push(slice_budget(
-                    &config.budget,
-                    rows.len(),
-                    rows_left,
-                    workers,
-                    mem_slice,
-                ));
-                rows_left -= rows.len() as u64;
-            }
-        }
-        let pool = Pool {
-            ranges: &ranges,
-            injector: Mutex::new((0..plan.shards.len()).collect()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            remaining: AtomicUsize::new(total_units),
-            idle_gate: Mutex::new(()),
-            idle: Condvar::new(),
-        };
-        let shards = &plan.shards;
-        let shard_budgets = &shard_budgets;
-        let solved_ref = &mut solved;
-        std::thread::scope(|scope| -> Result<()> {
-            let (done_tx, done_rx) = mpsc::channel::<(usize, usize, Result<Solved>)>();
-            for w in 0..workers {
-                let pool = &pool;
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    let mut buf: Vec<Value> = Vec::new();
-                    loop {
-                        let Some(unit) = pool.find_work(w) else {
-                            if pool.remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            // Outstanding units are mid-solve elsewhere;
-                            // park briefly, then rescan (an expansion may
-                            // have made units stealable).
-                            let gate = pool.idle_gate.lock().expect("idle gate");
-                            let _ = pool
-                                .idle
-                                .wait_timeout(gate, Duration::from_millis(1))
-                                .expect("idle wait");
-                            continue;
-                        };
-                        let rows = &shards[unit.shard][unit.lo..unit.hi];
-                        let sub = ds
-                            .select_rows_into(rows, std::mem::take(&mut buf))
-                            .expect("shard plan only holds in-range row indices");
-                        let out = solve_shard(
-                            unit.shard,
-                            &sub,
-                            k,
-                            config,
-                            shard_budgets[unit.shard].clone(),
-                        );
-                        buf = sub.into_flat_buffer();
-                        let last = pool.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-                        if done_tx.send((unit.shard, unit.unit, out)).is_err() {
-                            break;
-                        }
-                        if last {
-                            pool.idle.notify_all();
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-
-            // Collect on the caller's thread: units of a shard can land in
-            // any order and interleaved across shards; a shard completes —
-            // and ticks progress — when its last unit arrives.
-            let mut pending: Vec<Vec<Option<Solved>>> = ranges
-                .iter()
-                .map(|r| (0..r.len()).map(|_| None).collect())
-                .collect();
-            let mut left: Vec<usize> = ranges.iter().map(Vec::len).collect();
-            let mut first_err: Option<Error> = None;
-            let mut done = 0usize;
-            for (shard, unit, out) in done_rx {
-                match out {
-                    Ok(s) => {
-                        pending[shard][unit] = Some(s);
-                        left[shard] -= 1;
-                        if left[shard] > 0 || first_err.is_some() {
-                            continue;
-                        }
-                        let pieces: Vec<Solved> = pending[shard]
-                            .iter_mut()
-                            .map(|p| p.take().expect("all units of this shard arrived"))
-                            .collect();
-                        match combine_solved(shard, pieces) {
-                            Ok(s) => {
-                                done += 1;
-                                on_progress(Progress::UnitSolved {
-                                    done,
-                                    units,
-                                    degraded: s.report.degraded,
-                                });
-                                solved_ref[shard] = Some(s);
-                            }
-                            Err(e) => {
-                                config.budget.cancel();
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                    Err(e) if first_err.is_none() => {
-                        // Abort in-flight solvers; keep draining so every
-                        // worker can exit and the scope can join (cancelled
-                        // units fall back cheaply).
-                        config.budget.cancel();
-                        first_err = Some(e);
-                    }
-                    Err(_) => {}
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-    }
-
-    // The residue is solved alone, after the shards, with everything that
-    // remains of the budget (full memory cap — no concurrent peers).
-    let residue_solved = if plan.residue.is_empty() {
-        None
-    } else {
-        let sub = select(ds, &plan.residue);
-        let target = residue_chunk_target(ds.n_rows(), plan.n_buckets, k, config.shard_size);
-        let s = solve_residue(plan.shards.len(), &sub, k, target, config, &config.budget)?;
-        on_progress(Progress::UnitSolved {
-            done: units,
-            units,
-            degraded: s.report.degraded,
-        });
-        Some(s)
-    };
+    let shard_rows: Vec<usize> = plan.shards.iter().map(Vec::len).collect();
+    let residue_target = residue_chunk_target(ds.n_rows(), plan.n_buckets, k, config.shard_size);
+    let (solved, workers) = solve_units(
+        config,
+        &shard_rows,
+        plan.residue.len(),
+        on_progress,
+        |i, buf, budget| {
+            let rows = plan.shards.get(i).unwrap_or(&plan.residue);
+            let sub = ds
+                .select_rows_into(rows, std::mem::take(buf))
+                .expect("shard plan only holds in-range row indices");
+            let out = if i < plan.shards.len() {
+                solve_shard(i, &sub, k, config, budget)
+            } else {
+                solve_residue(i, &sub, k, residue_target, config, &budget)
+            };
+            *buf = sub.into_flat_buffer();
+            out
+        },
+    )?;
     on_progress(Progress::Merging);
 
-    // Merge: concatenate local partitions in shard order, then remap the
+    // Merge: concatenate local partitions in unit order, then remap the
     // concatenated row indices through the permutation (shard rows in
     // order, residue last) back to original table rows.
     let mut perm: Vec<u32> = Vec::with_capacity(ds.n_rows());
-    let mut parts = Vec::with_capacity(solved.len() + 1);
-    let mut shard_reports = Vec::with_capacity(solved.len() + 1);
-    for (rows, s) in plan.shards.iter().zip(solved) {
-        let s = s.expect("every shard was solved or the error propagated");
+    let mut parts = Vec::with_capacity(solved.len());
+    let mut shard_reports = Vec::with_capacity(solved.len());
+    for (rows, s) in plan.shards.iter().chain([&plan.residue]).zip(solved) {
         perm.extend_from_slice(rows);
-        parts.push(s.partition);
-        shard_reports.push(s.report);
-    }
-    if let Some(s) = residue_solved {
-        perm.extend_from_slice(&plan.residue);
         parts.push(s.partition);
         shard_reports.push(s.report);
     }
@@ -724,6 +561,7 @@ pub fn run_pipeline_with_progress(
 mod tests {
     use super::*;
     use crate::config::ShardStrategy;
+    use std::sync::Mutex;
 
     fn dataset(n: usize) -> Dataset {
         Dataset::from_fn(n, 4, |i, j| ((i * 13 + j * 7) % 6) as u32)
@@ -782,86 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_ranges_mirror_near_equal_chunking() {
-        // No split → one unit regardless of size.
-        assert_eq!(unit_ranges(1000, None, 3), vec![(0, 1000)]);
-        // At or under the target → one unit.
-        assert_eq!(unit_ranges(12, Some(12), 3), vec![(0, 12)]);
-        // Over the target → consecutive near-equal pieces covering the
-        // shard, each at least k rows.
-        for (len, split, k) in [(100, 30, 3), (100, 5, 3), (37, 12, 5), (6, 5, 2)] {
-            let ranges = unit_ranges(len, Some(split), k);
-            assert!(ranges.len() > 1, "{len}/{split} should split");
-            let mut at = 0;
-            for &(lo, hi) in &ranges {
-                assert_eq!(lo, at);
-                assert!(hi - lo >= k, "piece {lo}..{hi} below k={k}");
-                at = hi;
-            }
-            assert_eq!(at, len);
-            // Exactly chunk_near_equal's arithmetic on the same inputs.
-            let rows: Vec<u32> = (0..len as u32).collect();
-            let chunks = chunk_near_equal(&rows, split.max(2 * k - 1));
-            assert_eq!(ranges.len(), chunks.len());
-            for (r, c) in ranges.iter().zip(&chunks) {
-                assert_eq!(r.1 - r.0, c.len());
-            }
-        }
-    }
-
-    #[test]
-    fn split_units_do_not_change_the_answer_across_worker_counts() {
-        let ds = dataset(100);
-        // One big bucket → one 100-row shard → four ~25-row units, so the
-        // pool genuinely exercises injector expansion and stealing.
-        let mut outputs = Vec::new();
-        for workers in [1, 2, 4] {
-            let config = PipelineConfig {
-                shard_size: 100,
-                n_buckets: Some(1),
-                split_unit: Some(25),
-                workers: Some(workers),
-                ..PipelineConfig::default()
-            };
-            let (anon, report) = run_pipeline(&ds, 3, &config).unwrap();
-            assert!(anon.table.is_k_anonymous(3));
-            anon.partition.validate_group_sizes(3).unwrap();
-            assert_eq!(report.shards.len(), 1);
-            assert_eq!(report.shards[0].rows, 100);
-            // Splitting unlocks parallelism beyond the shard count.
-            assert_eq!(report.workers, workers);
-            outputs.push((anon.partition, anon.cost));
-        }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
-    }
-
-    #[test]
-    fn split_and_unsplit_runs_are_both_valid() {
-        let ds = dataset(140);
-        let unsplit = PipelineConfig {
-            shard_size: 48,
-            ..PipelineConfig::default()
-        };
-        let split = PipelineConfig {
-            shard_size: 48,
-            split_unit: Some(12),
-            workers: Some(3),
-            ..PipelineConfig::default()
-        };
-        let (a, ra) = run_pipeline(&ds, 3, &unsplit).unwrap();
-        let (b, rb) = run_pipeline(&ds, 3, &split).unwrap();
-        assert!(a.table.is_k_anonymous(3));
-        assert!(b.table.is_k_anonymous(3));
-        // Same plan, same shard row counts — only the per-shard solve
-        // granularity differs (and with it, possibly the cost).
-        assert_eq!(ra.shards.len(), rb.shards.len());
-        for (x, y) in ra.shards.iter().zip(&rb.shards) {
-            assert_eq!(x.rows, y.rows);
-        }
-    }
-
-    #[test]
     fn exhausted_budget_degrades_but_completes() {
         let ds = dataset(150);
         let config = PipelineConfig {
@@ -902,11 +660,10 @@ mod tests {
     #[test]
     fn progress_events_cover_every_unit_in_order() {
         let ds = dataset(100);
-        for (workers, split) in [(1, None), (3, None), (3, Some(8))] {
+        for workers in [1, 3] {
             let config = PipelineConfig {
                 shard_size: 16,
                 workers: Some(workers),
-                split_unit: split,
                 ..PipelineConfig::default()
             };
             let events = Mutex::new(Vec::new());
@@ -933,6 +690,71 @@ mod tests {
                 }
             }
             assert_eq!(events[units + 1], Progress::Merging);
+        }
+    }
+
+    /// Solves six 16-row units of `dataset(100)` (plus a 4-row residue)
+    /// through the executor, failing unit 1 with `fail`.
+    fn run_units_failing_unit_1(
+        workers: usize,
+        fail: fn() -> Result<Solved>,
+    ) -> (Result<(Vec<Solved>, usize)>, Budget) {
+        let ds = dataset(100);
+        let config = PipelineConfig {
+            workers: Some(workers),
+            ..PipelineConfig::default()
+        };
+        let out = solve_units(&config, &[16; 6], 4, &|_| {}, |i, buf, budget| {
+            if i == 1 {
+                return fail();
+            }
+            let rows: Vec<u32> = (16 * i as u32..(16 * i as u32 + 16).min(100)).collect();
+            let sub = ds.select_rows_into(&rows, std::mem::take(buf)).unwrap();
+            let out = solve_shard(i, &sub, 3, &config, budget);
+            *buf = sub.into_flat_buffer();
+            out
+        });
+        (out, config.budget)
+    }
+
+    #[test]
+    fn a_panicking_unit_reaches_the_caller_at_every_worker_count() {
+        for workers in [1, 2] {
+            // The run happens on its own thread so a hang fails the test
+            // (via the timeout below) instead of wedging the suite.
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let caught = panic::catch_unwind(|| {
+                    run_units_failing_unit_1(workers, || panic!("injected panic in unit 1"))
+                });
+                let message = caught.err().and_then(|p| p.downcast::<&str>().ok());
+                let _ = tx.send(message.map(|m| *m));
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!("{workers} worker(s): the panic never reached the caller")
+                });
+            assert_eq!(
+                message,
+                Some("injected panic in unit 1"),
+                "{workers} worker(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn a_unit_error_is_returned_without_cancelling_the_budget() {
+        for workers in [1, 2] {
+            let (out, budget) =
+                run_units_failing_unit_1(workers, || Err(Error::Config("unit 1 fails".into())));
+            assert!(
+                matches!(out, Err(Error::Config(ref m)) if m == "unit 1 fails"),
+                "{workers} worker(s)"
+            );
+            // The caller may share the budget's flag; an error must not
+            // poison it for later runs.
+            assert!(!budget.is_cancelled(), "{workers} worker(s)");
         }
     }
 

@@ -66,7 +66,7 @@ pub(crate) fn fnv1a_row(row: &[u32]) -> u64 {
 /// With `target >= 2k - 1` and `len >= k`, every piece has at least `k`
 /// rows: for `q >= 2` pieces, `len >= (q-1)*target + 1` gives
 /// `floor(len/q) >= (2k-1) - (2k-2)/q >= k`.
-pub(crate) fn chunk_near_equal(rows: &[u32], target: usize) -> Vec<Vec<u32>> {
+pub(crate) fn chunk_near_equal<T: Copy>(rows: &[T], target: usize) -> Vec<Vec<T>> {
     let q = rows.len().div_ceil(target).max(1);
     let base = rows.len() / q;
     let extra = rows.len() % q; // first `extra` pieces get one more row
@@ -80,7 +80,58 @@ pub(crate) fn chunk_near_equal(rows: &[u32], target: usize) -> Vec<Vec<u32>> {
     out
 }
 
-/// Plans a deterministic sharding of `ds` for anonymity parameter `k`.
+/// The unit plan over ordered buckets, shared by [`plan_shards`] and the
+/// delta engine.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Units<T> {
+    /// `(bucket index, chunks)` for every bucket of at least `k` rows, in
+    /// bucket order.
+    pub(crate) buckets: Vec<(usize, Vec<Vec<T>>)>,
+    /// Rows of the sub-`k` buckets, sorted. Either empty or at least `k`
+    /// rows, unless there is no chunk to fold a smaller residue into.
+    pub(crate) residue: Vec<T>,
+}
+
+/// The one sharding rule. Each bucket of at least `k` rows is cut into
+/// near-equal chunks of at most `target` rows ([`chunk_near_equal`]);
+/// smaller buckets pool into a sorted residue. A residue below `k` rows
+/// cannot be solved on its own, so it is appended to the end of the
+/// globally smallest chunk (lowest index on ties) — that chunk still fits
+/// the solver, at most `target + k - 1` rows.
+pub(crate) fn plan_units<T: Copy + Ord>(
+    buckets: impl IntoIterator<Item = Vec<T>>,
+    k: usize,
+    target: usize,
+) -> Units<T> {
+    let mut planned = Vec::new();
+    let mut residue = Vec::new();
+    for (b, rows) in buckets.into_iter().enumerate() {
+        if rows.len() < k {
+            residue.extend(rows);
+        } else {
+            planned.push((b, chunk_near_equal(&rows, target)));
+        }
+    }
+    residue.sort_unstable();
+    if residue.len() < k {
+        let smallest = planned
+            .iter_mut()
+            .flat_map(|(_, chunks)| chunks.iter_mut())
+            .enumerate()
+            .min_by_key(|(i, chunk)| (chunk.len(), *i));
+        if let Some((_, chunk)) = smallest {
+            chunk.append(&mut residue);
+        }
+    }
+    Units {
+        buckets: planned,
+        residue,
+    }
+}
+
+/// Plans a deterministic sharding of `ds` for anonymity parameter `k`:
+/// bucket the rows by strategy, apply `plan_units`, and flatten the
+/// chunks into shards.
 ///
 /// # Errors
 /// `k` validation errors from [`Dataset::check_k`], and
@@ -89,7 +140,6 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
     ds.check_k(k)?;
     config.validate(k)?;
     let n = ds.n_rows();
-    let target = config.shard_size;
 
     // Bucket rows by strategy. Buckets preserve the strategy's row order:
     // ascending row id for hashing, sort position for range sharding.
@@ -97,7 +147,7 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
         ShardStrategy::HashQuasi => {
             let n_buckets = config
                 .n_buckets
-                .unwrap_or_else(|| n.div_ceil(target))
+                .unwrap_or_else(|| n.div_ceil(config.shard_size))
                 .max(1);
             let mut buckets = vec![Vec::new(); n_buckets];
             for (i, row) in ds.rows().enumerate() {
@@ -118,43 +168,15 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
     };
 
     let n_buckets = buckets.len();
-    let mut shards = Vec::new();
-    let mut residue = Vec::new();
-    for bucket in buckets {
-        if bucket.is_empty() {
-            continue;
-        }
-        if bucket.len() < k {
-            residue.extend(bucket);
-        } else {
-            shards.extend(chunk_near_equal(&bucket, target));
-        }
-    }
-
-    // A residue below k rows cannot be solved on its own. Fold it into the
-    // smallest shard (lowest id on ties) — the combined shard still fits
-    // the solver (at most target + k - 1 rows). With no shards at all, the
-    // residue is the entire table (n >= k by check_k) and stands alone.
-    if !residue.is_empty() && residue.len() < k {
-        match shards
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, s)| (s.len(), i))
-            .map(|(i, _)| i)
-        {
-            Some(smallest) => shards[smallest].append(&mut residue),
-            None => unreachable!("no shards means the residue holds all n >= k rows"),
-        }
-    }
-    residue.sort_unstable();
-
+    let units = plan_units(buckets, k, config.shard_size);
+    let shards: Vec<Vec<u32>> = units.buckets.into_iter().flat_map(|(_, c)| c).collect();
     debug_assert_eq!(
-        shards.iter().map(Vec::len).sum::<usize>() + residue.len(),
+        shards.iter().map(Vec::len).sum::<usize>() + units.residue.len(),
         n
     );
     Ok(ShardPlan {
         shards,
-        residue,
+        residue: units.residue,
         n_buckets,
     })
 }
@@ -310,6 +332,42 @@ mod tests {
         }
         // Same pinned count, same plan — independent of derivation.
         assert_eq!(plan, plan_shards(&ds, 3, &config).unwrap());
+    }
+
+    #[test]
+    fn one_fold_rule_for_every_residue() {
+        // A sub-k residue pooled from two buckets is sorted, then appended
+        // to the globally smallest chunk. Chunks 1 and 2 tie at 3 rows;
+        // the lower index wins.
+        let units = plan_units(
+            vec![
+                vec![10, 11, 12, 13, 14, 15, 16],
+                vec![7],
+                vec![20, 21, 22],
+                vec![],
+                vec![2],
+            ],
+            3,
+            5,
+        );
+        assert_eq!(
+            units,
+            Units {
+                buckets: vec![
+                    (0, vec![vec![10, 11, 12, 13], vec![14, 15, 16, 2, 7]]),
+                    (2, vec![vec![20, 21, 22]]),
+                ],
+                residue: vec![],
+            }
+        );
+        // A residue of at least k rows stands alone, sorted.
+        let units = plan_units(vec![vec![5u64, 6, 7], vec![9], vec![1]], 2, 3);
+        assert_eq!(units.buckets, vec![(0, vec![vec![5, 6, 7]])]);
+        assert_eq!(units.residue, vec![1, 9]);
+        // A table that is all residue has no chunks.
+        let units = plan_units(vec![vec![4u32, 1], vec![0], vec![3, 2]], 3, 5);
+        assert!(units.buckets.is_empty());
+        assert_eq!(units.residue, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

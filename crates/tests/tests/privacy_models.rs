@@ -195,7 +195,6 @@ fn cli_pipeline_privacy_release_passes_independent_recheck() {
         strategy: kanon_pipeline::ShardStrategy::HashQuasi,
         buckets: None,
         workers: Some(2),
-        split_unit: None,
         quasi: None,
         hierarchies: None,
         compare: false,
