@@ -14,11 +14,6 @@
 //! re-solving should make the append an order of magnitude cheaper;
 //! `--delta-max-ratio` turns that into a hard gate (nonzero exit) for CI.
 //!
-//! `--threads 1,2,4,8` adds a worker-count sweep at the default shard
-//! size. The sweep is also a correctness gate: the pipeline promises the
-//! same cover at every worker count, so any cover-cost drift across the
-//! sweep is a hard failure (nonzero exit).
-//!
 //! Every report records the distance kernel that actually ran (see
 //! `KANON_FORCE_KERNEL`), the CPU features detected at startup, and the
 //! worker count each run resolved to — so a regression hunt can tell a
@@ -26,8 +21,8 @@
 //!
 //! ```text
 //! cargo run --release -p kanon-bench --bin bench_pipeline -- [--quick] \
-//!     [--rows N] [--workers N] [--threads L1,L2,...] [--delta-rows N] \
-//!     [--delta-max-ratio R] [--out PATH]
+//!     [--rows N] [--workers N] [--delta-rows N] [--delta-max-ratio R] \
+//!     [--out PATH]
 //! ```
 
 use std::time::Instant;
@@ -52,7 +47,6 @@ fn main() {
     let mut quick = false;
     let mut rows: Option<usize> = None;
     let mut workers: Option<usize> = None;
-    let mut threads: Vec<usize> = Vec::new();
     let mut delta_rows: Option<usize> = None;
     let mut delta_max_ratio: Option<f64> = None;
     let mut out = String::from("BENCH_pipeline.json");
@@ -74,23 +68,6 @@ fn main() {
                         .expect("--workers needs a positive integer"),
                 );
             }
-            "--threads" => {
-                let list = args
-                    .next()
-                    .expect("--threads needs a comma list, e.g. 1,2,4,8");
-                threads = list
-                    .split(',')
-                    .map(|v| {
-                        v.trim()
-                            .parse()
-                            .expect("--threads needs positive integers, e.g. 1,2,4,8")
-                    })
-                    .collect();
-                assert!(
-                    !threads.is_empty() && threads.iter().all(|&t| t >= 1),
-                    "--threads needs positive integers, e.g. 1,2,4,8"
-                );
-            }
             "--delta-rows" => {
                 delta_rows = Some(
                     args.next()
@@ -110,8 +87,7 @@ fn main() {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: bench_pipeline [--quick] [--rows N] [--workers N] \
-                     [--threads L1,L2,...] [--delta-rows N] [--delta-max-ratio R] \
-                     [--out PATH]"
+                     [--delta-rows N] [--delta-max-ratio R] [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -179,48 +155,6 @@ fn main() {
             rows_per_sec: report.rows_per_sec(),
             workers: report.workers,
         });
-    }
-
-    // ------------------------------------------------------------------
-    // Worker-count sweep at the default shard size. Doubles as the
-    // determinism gate: the cover cost must not drift with the worker
-    // count, or the scheduler is changing answers.
-    // ------------------------------------------------------------------
-    let mut sweep: Vec<Run> = Vec::new();
-    if !threads.is_empty() {
-        eprintln!("thread sweep (shard_size 512): {threads:?}");
-        for &t in &threads {
-            let config = PipelineConfig {
-                shard_size: 512,
-                workers: Some(t),
-                ..Default::default()
-            };
-            let (anon, report) = run_pipeline(&ds, k, &config).expect("pipeline completes");
-            assert!(anon.table.is_k_anonymous(k));
-            eprintln!(
-                "  threads {t:>2} (used {:>2}): {:>8.0} rows/s, cost {}",
-                report.workers,
-                report.rows_per_sec(),
-                report.total_cost,
-            );
-            sweep.push(Run {
-                shard_size: 512,
-                n_shards: report.n_shards(),
-                degraded: report.degraded_shards(),
-                total_cost: report.total_cost,
-                elapsed_ms: report.elapsed.as_secs_f64() * 1e3,
-                rows_per_sec: report.rows_per_sec(),
-                workers: report.workers,
-            });
-        }
-        let costs: Vec<usize> = sweep.iter().map(|r| r.total_cost).collect();
-        if costs.windows(2).any(|w| w[0] != w[1]) {
-            eprintln!(
-                "THREAD SWEEP GATE FAILED: cover cost drifted across worker counts: {costs:?}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("  thread sweep gate: cover cost stable at {}, ok", costs[0]);
     }
 
     // ------------------------------------------------------------------
@@ -336,13 +270,6 @@ fn main() {
         json.push_str(&fmt_run(r, i + 1 == runs.len()));
     }
     json.push_str("  ],\n");
-    if !sweep.is_empty() {
-        json.push_str("  \"thread_sweep\": [\n");
-        for (i, r) in sweep.iter().enumerate() {
-            json.push_str(&fmt_run(r, i + 1 == sweep.len()));
-        }
-        json.push_str("  ],\n");
-    }
     let (init_ms, apply_ms, ratio, report) = &delta;
     json.push_str(&format!(
         "  \"delta\": {{\"rows\": {delta_rows}, \"append_rows\": {}, \"k\": {delta_k}, \

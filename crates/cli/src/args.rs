@@ -148,34 +148,6 @@ pub enum Command {
         /// `/v1/tables` endpoints).
         data_dir: Option<String>,
     },
-    /// `kanon bench-serve`: closed-loop load generator + acceptance check.
-    BenchServe {
-        /// Target server (`None` self-hosts one in-process).
-        addr: Option<String>,
-        /// Total jobs to submit.
-        requests: usize,
-        /// Concurrent closed-loop clients.
-        clients: usize,
-        /// Rows per generated zipf CSV job.
-        rows: usize,
-        /// Privacy parameter for every job.
-        k: usize,
-        /// Shard size passed with every job.
-        shard_size: usize,
-        /// Optional per-job deadline in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Workers for the self-hosted server.
-        workers: usize,
-        /// Queue depth for the self-hosted server.
-        queue_depth: usize,
-        /// RNG seed for the generated table.
-        seed: u64,
-        /// Where to write the JSON bench report.
-        out: Option<String>,
-        /// Bench the durable-table path (concurrent ops batches through
-        /// the single-writer lock) instead of the job loop.
-        table: bool,
-    },
     /// `kanon help`.
     Help,
 }
@@ -303,10 +275,6 @@ USAGE:
                     [--cols M] [--alphabet A] [--exponent E]
     kanon serve     [--addr HOST:PORT] [--workers N] [--queue-depth N]
                     [--pool-memory-mb MB] [--data-dir DIR]
-    kanon bench-serve [--addr HOST:PORT] [--requests N] [--clients N]
-                    [--rows N] [-k K] [--shard-size N] [--deadline-ms MS]
-                    [--workers N] [--queue-depth N] [--seed S] [--out FILE]
-                    [--table]
     kanon help
 
 COMMANDS:
@@ -366,14 +334,6 @@ COMMANDS:
                 on restart every table's WAL is replayed — corrupt
                 tables are quarantined (503 + degraded /healthz), not
                 fatal.
-    bench-serve Drive a server with a closed-loop zipf workload and
-                verify the acceptance bar: zero 5xx, every job
-                k-anonymous, /metrics counters reconciling exactly.
-                Without --addr it self-hosts a server in-process. With
-                --table it benches the durable-table path instead:
-                concurrent writers race ops batches through the
-                single-writer lock, honoring every Retry-After, and the
-                final table seq must equal the acknowledged batches.
 
 BUDGETS:
     --deadline-ms and --max-memory-mb bound the solver's wall-clock time and
@@ -894,55 +854,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 data_dir: flag("--data-dir").cloned(),
             })
         }
-        "bench-serve" => {
-            unexpected(
-                &[
-                    "--addr",
-                    "--requests",
-                    "--clients",
-                    "--rows",
-                    "-k",
-                    "--shard-size",
-                    "--deadline-ms",
-                    "--workers",
-                    "--queue-depth",
-                    "--seed",
-                    "--out",
-                ],
-                &["--table"],
-            )?;
-            let positive = |name: &str, default: u64| -> Result<u64, CliError> {
-                match flag(name) {
-                    None => Ok(default),
-                    Some(v) => v.parse::<u64>().ok().filter(|&x| x >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("{name} needs a positive integer\n\n{}", usage()))
-                    }),
-                }
-            };
-            Ok(Command::BenchServe {
-                addr: flag("--addr").cloned(),
-                requests: positive("--requests", 64)? as usize,
-                clients: positive("--clients", 8)? as usize,
-                rows: positive("--rows", 50_000)? as usize,
-                k: positive("-k", 5)? as usize,
-                shard_size: positive("--shard-size", 512)? as usize,
-                deadline_ms: flag("--deadline-ms")
-                    .map(|v| {
-                        v.parse::<u64>().ok().filter(|&x| x >= 1).ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "--deadline-ms needs a positive integer\n\n{}",
-                                usage()
-                            ))
-                        })
-                    })
-                    .transpose()?,
-                workers: positive("--workers", 4)? as usize,
-                queue_depth: positive("--queue-depth", 64)? as usize,
-                seed: positive("--seed", 42)?,
-                out: flag("--out").cloned(),
-                table: has_switch("--table"),
-            })
-        }
         "help" | "-h" | "--help" => Ok(Command::Help),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n\n{}",
@@ -1337,48 +1248,19 @@ mod tests {
                 data_dir: Some("/tmp/tables".into()),
             }
         );
-        assert_eq!(
-            parse(&argv(
-                "bench-serve --requests 32 --clients 4 --rows 1000 -k 3 \
-                 --shard-size 64 --deadline-ms 5000 --seed 7 --out bench.json --table"
-            ))
-            .unwrap(),
-            Command::BenchServe {
-                addr: None,
-                requests: 32,
-                clients: 4,
-                rows: 1000,
-                k: 3,
-                shard_size: 64,
-                deadline_ms: Some(5000),
-                workers: 4,
-                queue_depth: 64,
-                seed: 7,
-                out: Some("bench.json".into()),
-                table: true,
-            }
-        );
-        let defaults = parse(&argv("bench-serve")).unwrap();
-        assert!(matches!(
-            defaults,
-            Command::BenchServe {
-                addr: None,
-                requests: 64,
-                rows: 50_000,
-                k: 5,
-                deadline_ms: None,
-                ..
-            }
-        ));
-        for bad in [
-            "serve --workers 0",
-            "serve --bogus x",
-            "bench-serve --requests 0",
-            "bench-serve --deadline-ms never",
-        ] {
+        for bad in ["serve --workers 0", "serve --bogus x"] {
             assert!(
                 matches!(parse(&argv(bad)), Err(CliError::Usage(_))),
                 "{bad}"
+            );
+        }
+        for gone in ["bench-serve", "bench-serve --requests 64 --table"] {
+            assert!(
+                matches!(
+                    parse(&argv(gone)),
+                    Err(CliError::Usage(msg)) if msg.starts_with("unknown command `bench-serve`")
+                ),
+                "{gone}"
             );
         }
     }

@@ -163,33 +163,6 @@ pub fn execute(cmd: &Command) -> Result<Outcome, CliError> {
             *pool_memory_mb,
             data_dir.as_deref(),
         ),
-        Command::BenchServe {
-            addr,
-            requests,
-            clients,
-            rows,
-            k,
-            shard_size,
-            deadline_ms,
-            workers,
-            queue_depth,
-            seed,
-            out,
-            table,
-        } => bench_serve(
-            addr.as_deref(),
-            *requests,
-            *clients,
-            *rows,
-            *k,
-            *shard_size,
-            *deadline_ms,
-            *workers,
-            *queue_depth,
-            *seed,
-            out.as_deref(),
-            *table,
-        ),
     }
 }
 
@@ -220,56 +193,6 @@ fn serve(
     loop {
         std::thread::park();
     }
-}
-
-/// Runs the closed-loop service bench and prints its JSON report. A
-/// failed acceptance gate (5xx, lost jobs, counter mismatch) exits
-/// nonzero so CI can assert on it directly.
-#[allow(clippy::too_many_arguments)]
-fn bench_serve(
-    addr: Option<&str>,
-    requests: usize,
-    clients: usize,
-    rows: usize,
-    k: usize,
-    shard_size: usize,
-    deadline_ms: Option<u64>,
-    workers: usize,
-    queue_depth: usize,
-    seed: u64,
-    out: Option<&str>,
-    table: bool,
-) -> Result<Outcome, CliError> {
-    let config = kanon_service::BenchConfig {
-        addr: addr.map(str::to_string),
-        requests,
-        clients,
-        rows,
-        k,
-        shard_size,
-        deadline_ms,
-        server_workers: workers,
-        queue_depth,
-        out_path: out.map(str::to_string),
-        seed,
-        table_mode: table,
-    };
-    let report = kanon_service::run_bench(&config)
-        .map_err(|e| CliError::Failed(format!("bench-serve failed: {e}")))?;
-    let json = report.to_json();
-    if !report.ok() {
-        return Err(CliError::Failed(format!(
-            "bench-serve acceptance gate failed: {json}"
-        )));
-    }
-    let mut notes = Vec::new();
-    if let Some(path) = out {
-        notes.push(format!("wrote {path}"));
-    }
-    Ok(Outcome {
-        stdout: json,
-        notes,
-    })
 }
 
 /// Parses CSV input, rejecting tables with no data rows up front

@@ -101,10 +101,9 @@ impl CandidateArena {
 
     /// Enumerates and stores the whole candidate collection of parameter
     /// `k` over `threads` workers — the public entry point used by the
-    /// `bench_candidates` harness and the arena differential tests; the
-    /// greedy cover itself calls
-    /// [`materialize_candidates`](super::full_cover) with a pre-validated
-    /// count.
+    /// arena differential and allocation-count tests; the greedy cover
+    /// itself calls [`materialize_candidates`](super::full_cover) with a
+    /// pre-validated count.
     ///
     /// # Errors
     /// [`crate::error::Error::Overflow`] when `Σ C(n, s)` exceeds `usize`;

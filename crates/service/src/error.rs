@@ -5,16 +5,14 @@ use std::fmt;
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors from server configuration, startup, and the load generator.
+/// Errors from server configuration and startup.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
     /// A service configuration that cannot run (zero workers, zero queue).
     Config(String),
-    /// Socket-level failure (bind, accept, connect).
+    /// Socket-level failure (bind, accept).
     Io(std::io::Error),
-    /// The load generator observed a protocol or reconciliation failure.
-    Bench(String),
 }
 
 impl fmt::Display for Error {
@@ -22,7 +20,6 @@ impl fmt::Display for Error {
         match self {
             Error::Config(msg) => write!(f, "service config error: {msg}"),
             Error::Io(e) => write!(f, "service i/o error: {e}"),
-            Error::Bench(msg) => write!(f, "bench error: {msg}"),
         }
     }
 }
@@ -31,7 +28,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io(e) => Some(e),
-            Error::Config(_) | Error::Bench(_) => None,
+            Error::Config(_) => None,
         }
     }
 }

@@ -21,8 +21,8 @@
 //!   crowd out the rest.
 //! - **Observability** ([`metrics`]) — Prometheus text at `/metrics`
 //!   whose counters reconcile exactly: after a drain, accepted equals
-//!   completed plus failed, a property `kanon bench-serve`
-//!   ([`mod@bench`]) asserts end-to-end.
+//!   completed plus failed, a property the `server_integration` and
+//!   `table_service` tests assert end-to-end.
 //!
 //! - **Durable tables** ([`tables`]) — when started with a data
 //!   directory, the server mounts one
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod config;
 pub mod error;
 pub mod http;
@@ -52,7 +51,6 @@ pub mod router;
 pub mod server;
 pub mod tables;
 
-pub use bench::{run_bench, BenchConfig, BenchReport};
 pub use config::ServiceConfig;
 pub use error::{Error, Result};
 pub use server::{Server, ServiceState};

@@ -8,10 +8,11 @@
 //! scrapes are always bucket-compatible, no matter what traffic arrived
 //! in between.
 //!
-//! The designed invariant, asserted end-to-end by `kanon bench-serve`:
-//! every admitted job ends in exactly one of `completed` or `failed`, so
-//! after a drain `accepted_total == completed_total + failed_total`, and
-//! `accepted + rejected` equals the submissions the load generator made.
+//! The designed invariant, asserted end-to-end by the `server_integration`
+//! tests: every admitted job ends in exactly one of `completed` or
+//! `failed`, so after a drain `accepted_total == completed_total +
+//! failed_total`, and `accepted + rejected` equals the submissions the
+//! clients made.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -332,29 +333,27 @@ impl Metrics {
     }
 }
 
-/// Pulls `name value` (or `name{labels} value`) pairs out of a Prometheus
-/// text page. The load generator uses this to reconcile its own tallies
-/// against the server's scrape.
-#[must_use]
-pub fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((name, value)) = line.rsplit_once(' ') {
-            if let Ok(value) = value.parse::<f64>() {
-                out.insert(name.to_string(), value);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pulls `name value` (or `name{labels} value`) pairs out of a
+    /// Prometheus text page.
+    fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
+        let mut out = BTreeMap::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            if let Some((name, value)) = line.rsplit_once(' ') {
+                if let Ok(value) = value.parse::<f64>() {
+                    out.insert(name.to_string(), value);
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn render_and_parse_round_trip() {

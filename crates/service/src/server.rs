@@ -78,7 +78,6 @@ pub struct ServiceState {
 /// the accept loop, drains queued jobs, and joins every thread.
 pub struct Server {
     addr: SocketAddr,
-    state: Arc<ServiceState>,
     stop: Arc<AtomicBool>,
     owner: Option<JoinHandle<()>>,
 }
@@ -108,13 +107,11 @@ impl Server {
         });
         let stop = Arc::new(AtomicBool::new(false));
         let owner = {
-            let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || serve(&listener, &state, &stop))
         };
         Ok(Server {
             addr,
-            state,
             stop,
             owner: Some(owner),
         })
@@ -124,13 +121,6 @@ impl Server {
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's shared state — metrics and job records — for
-    /// in-process inspection by tests and the load generator.
-    #[must_use]
-    pub fn state(&self) -> &Arc<ServiceState> {
-        &self.state
     }
 
     /// Stops accepting, drains queued jobs, and joins every thread.

@@ -71,3 +71,13 @@ pub fn extract_number(text: &str, prefix: &str) -> Option<u64> {
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().ok()
 }
+
+/// Sums every `kanon_http_responses_total{code="5.."}` counter on a
+/// `/metrics` page: the number of 5xx responses the server has sent.
+pub fn server_errors(page: &str) -> u64 {
+    page.lines()
+        .filter_map(|line| line.strip_prefix("kanon_http_responses_total{code=\"5"))
+        .filter_map(|rest| rest.rsplit_once(' '))
+        .map(|(_, value)| value.parse::<u64>().expect("counter value"))
+        .sum()
+}

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use kanon_pipeline::release::write_release;
 use kanon_pipeline::{run_csv, PipelineConfig, ShardStrategy};
-use kanon_service::{run_bench, BenchConfig, Server, ServiceConfig};
+use kanon_service::{Server, ServiceConfig};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kanon-table-svc-{}-{name}", std::process::id()));
@@ -308,36 +308,23 @@ fn concurrent_writers_race_the_lock_and_nothing_is_lost() {
         "{status_json}"
     );
 
-    // The server counted each 409 it handed out.
+    // The release streams exactly the acknowledged rows.
+    let (status, _, release) = common::http(addr, "GET", "/v1/tables/race/release", &[]);
+    assert_eq!(status, 200, "{release}");
+    assert_eq!(release.lines().count() - 1, 18, "{release}");
+
+    // The server counted each 409 it handed out, each applied batch,
+    // and no 5xx.
     let observed = conflicts.load(Ordering::Relaxed) as u64;
     let (_, _, page) = common::http(addr, "GET", "/metrics", &[]);
     let scraped =
         common::extract_number(&page, "kanon_table_write_conflicts_total{table=\"race\"} ");
     assert_eq!(scraped, Some(observed), "{page}");
+    let applied =
+        common::extract_number(&page, "kanon_table_batches_applied_total{table=\"race\"} ");
+    assert_eq!(applied, Some(8), "{page}");
+    assert_eq!(common::server_errors(&page), 0, "{page}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn in_process_table_bench_reconciles() {
-    let out = std::env::temp_dir().join(format!("bench-table-{}.json", std::process::id()));
-    let report = run_bench(&BenchConfig {
-        requests: 4,
-        clients: 3,
-        rows: 48,
-        k: 2,
-        shard_size: 8,
-        server_workers: 1,
-        out_path: Some(out.to_str().unwrap().to_string()),
-        table_mode: true,
-        ..BenchConfig::default()
-    })
-    .expect("table bench runs");
-    assert!(report.ok(), "{}", report.to_json());
-    assert_eq!(report.completed, report.submitted);
-    let written = std::fs::read_to_string(&out).expect("report file");
-    assert!(written.contains("\"retries\":"), "{written}");
-    assert!(written.contains("\"ok\":true"), "{written}");
-    std::fs::remove_file(&out).ok();
 }

@@ -71,3 +71,44 @@ proptest! {
         prop_assert_eq!(&runs[1], &runs[2]);
     }
 }
+
+/// The worker-count property at a scale the proptest above does not
+/// reach: a fixed-seed zipf table split into many default-size (512-row)
+/// shards, so several workers really do take shards concurrently. The
+/// cost and the suppression mask must be identical at 1, 2 and 4 workers,
+/// whatever the host's core count.
+#[test]
+fn many_default_size_shards_give_one_answer_at_every_worker_count() {
+    let k = 5;
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let ds = zipf(
+        &mut rng,
+        &ZipfParams {
+            n: 5_000,
+            m: 8,
+            alphabet: 32,
+            exponent: 1.0,
+        },
+    );
+    let mut runs = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let config = PipelineConfig {
+            shard_size: 512,
+            workers: Some(workers),
+            ..Default::default()
+        };
+        let (anon, report) = run_pipeline(&ds, k, &config).unwrap();
+        assert!(report.n_shards() >= 8, "{} shards", report.n_shards());
+        assert_eq!(report.degraded_shards(), 0);
+        runs.push((anon.cost, anon.suppressor.to_mask_string()));
+    }
+    // A mismatch prints only the costs: each mask has 5,000 lines.
+    for (run, workers) in runs[1..].iter().zip([2, 4]) {
+        assert!(
+            *run == runs[0],
+            "1 vs {workers} workers: cost {} vs {}",
+            runs[0].0,
+            run.0
+        );
+    }
+}
