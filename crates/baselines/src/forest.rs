@@ -19,8 +19,7 @@
 //!    and therefore cheap.
 
 use kanon_core::error::{Error, Result};
-use kanon_core::metric::DistanceMatrix;
-use kanon_core::{Dataset, Partition};
+use kanon_core::{Budget, Dataset, PairwiseDistances, Partition};
 
 /// Union-find over row indices.
 struct Dsu {
@@ -63,7 +62,7 @@ impl Dsu {
 /// Tuning knobs for [`forest`].
 #[derive(Clone, Debug)]
 pub struct ForestConfig {
-    /// Row guard — the algorithm stores an `n × n` distance matrix.
+    /// Row guard — the algorithm stores all `n(n−1)/2` pairwise distances.
     pub max_rows: usize,
 }
 
@@ -102,7 +101,7 @@ pub fn forest(ds: &Dataset, k: usize, config: &ForestConfig) -> Result<Partition
         return Partition::new(blocks, n, 1);
     }
 
-    let dm = DistanceMatrix::build(ds);
+    let dm = PairwiseDistances::build(ds, Some(1), &Budget::unlimited())?;
     let mut dsu = Dsu::new(n);
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
 

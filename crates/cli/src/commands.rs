@@ -413,16 +413,12 @@ fn anonymize(
         }
         Algorithm::Forest => {
             kanon_baselines::forest::forest(&ds, k, &Default::default()).and_then(|partition| {
-                let suppressor = kanon_core::rounding::suppressor_for_partition(&ds, &partition)?;
-                let (table, cost) =
-                    kanon_core::suppression::verify_k_anonymity(&ds, &suppressor, k)?;
-                Ok(kanon_core::Anonymization {
+                algo::anonymization_from_partition(
+                    &ds,
                     partition,
-                    suppressor,
-                    table,
-                    cost,
-                    algorithm: kanon_core::Algorithm::External("k-forest"),
-                })
+                    k,
+                    kanon_core::Algorithm::External("k-forest"),
+                )
             })
         }
         Algorithm::Exact => algo::exact_optimal(&ds, k),

@@ -61,23 +61,6 @@ impl Anonymization {
     }
 }
 
-fn finish(
-    ds: &Dataset,
-    partition: Partition,
-    k: usize,
-    algorithm: Algorithm,
-) -> Result<Anonymization> {
-    let suppressor = suppressor_for_partition(ds, &partition)?;
-    let (table, cost) = verify_k_anonymity(ds, &suppressor, k)?;
-    Ok(Anonymization {
-        partition,
-        suppressor,
-        table,
-        cost,
-        algorithm,
-    })
-}
-
 /// Rounds an externally produced partition with Corollary 4.1 and verifies
 /// k-anonymity, tagging the result with `algorithm`. This is the finishing
 /// step every pipeline here shares, exposed so out-of-crate runners (the
@@ -93,7 +76,15 @@ pub fn anonymization_from_partition(
     k: usize,
     algorithm: Algorithm,
 ) -> Result<Anonymization> {
-    finish(ds, partition, k, algorithm)
+    let suppressor = suppressor_for_partition(ds, &partition)?;
+    let (table, cost) = verify_k_anonymity(ds, &suppressor, k)?;
+    Ok(Anonymization {
+        partition,
+        suppressor,
+        table,
+        cost,
+        algorithm,
+    })
 }
 
 /// The Theorem 4.1 pipeline: exhaustive greedy cover → Reduce → round.
@@ -114,7 +105,7 @@ pub fn exhaustive_greedy(
 ) -> Result<Anonymization> {
     let cover = full_greedy_cover(ds, k, config, None, budget)?;
     let partition = reduce(&cover, k)?.split_large(k);
-    finish(ds, partition, k, Algorithm::ExhaustiveGreedy)
+    anonymization_from_partition(ds, partition, k, Algorithm::ExhaustiveGreedy)
 }
 
 /// The Theorem 4.2 pipeline: center-ball greedy cover → Reduce → split →
@@ -132,7 +123,7 @@ pub fn center_greedy(
 ) -> Result<Anonymization> {
     let cover = center_greedy_cover(ds, k, config, None, budget)?;
     let partition = reduce(&cover, k)?.split_large(k);
-    finish(ds, partition, k, Algorithm::CenterGreedy)
+    anonymization_from_partition(ds, partition, k, Algorithm::CenterGreedy)
 }
 
 /// The exact pipeline: optimal partition (engine chosen by instance size) →
@@ -142,7 +133,7 @@ pub fn center_greedy(
 /// Bad `k` or an instance beyond every exact engine's reach.
 pub fn exact_optimal(ds: &Dataset, k: usize) -> Result<Anonymization> {
     let opt = exact::optimal(ds, k)?;
-    finish(ds, opt.partition, k, Algorithm::Exact)
+    anonymization_from_partition(ds, opt.partition, k, Algorithm::Exact)
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use crate::bitset::BitSet;
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
-use crate::suppression::Suppressor;
 
 /// Whether keeping exactly the attributes in `kept` (suppressing the rest)
 /// makes the table k-anonymous: every projection onto `kept` must occur at
@@ -135,21 +134,6 @@ fn group_stats(ds: &Dataset, kept: &BitSet, k: usize) -> (usize, usize) {
     (min_group, violations)
 }
 
-/// Builds the column-uniform suppressor corresponding to a kept-set.
-#[must_use]
-pub fn suppressor_for_kept(ds: &Dataset, kept: &BitSet) -> Suppressor {
-    let (n, m) = (ds.n_rows(), ds.n_cols());
-    let mut s = Suppressor::identity(n, m);
-    for j in 0..m {
-        if !kept.contains(j) {
-            for i in 0..n {
-                s.suppress(i, j);
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,17 +186,6 @@ mod tests {
         assert_eq!(kept.count(), 2);
         let (g, _) = greedy_attribute_suppression(&ds, 3).unwrap();
         assert_eq!(g, 0);
-    }
-
-    #[test]
-    fn suppressor_for_kept_stars_whole_columns() {
-        let ds = crossed();
-        let mut kept = BitSet::new(2);
-        kept.insert(0);
-        let s = suppressor_for_kept(&ds, &kept);
-        assert_eq!(s.cost(), 4); // column 1 starred in all 4 rows
-        let t = s.apply(&ds).unwrap();
-        assert!(t.is_k_anonymous(2));
     }
 
     #[test]

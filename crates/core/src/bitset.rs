@@ -98,58 +98,6 @@ impl BitSet {
         }
     }
 
-    /// In-place union: `self ∪= other`.
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection: `self ∩= other`.
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
-    /// In-place difference: `self ∖= other`.
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-    }
-
-    /// Whether `self ⊆ other`.
-    #[must_use]
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
-            && self.blocks.len() <= other.blocks.len()
-    }
-
-    /// Whether the two sets share no elements.
-    #[must_use]
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & b == 0)
-    }
-
     /// Iterates over the member indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks
@@ -240,32 +188,6 @@ mod tests {
             assert_eq!(s.count(), len, "len = {len}");
             assert_eq!(s.to_vec(), (0..len).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn set_algebra() {
-        let a: BitSet = [1usize, 3, 5, 64].into_iter().collect();
-        let b: BitSet = [3usize, 64].into_iter().collect();
-        let mut u = a.clone();
-        // Capacities differ (a sized to 65, b sized to 65) — both max out at 64.
-        u.union_with(&b);
-        assert_eq!(u.to_vec(), vec![1, 3, 5, 64]);
-
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![3, 64]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![1, 5]);
-
-        assert!(b.is_subset(&a));
-        assert!(!a.is_subset(&b));
-        assert!(i.is_subset(&a) && i.is_subset(&b));
-
-        let c: BitSet = [0usize, 2].into_iter().collect();
-        assert!(c.is_disjoint(&b));
-        assert!(!c.is_disjoint(&a) || !a.contains(0) && !a.contains(2));
     }
 
     #[test]

@@ -237,23 +237,6 @@ impl Dataset {
         })
     }
 
-    /// Number of distinct values appearing in column `j`.
-    ///
-    /// # Errors
-    /// Returns [`Error::ColumnOutOfBounds`] if `j >= n_cols()`.
-    pub fn column_cardinality(&self, j: usize) -> Result<usize> {
-        if j >= self.m {
-            return Err(Error::ColumnOutOfBounds {
-                index: j,
-                m: self.m,
-            });
-        }
-        let mut seen: Vec<Value> = (0..self.n).map(|i| self.get(i, j)).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        Ok(seen.len())
-    }
-
     /// The largest value code appearing anywhere, or `None` for an empty
     /// dataset. Useful for sizing dictionaries.
     #[must_use]
@@ -378,14 +361,6 @@ mod tests {
             ds.project_columns(&[3]),
             Err(Error::ColumnOutOfBounds { index: 3, m: 3 })
         ));
-    }
-
-    #[test]
-    fn column_cardinality_counts_distinct() {
-        let ds = sample();
-        assert_eq!(ds.column_cardinality(0).unwrap(), 2);
-        assert_eq!(ds.column_cardinality(2).unwrap(), 3);
-        assert!(ds.column_cardinality(5).is_err());
     }
 
     #[test]

@@ -132,13 +132,6 @@ impl Budget {
         BudgetBuilder::default()
     }
 
-    /// True when no deadline, memory, or candidate limit is set
-    /// (cancellation is always possible).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.allowance.is_none() && self.max_memory.is_none() && self.max_candidates.is_none()
-    }
-
     /// Flags the budget as cancelled; every holder of this budget (or of a
     /// [`Budget::child`]) observes it within one poll interval.
     pub fn cancel(&self) {
@@ -594,7 +587,6 @@ mod tests {
     #[test]
     fn unlimited_budget_always_passes() {
         let b = Budget::unlimited();
-        assert!(b.is_unlimited());
         assert!(b.check().is_ok());
         assert!(b.try_charge_memory(u64::MAX).is_ok());
         assert!(b.check_candidates(u64::MAX).is_ok());

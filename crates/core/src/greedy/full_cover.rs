@@ -938,75 +938,6 @@ mod tests {
         .is_err());
     }
 
-    /// Reference implementation: plain greedy that rescans every candidate
-    /// each round (no lazy selection). Used to differentially test the
-    /// bucket-queue lazy greedy.
-    fn naive_greedy_cover(ds: &Dataset, k: usize) -> Vec<(Vec<u32>, u64)> {
-        let n = ds.n_rows();
-        let mut candidates: Vec<(Vec<u32>, u64)> = Vec::new();
-        for s in k..=(2 * k - 1).min(n) {
-            for_each_combination(n, s, &mut |combo| {
-                let rows: Vec<usize> = combo.iter().map(|&r| r as usize).collect();
-                candidates.push((combo.to_vec(), diameter(ds, &rows) as u64));
-            });
-        }
-        let mut covered = vec![false; n];
-        let mut chosen = Vec::new();
-        while covered.iter().any(|&c| !c) {
-            let mut best: Option<(u64, u64, usize)> = None; // (d, fresh, idx) minimizing d/fresh
-            for (idx, (set, d)) in candidates.iter().enumerate() {
-                let fresh = set.iter().filter(|&&r| !covered[r as usize]).count() as u64;
-                if fresh == 0 {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    // d1/f1 < d2/f2  <=>  d1*f2 < d2*f1
-                    Some((bd, bf, _)) => d * bf < bd * fresh,
-                };
-                if better {
-                    best = Some((*d, fresh, idx));
-                }
-            }
-            let (d, _, idx) = best.expect("candidates cover V");
-            for &r in &candidates[idx].0 {
-                covered[r as usize] = true;
-            }
-            chosen.push((candidates[idx].0.clone(), d));
-        }
-        chosen
-    }
-
-    #[test]
-    fn lazy_heap_matches_naive_greedy_diameter_sum() {
-        // Lazy selection may break ties differently, but the greedy's chosen
-        // ratio sequence — and therefore the cover's diameter sum — must
-        // match the naive rescan implementation.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(271828);
-        for trial in 0..20 {
-            let n = rng.gen_range(4..9);
-            let m = rng.gen_range(2..5);
-            let ds = Dataset::from_fn(n, m, |_, _| rng.gen_range(0..3u32));
-            let k = rng.gen_range(1usize..4).min(n);
-            let heap_cover = full_greedy_cover(
-                &ds,
-                k,
-                &FullCoverConfig::default(),
-                None,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-            let naive = naive_greedy_cover(&ds, k);
-            let naive_sum: u64 = naive.iter().map(|&(_, d)| d).sum();
-            assert_eq!(
-                heap_cover.diameter_sum(&ds) as u64,
-                naive_sum,
-                "trial {trial}: n={n} m={m} k={k}"
-            );
-        }
-    }
-
     #[test]
     fn empty_dataset_empty_cover() {
         let ds = Dataset::from_rows(vec![]).unwrap();

@@ -3,10 +3,11 @@
 //! Every solver in this workspace bottoms out in the same primitive: *count
 //! the lanes in which two fixed-width vectors differ*. The scalar loop in
 //! [`crate::metric::hamming`] answers it one attribute at a time; the SWAR
-//! kernel of PR 3 answers it eight byte-lanes per `u64` word; this module
-//! adds explicit SIMD paths — AVX2 on `x86_64`, NEON on `aarch64` — that
-//! answer it 32 byte-lanes per instruction, selected **once per process** by
-//! runtime feature detection.
+//! kernels answer it eight byte-lanes per `u64` word of the column-major
+//! [`crate::metric::PackedColumns`]; this module adds explicit SIMD paths —
+//! AVX2 on `x86_64` for raw rows and the packed one-to-many sweep (32
+//! byte-lanes per instruction), NEON on `aarch64` for raw rows — selected
+//! **once per process** by runtime feature detection.
 //!
 //! ## Dispatch
 //!
@@ -30,8 +31,10 @@
 //! every `(kernel, alphabet, row-width)` combination is pinned by the
 //! `kernel_equiv` differential proptest suite. Callers that cache a packed
 //! layout resolve the kernel at build time (one branch per *build*, none
-//! per probe); the `*_with` constructors let tests exercise every kernel on
-//! one machine regardless of the environment.
+//! per probe);
+//! [`PackedColumns::try_build_with`](crate::metric::PackedColumns::try_build_with)
+//! lets tests exercise every kernel on one machine regardless of the
+//! environment.
 //!
 //! [`Value`]: crate::dataset::Value
 
@@ -52,8 +55,9 @@ pub enum Kernel {
     /// SWAR over bit-packed `u64` words: 8 byte-lanes (or 4 `u16` lanes)
     /// per word op. Portable to any 64-bit target.
     Swar,
-    /// Explicit SIMD: AVX2 (32 byte-lanes per op) or NEON (16 byte-lanes
-    /// per op), behind one-time runtime detection.
+    /// Explicit SIMD: AVX2 (32 byte-lanes per op on packed words, 8 `u32`
+    /// lanes on raw rows) or NEON (4 `u32` lanes per op on raw rows),
+    /// behind one-time runtime detection.
     Simd,
 }
 
@@ -138,8 +142,8 @@ pub fn kernel() -> Kernel {
     *ACTIVE.get_or_init(|| resolve(std::env::var("KANON_FORCE_KERNEL").ok().as_deref()))
 }
 
-/// Whether packed layouts ([`crate::metric::PackedRows`] /
-/// [`crate::metric::PackedColumns`]) should be *built* at all. Under
+/// Whether the packed layout ([`crate::metric::PackedColumns`]) should be
+/// *built* at all. Under
 /// `KANON_FORCE_KERNEL=scalar` the answer is no: every distance then flows
 /// through the per-attribute scalar scan, which is what a forced-fallback
 /// differential run wants to exercise.
@@ -224,9 +228,9 @@ unsafe fn hamming_u32_neon(u: &[u32], v: &[u32]) -> usize {
 
 // ---------------------------------------------------------------------------
 // Packed-word kernels: operate on the bit-packed u64 words of
-// `metric::PackedRows` / `metric::PackedColumns`. `B8` packs 8 byte lanes
-// per word, `B16` packs 4 sixteen-bit lanes per word; unused tail lanes are
-// zero in every row and therefore never count as differing.
+// `metric::PackedColumns`. `B8` packs 8 byte lanes per word, `B16` packs 4
+// sixteen-bit lanes per word; unused tail lanes are zero in every row and
+// therefore never count as differing.
 // ---------------------------------------------------------------------------
 
 /// Per-byte SWAR nonzero test: one bit in the `0x80` position of every
@@ -248,123 +252,6 @@ pub(crate) fn nonzero_u16_lanes(x: u64) -> u32 {
     const LO: u64 = 0x0001_0001_0001_0001;
     const HI: u64 = 0x8000_8000_8000_8000;
     ((x | ((x | HI) - LO)) & HI).count_ones()
-}
-
-/// Differing byte lanes between two equal-length word slices (one row pair).
-#[inline]
-#[must_use]
-pub(crate) fn diff_words_b8(a: &[u64], b: &[u64], kernel: Kernel) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Simd && a.len() >= 4 {
-        // SAFETY: `Kernel::Simd` is only resolved when AVX2 is detected.
-        return unsafe { diff_words_b8_avx2(a, b) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if kernel == Kernel::Simd && a.len() >= 2 {
-        // SAFETY: `Kernel::Simd` is only resolved when NEON is detected.
-        return unsafe { diff_words_b8_neon(a, b) };
-    }
-    let _ = kernel;
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| nonzero_u8_lanes(x ^ y))
-        .sum()
-}
-
-/// Differing 16-bit lanes between two equal-length word slices.
-#[inline]
-#[must_use]
-pub(crate) fn diff_words_b16(a: &[u64], b: &[u64], kernel: Kernel) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Simd && a.len() >= 4 {
-        // SAFETY: `Kernel::Simd` is only resolved when AVX2 is detected.
-        return unsafe { diff_words_b16_avx2(a, b) };
-    }
-    // NEON: the 16-bit SWAR loop is already ≥ the NEON win at the word
-    // counts packed rows see (≤ a few words per row); keep SWAR.
-    let _ = kernel;
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| nonzero_u16_lanes(x ^ y))
-        .sum()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn diff_words_b8_avx2(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_xor_si256,
-    };
-    let n = a.len();
-    let mut diff = 0u32;
-    let mut i = 0usize;
-    while i + 4 <= n {
-        // SAFETY: bounds guarded by the loop condition; unaligned loads.
-        let x = unsafe { _mm256_loadu_si256(a.as_ptr().add(i).cast()) };
-        let y = unsafe { _mm256_loadu_si256(b.as_ptr().add(i).cast()) };
-        let xz = _mm256_xor_si256(x, y);
-        // Equal byte lanes (xor == 0) set their mask bit; 32 lanes per op.
-        let eq = _mm256_cmpeq_epi8(xz, std::arch::x86_64::_mm256_setzero_si256());
-        let mask = _mm256_movemask_epi8(eq) as u32;
-        diff += 32 - mask.count_ones();
-        i += 4;
-    }
-    while i < n {
-        diff += nonzero_u8_lanes(a[i] ^ b[i]);
-        i += 1;
-    }
-    diff
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn diff_words_b16_avx2(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi16, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_xor_si256,
-    };
-    let n = a.len();
-    let mut diff = 0u32;
-    let mut i = 0usize;
-    while i + 4 <= n {
-        // SAFETY: bounds guarded by the loop condition; unaligned loads.
-        let x = unsafe { _mm256_loadu_si256(a.as_ptr().add(i).cast()) };
-        let y = unsafe { _mm256_loadu_si256(b.as_ptr().add(i).cast()) };
-        let xz = _mm256_xor_si256(x, y);
-        let eq = _mm256_cmpeq_epi16(xz, std::arch::x86_64::_mm256_setzero_si256());
-        // Two mask bits per 16-bit lane; 16 lanes per op.
-        let mask = _mm256_movemask_epi8(eq) as u32;
-        diff += 16 - mask.count_ones() / 2;
-        i += 4;
-    }
-    while i < n {
-        diff += nonzero_u16_lanes(a[i] ^ b[i]);
-        i += 1;
-    }
-    diff
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn diff_words_b8_neon(a: &[u64], b: &[u64]) -> u32 {
-    use std::arch::aarch64::{vaddvq_u8, vandq_u8, vceqzq_u8, vdupq_n_u8, veorq_u8, vld1q_u8};
-    let n = a.len();
-    let mut diff = 0u32;
-    let mut i = 0usize;
-    let ones = vdupq_n_u8(1);
-    while i + 2 <= n {
-        // SAFETY: two u64 words are 16 bytes; bounds guarded above.
-        let x = unsafe { vld1q_u8(a.as_ptr().add(i).cast()) };
-        let y = unsafe { vld1q_u8(b.as_ptr().add(i).cast()) };
-        // Equal byte lanes of the xor are zero; count them and subtract.
-        let eq = vandq_u8(vceqzq_u8(veorq_u8(x, y)), ones);
-        diff += 16 - u32::from(vaddvq_u8(eq));
-        i += 2;
-    }
-    while i < n {
-        diff += nonzero_u8_lanes(a[i] ^ b[i]);
-        i += 1;
-    }
-    diff
 }
 
 /// One-to-many accumulate for column-major packed storage: for every `j`,
@@ -506,9 +393,9 @@ mod tests {
         assert_eq!(nonzero_u16_lanes(u64::MAX), 4);
     }
 
-    /// Every kernel tier must agree on raw-u32 rows, packed row pairs, and
-    /// the one-to-many accumulate, across lengths that exercise both the
-    /// vector body and the scalar tail.
+    /// Every kernel tier must agree on raw-u32 rows and the one-to-many
+    /// accumulate, across lengths that exercise both the vector body and
+    /// the scalar tail.
     #[test]
     fn tiers_agree_on_random_words() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -518,26 +405,10 @@ mod tests {
             let a: Vec<u64> = (0..len)
                 .map(|_| rng.gen::<u64>() & rng.gen::<u64>())
                 .collect();
-            let b: Vec<u64> = a
-                .iter()
-                .map(|&x| if rng.gen_bool(0.5) { x } else { rng.gen() })
-                .collect();
-            let want8: u32 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| nonzero_u8_lanes(x ^ y))
-                .sum();
-            let want16: u32 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| nonzero_u16_lanes(x ^ y))
-                .sum();
             for &k in tiers {
                 if k == Kernel::Simd && !simd_available() {
                     continue;
                 }
-                assert_eq!(diff_words_b8(&a, &b, k), want8, "b8 {k} len={len}");
-                assert_eq!(diff_words_b16(&a, &b, k), want16, "b16 {k} len={len}");
                 let x = rng.gen::<u64>();
                 let mut out = vec![0u32; len];
                 accum_diff_b8(x, &a, &mut out, k);

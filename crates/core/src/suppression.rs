@@ -42,23 +42,6 @@ impl Suppressor {
         }
     }
 
-    /// Builds a suppressor from per-row column masks.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidPartition`] if a mask's capacity differs
-    /// from `m`.
-    pub fn from_masks(masks: Vec<BitSet>, m: usize) -> Result<Self> {
-        for (i, mask) in masks.iter().enumerate() {
-            if mask.capacity() != m {
-                return Err(Error::InvalidPartition(format!(
-                    "mask {i} has capacity {} but m = {m}",
-                    mask.capacity()
-                )));
-            }
-        }
-        Ok(Suppressor { masks, m })
-    }
-
     /// Number of rows covered.
     #[must_use]
     pub fn n_rows(&self) -> usize {
@@ -77,12 +60,6 @@ impl Suppressor {
     #[must_use]
     pub fn is_suppressed(&self, row: usize, col: usize) -> bool {
         self.masks[row].contains(col)
-    }
-
-    /// Borrow the mask of `row`.
-    #[must_use]
-    pub fn mask(&self, row: usize) -> &BitSet {
-        &self.masks[row]
     }
 
     /// Total number of starred cells — the objective value the paper
@@ -473,14 +450,6 @@ mod tests {
         s.suppress(0, 1);
         let t = s.apply(&ds).unwrap();
         assert_eq!(t.render(), "7 *\n");
-    }
-
-    #[test]
-    fn from_masks_validates_capacity() {
-        let good = vec![BitSet::new(3), BitSet::new(3)];
-        assert!(Suppressor::from_masks(good, 3).is_ok());
-        let bad = vec![BitSet::new(3), BitSet::new(2)];
-        assert!(Suppressor::from_masks(bad, 3).is_err());
     }
 
     #[test]

@@ -49,13 +49,6 @@ impl Error {
     pub fn is_corruption(&self) -> bool {
         matches!(self, Error::Store(kanon_store::Error::Corrupt { .. }))
     }
-
-    /// True when another live writer holds the store directory's
-    /// single-writer lock — a retryable conflict, not damage.
-    #[must_use]
-    pub fn is_locked(&self) -> bool {
-        matches!(self, Error::Store(kanon_store::Error::Locked { .. }))
-    }
 }
 
 impl fmt::Display for Error {

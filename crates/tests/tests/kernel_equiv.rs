@@ -1,9 +1,9 @@
-//! Differential equivalence of the distance-kernel tiers (ISSUE 8): the
-//! scalar reference, the SWAR word tier, and the explicit SIMD tier must
-//! agree on every Hamming distance — across alphabet sizes (both packed
-//! lane widths plus the unpackable fallback), odd row lengths that leave
-//! partial words, and both packed layouts (row-major pairs and
-//! column-major one-to-many sweeps).
+//! Differential equivalence of the distance-kernel tiers: the scalar
+//! reference, the SWAR word tier, and the explicit SIMD tier must agree on
+//! every Hamming distance — across alphabet sizes (both packed lane
+//! widths), odd row lengths that leave partial words, and both entry
+//! points (the dispatched `hamming` on raw rows and the column-major
+//! `PackedColumns` one-to-many sweep).
 //!
 //! SIMD cases run only where the hardware supports them
 //! (`kanon_core::kernel::simd_available`); on other machines the suite
@@ -11,7 +11,7 @@
 //! rest.
 
 use kanon_core::kernel::{self, Kernel};
-use kanon_core::metric::{hamming, PackedColumns, PackedRows};
+use kanon_core::metric::{hamming, PackedColumns};
 use kanon_core::Dataset;
 use proptest::prelude::*;
 
@@ -39,7 +39,7 @@ const ALPHABETS: [u32; 6] = [2, 6, 250, 256, 300, 60_000];
 
 /// Builds a dataset from a flat random buffer, reduced modulo the chosen
 /// alphabet. Row lengths include odd sizes that leave a partial trailing
-/// word in both packed layouts.
+/// packed word.
 fn build_dataset(flat: &[u32], n: usize, m: usize, alphabet: u32) -> Dataset {
     Dataset::from_fn(n, m, |i, j| flat[i * m + j] % alphabet)
 }
@@ -47,8 +47,8 @@ fn build_dataset(flat: &[u32], n: usize, m: usize, alphabet: u32) -> Dataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every kernel tier agrees with the scalar reference on every pair,
-    /// in both packed layouts.
+    /// Every kernel tier agrees with the scalar reference on every pair of
+    /// the packed one-to-many sweep.
     #[test]
     fn packed_tiers_agree_with_scalar_reference(
         flat in proptest::collection::vec(0u32..u32::MAX, 40 * 24),
@@ -58,31 +58,20 @@ proptest! {
     ) {
         let ds = build_dataset(&flat, n, m, ALPHABETS[which]);
         for tier in tiers() {
-            let rows = PackedRows::try_build_with(&ds, tier);
             let cols = PackedColumns::try_build_with(&ds, tier);
+            // The codec packs exactly the alphabets whose codes fit 16 bits.
+            prop_assert_eq!(cols.is_some(), ALPHABETS[which] <= 65_536);
+            let Some(cols) = cols else { continue };
             let mut out = vec![0u32; n];
             for i in 0..n {
-                if let Some(p) = &cols {
-                    p.distances_one_to_many(i, &mut out);
-                }
+                cols.distances_one_to_many(i, &mut out);
                 for (j, &col_got) in out.iter().enumerate() {
-                    let want = scalar_distance(&ds, i, j);
-                    if let Some(p) = &rows {
-                        prop_assert_eq!(
-                            p.distance(i, j), want,
-                            "PackedRows {:?} disagrees at ({}, {})", tier, i, j
-                        );
-                    }
-                    if cols.is_some() {
-                        prop_assert_eq!(
-                            col_got, want,
-                            "PackedColumns {:?} disagrees at ({}, {})", tier, i, j
-                        );
-                    }
+                    prop_assert_eq!(
+                        col_got, scalar_distance(&ds, i, j),
+                        "PackedColumns {:?} disagrees at ({}, {})", tier, i, j
+                    );
                 }
             }
-            // Both layouts pack exactly the alphabets that fit 16 bits.
-            prop_assert_eq!(rows.is_some(), cols.is_some());
         }
     }
 
@@ -109,8 +98,8 @@ proptest! {
 }
 
 /// Deterministic boundary sweep: row lengths around every lane and word
-/// boundary of both packed widths (8 values/word for B8, 4 for B16, and
-/// the 8/4-wide SIMD strides above them).
+/// boundary of both packed widths (8 values/word for B8, 4 for B16), and
+/// row counts that leave a tail below the 4-row SIMD stride.
 #[test]
 fn lane_boundaries_agree_across_tiers() {
     for alphabet in [250u32, 60_000u32] {
@@ -118,14 +107,12 @@ fn lane_boundaries_agree_across_tiers() {
             let n = 9;
             let ds = Dataset::from_fn(n, m, |i, j| ((i * 31 + j * 17 + 3) as u32) % alphabet);
             for tier in tiers() {
-                let rows = PackedRows::try_build_with(&ds, tier).expect("alphabet fits packing");
                 let cols = PackedColumns::try_build_with(&ds, tier).expect("alphabet fits packing");
                 let mut out = vec![0u32; n];
                 for i in 0..n {
                     cols.distances_one_to_many(i, &mut out);
                     for (j, &col_got) in out.iter().enumerate() {
                         let want = scalar_distance(&ds, i, j);
-                        assert_eq!(rows.distance(i, j), want, "{tier:?} m={m} ({i},{j})");
                         assert_eq!(col_got, want, "{tier:?} m={m} ({i},{j})");
                     }
                 }

@@ -10,8 +10,7 @@
 //! (experiment E2). For a certified sandwich, pair the planted cost (upper
 //! bound) with [`knn_lower_bound`] (lower bound).
 
-use kanon_core::metric::DistanceMatrix;
-use kanon_core::{Dataset, Partition};
+use kanon_core::{Budget, Dataset, PairwiseDistances, Partition};
 use rand::Rng;
 
 /// Parameters for [`clustered`].
@@ -118,7 +117,8 @@ pub fn knn_lower_bound(ds: &Dataset, k: usize) -> usize {
     if k <= 1 || ds.n_rows() == 0 {
         return 0;
     }
-    let dm = DistanceMatrix::build(ds);
+    let dm = PairwiseDistances::build(ds, Some(1), &Budget::unlimited())
+        .expect("an unlimited budget only fails on an n whose triangle overflows usize");
     (0..ds.n_rows())
         .map(|r| dm.kth_neighbor_distance(r, k - 1).unwrap_or(0) as usize)
         .sum()
@@ -128,7 +128,6 @@ pub fn knn_lower_bound(ds: &Dataset, k: usize) -> usize {
 mod tests {
     use super::*;
     use kanon_core::algo;
-    use kanon_core::Budget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
