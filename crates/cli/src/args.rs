@@ -1,4 +1,18 @@
-//! Hand-rolled argument parsing (no external parser dependency).
+//! Argument parsing, driven by one flag table per (sub)command.
+//!
+//! Each (sub)command is declared once with `command!`: every field of its
+//! payload struct is one row of its flag table, giving the flag, its value
+//! placeholder and type, whether it is required, its default and one line
+//! of help. One walker reads argv against a table and raises every usage
+//! error: an unknown flag, a value flag with no value, a repeated flag, a
+//! missing required flag and a value of the wrong type. [`usage`] renders
+//! the synopsis and the flag list from the same tables.
+
+use std::fmt::Write as _;
+use std::num::ParseIntError;
+use std::str::FromStr;
+
+use kanon_pipeline::ShardStrategy;
 
 use crate::CliError;
 
@@ -20,287 +34,663 @@ pub enum Algorithm {
     Ladder,
 }
 
+/// The `--algorithm` spellings, in [`Algorithm`] order.
+const ALGORITHMS: &[&str] = &["center", "exhaustive", "forest", "exact", "ladder"];
+
+impl Algorithm {
+    /// The `--algorithm` spelling.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        ALGORITHMS[self as usize]
+    }
+}
+
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `kanon anonymize`.
-    Anonymize {
-        /// Privacy parameter.
-        k: usize,
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-        /// Output CSV path (`None` = stdout).
-        output: Option<String>,
-        /// Solver.
-        algorithm: Algorithm,
-        /// Quasi-identifier column names (`None` = all columns).
-        quasi: Option<Vec<String>>,
-        /// Worker threads for the center greedy (1 = sequential).
-        threads: usize,
-        /// Optional path for the 0/1 suppression-mask audit artifact.
-        emit_mask: Option<String>,
-        /// Wall-clock budget in milliseconds (`None` = unlimited).
-        deadline_ms: Option<u64>,
-        /// Planned-allocation memory budget in MiB (`None` = unlimited).
-        max_memory_mb: Option<u64>,
-        /// Emit a machine-readable JSON report instead of notes + CSV.
-        json: bool,
-    },
-    /// `kanon pipeline`: the sharded out-of-core engine for large tables.
-    Pipeline {
-        /// Privacy parameter.
-        k: usize,
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-        /// Output CSV path (`None` = stdout).
-        output: Option<String>,
-        /// Target rows per shard.
-        shard_size: usize,
-        /// Row-to-shard assignment strategy.
-        strategy: kanon_pipeline::ShardStrategy,
-        /// Pinned hash-bucket count (`None` = derived from the table).
-        buckets: Option<usize>,
-        /// Worker threads (`None` = auto).
-        workers: Option<usize>,
-        /// Quasi-identifier column names. `None` selects the schema-driven
-        /// auto path: infer the schema, rank a quasi-identifier, and try
-        /// the generalization rung before degrading to suppression.
-        quasi: Option<Vec<String>>,
-        /// Hierarchy-override JSON file for the auto path (`None` derives
-        /// every hierarchy from the inferred schema).
-        hierarchies: Option<String>,
-        /// On the auto path, also run the suppression pipeline and report
-        /// both information losses side by side.
-        compare: bool,
-        /// Privacy model beyond k-anonymity, as a validated spec string
-        /// (`l=2`, `entropy-l=2.5`, `t=0.2`, `emd-t=0.15`; `None` = plain
-        /// `k`). Parsed once here for the early usage error, re-parsed at
-        /// run time ([`kanon_privacy::PrivacyModel`] holds an `f64`, so it
-        /// cannot ride in this `Eq` enum).
-        privacy: Option<String>,
-        /// Sensitive column held to the privacy model; kept out of the
-        /// quasi-identifier (and the shard hash) on the solve path.
-        sensitive: Option<String>,
-        /// Wall-clock budget in milliseconds (`None` = unlimited).
-        deadline_ms: Option<u64>,
-        /// Planned-allocation memory budget in MiB (`None` = unlimited).
-        max_memory_mb: Option<u64>,
-        /// Emit a machine-readable JSON report instead of notes + CSV.
-        json: bool,
-    },
-    /// `kanon delta`: incremental anonymization over a durable store.
-    Delta(DeltaAction),
-    /// `kanon schema`: probe/infer/verify for messy CSVs.
-    Schema(SchemaAction),
+    Anonymize(Anonymize),
+    /// `kanon pipeline`.
+    Pipeline(Pipeline),
+    /// `kanon schema probe`.
+    SchemaProbe(SchemaProbe),
+    /// `kanon schema infer`.
+    SchemaInfer(SchemaInfer),
+    /// `kanon schema verify`.
+    SchemaVerify(SchemaVerify),
+    /// `kanon delta init`.
+    DeltaInit(DeltaInit),
+    /// `kanon delta apply`.
+    DeltaApply(DeltaApply),
+    /// `kanon delta status`.
+    DeltaStatus(DeltaStatus),
+    /// `kanon delta release`.
+    DeltaRelease(DeltaRelease),
     /// `kanon verify`.
-    Verify {
-        /// Privacy parameter to check.
-        k: usize,
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-        /// Quasi-identifier column names (`None` = all columns).
-        quasi: Option<Vec<String>>,
-    },
-    /// `kanon attack`: linkage attack a released CSV with external data.
-    Attack {
-        /// Released CSV path (stars/bands allowed).
-        released: String,
-        /// External (attacker) CSV path with raw values.
-        external: String,
-        /// Join columns, same names on both sides.
-        join: Vec<String>,
-    },
-    /// `kanon generate` (synthetic sample data).
-    Generate {
-        /// Number of records.
-        rows: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Zip-code regions (census workload only).
-        regions: usize,
-        /// Workload family: `census` (typed microdata) or `zipf` (skewed
-        /// categorical, streamed — suited to very large `--rows`).
-        workload: String,
-        /// Columns (zipf workload only).
-        cols: usize,
-        /// Distinct values per column (zipf workload only).
-        alphabet: u32,
-        /// Skew exponent, parsed as f64 at execution (zipf workload only).
-        exponent: String,
-        /// Messy mode: semicolon delimiter, mixed column types, injected
-        /// null markers — exercise for the schema toolchain.
-        messy: bool,
-        /// Output CSV path (`None` = stdout). The zipf workload streams
-        /// row-by-row when writing to a file.
-        output: Option<String>,
-    },
-    /// `kanon serve`: the long-running anonymization server.
-    Serve {
-        /// Listen address (`host:port`; port 0 picks a free port).
-        addr: String,
-        /// Job-solver worker threads.
-        workers: usize,
-        /// Bounded queue depth beyond the running jobs.
-        queue_depth: usize,
-        /// Global memory pool in MiB that per-job budgets lease from.
-        pool_memory_mb: u64,
-        /// Directory for durable tenant tables (`None` disables the
-        /// `/v1/tables` endpoints).
-        data_dir: Option<String>,
-    },
+    Verify(Verify),
+    /// `kanon attack`.
+    Attack(Attack),
+    /// `kanon generate`.
+    Generate(Generate),
+    /// `kanon serve`.
+    Serve(Serve),
     /// `kanon help`.
     Help,
 }
 
-/// The `kanon schema` sub-actions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaAction {
-    /// `kanon schema probe`: structural detection only (delimiter,
-    /// quoting, field count, record consistency).
-    Probe {
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-    },
-    /// `kanon schema infer`: full inference, rendering the versioned
-    /// `.schema` file.
-    Infer {
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-        /// `.schema` output path (`None` = stdout).
-        output: Option<String>,
-    },
+type Build = fn(&Args) -> Command;
+
+/// Every (sub)command: its name, its flag table and the builder of its
+/// [`Command`], in usage order.
+const COMMANDS: &[(&str, &[Flag], Build)] = &[
+    ("anonymize", Anonymize::FLAGS, Anonymize::command),
+    ("pipeline", Pipeline::FLAGS, Pipeline::command),
+    ("schema probe", SchemaProbe::FLAGS, SchemaProbe::command),
+    ("schema infer", SchemaInfer::FLAGS, SchemaInfer::command),
+    ("schema verify", SchemaVerify::FLAGS, SchemaVerify::command),
+    ("delta init", DeltaInit::FLAGS, DeltaInit::command),
+    ("delta apply", DeltaApply::FLAGS, DeltaApply::command),
+    ("delta status", DeltaStatus::FLAGS, DeltaStatus::command),
+    ("delta release", DeltaRelease::FLAGS, DeltaRelease::command),
+    ("verify", Verify::FLAGS, Verify::command),
+    ("attack", Attack::FLAGS, Attack::command),
+    ("generate", Generate::FLAGS, Generate::command),
+    ("serve", Serve::FLAGS, Serve::command),
+];
+
+/// Declares a (sub)command's payload struct, named as its [`Command`]
+/// variant, and its flag table at once. Each field is one table row: its
+/// one-line doc comment is the row's help, `row` gives the flag, its value
+/// and its default, and `command` fills the field by calling `reader` on
+/// [`Args`] with the row's flag.
+macro_rules! command {
+    (
+        $(#[$doc:meta])*
+        $name:ident {
+            $(#[doc = $help:literal] $field:ident: $ty:ty = $row:expr => $reader:ident,)*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $(#[doc = $help] pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// The flag table, one row per field, in usage order.
+            const FLAGS: &'static [Flag] = &[$(($row).help($help)),*];
+
+            fn command(a: &Args) -> Command {
+                Command::$name($name {
+                    $($field: a.$reader(($row).name),)*
+                })
+            }
+        }
+    };
+}
+
+command! {
+    /// `kanon anonymize`: one whole-table solve.
+    Anonymize {
+        /// Privacy parameter: every released row matches k-1 others.
+        k: usize = K => int,
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+        /// Write here instead of stdout.
+        output: Option<String> = OUTPUT => opt_text,
+        /// Solver [default: center, or ladder when a budget is given].
+        algorithm: Algorithm = opt("--algorithm", "", Kind::Choice(ALGORITHMS)) => algorithm,
+        /// Quasi-identifier columns [default: all columns].
+        quasi: Option<Vec<String>> = QUASI => list,
+        /// Center-greedy worker threads.
+        threads: usize = opt("--threads", "N", Kind::Positive).or("1") => int,
+        /// Also write the 0/1 suppression mask here.
+        emit_mask: Option<String> = opt("--emit-mask", "<FILE>", Kind::Text) => opt_text,
+        /// Print a machine-readable JSON report on stdout.
+        json: bool = JSON => switch,
+        /// Wall-clock budget (see BUDGETS).
+        deadline_ms: Option<u64> = DEADLINE => opt_int,
+        /// Planned-allocation budget (see BUDGETS).
+        max_memory_mb: Option<u64> = MEMORY => opt_int,
+    }
+}
+
+command! {
+    /// `kanon pipeline`: the sharded out-of-core engine.
+    Pipeline {
+        /// Privacy parameter: every released row matches k-1 others.
+        k: usize = K => int,
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+        /// Write here instead of stdout.
+        output: Option<String> = OUTPUT => opt_text,
+        /// Target rows per shard.
+        shard_size: usize = SHARD_SIZE => int,
+        /// Row-to-shard assignment.
+        strategy: ShardStrategy = opt(
+            "--strategy",
+            "hash|sorted",
+            Kind::Checked(|s| ShardStrategy::from_name(s).map(drop).map_err(Into::into)),
+        )
+        .or("hash") => strategy,
+        /// Pinned hash-bucket count [default: derived from the table].
+        buckets: Option<usize> = BUCKETS => opt_int,
+        /// Worker threads [default: RAYON_NUM_THREADS, then all cores].
+        workers: Option<usize> = opt("--workers", "N", Kind::Positive) => opt_int,
+        /// Quasi-identifier columns [default: the schema-driven auto path].
+        quasi: Option<Vec<String>> = QUASI => list,
+        /// Auto path: hierarchy-override JSON.
+        hierarchies: Option<String> = opt("--hierarchies", "<FILE>", Kind::Text) => opt_text,
+        // A checked spec string: `PrivacyModel` holds an `f64`, so it cannot
+        // ride in this `Eq` struct and is parsed again at run time.
+        /// Privacy model beyond k, held on the --sensitive column.
+        privacy: Option<String> = opt(
+            "--privacy",
+            "k|l=N|entropy-l=X|t=X|emd-t=X",
+            Kind::Checked(|s| kanon_privacy::PrivacyModel::parse(s).map(drop).map_err(Into::into)),
+        ) => opt_text,
+        /// Sensitive column, kept out of the quasi-identifier.
+        sensitive: Option<String> = opt("--sensitive", "COL", Kind::Text) => opt_text,
+        /// Auto path: also run suppression and report both losses.
+        compare: bool = opt("--compare", "", Kind::Switch) => switch,
+        /// Print a machine-readable JSON report on stdout.
+        json: bool = JSON => switch,
+        /// Wall-clock budget (see BUDGETS).
+        deadline_ms: Option<u64> = DEADLINE => opt_int,
+        /// Planned-allocation budget (see BUDGETS).
+        max_memory_mb: Option<u64> = MEMORY => opt_int,
+    }
+}
+
+command! {
+    /// `kanon schema probe`: structural detection only.
+    SchemaProbe {
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+    }
+}
+
+command! {
+    /// `kanon schema infer`: full inference, rendering the `.schema` file.
+    SchemaInfer {
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+        /// Write here instead of stdout.
+        output: Option<String> = opt("--output", "<FILE.schema>", Kind::Text) => opt_text,
+    }
+}
+
+command! {
     /// `kanon schema verify`: re-infer and diff against a stored `.schema`
     /// file; exits nonzero on drift.
-    Verify {
-        /// Stored `.schema` file path.
-        schema: String,
-        /// Input CSV path (`-` reads stdin).
-        input: String,
-    },
+    SchemaVerify {
+        /// Stored .schema file to diff against.
+        schema: String = req("--schema", "<FILE.schema>", Kind::Text) => text,
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+    }
 }
 
-/// The `kanon delta` sub-actions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaAction {
+command! {
     /// `kanon delta init`: create a store from a CSV table.
-    Init {
-        /// Store directory.
-        dir: String,
-        /// Privacy parameter, fixed for the store's lifetime.
-        k: usize,
-        /// Input CSV path (`-` reads stdin).
-        input: String,
+    DeltaInit {
+        /// Delta store directory.
+        dir: String = DIR => text,
+        /// Privacy parameter: every released row matches k-1 others.
+        k: usize = K => int,
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
         /// Target rows per shard.
-        shard_size: usize,
-        /// Pinned hash-bucket count (`None` = derived from the table).
-        buckets: Option<usize>,
-        /// Quasi-identifier column names (`None` = all columns).
-        quasi: Option<Vec<String>>,
-        /// Wall-clock budget in milliseconds (`None` = unlimited).
-        deadline_ms: Option<u64>,
-        /// Planned-allocation memory budget in MiB (`None` = unlimited).
-        max_memory_mb: Option<u64>,
-        /// Emit a machine-readable JSON report instead of notes.
-        json: bool,
-    },
-    /// `kanon delta apply`: apply an ops CSV as one atomic batch.
-    Apply {
-        /// Store directory.
-        dir: String,
-        /// Ops CSV path (`-` reads stdin).
-        ops: String,
-        /// Released-CSV output path (`None` = no release written).
-        output: Option<String>,
-        /// Wall-clock budget in milliseconds (`None` = unlimited).
-        deadline_ms: Option<u64>,
-        /// Planned-allocation memory budget in MiB (`None` = unlimited).
-        max_memory_mb: Option<u64>,
-        /// Emit a machine-readable JSON report instead of notes.
-        json: bool,
-    },
-    /// `kanon delta status`: report store health without solving.
-    Status {
-        /// Store directory.
-        dir: String,
-        /// Emit a machine-readable JSON report instead of notes.
-        json: bool,
-    },
-    /// `kanon delta release`: write the current released CSV.
-    Release {
-        /// Store directory.
-        dir: String,
-        /// Released-CSV output path (`None` = stdout).
-        output: Option<String>,
-        /// Wall-clock budget in milliseconds (`None` = unlimited).
-        deadline_ms: Option<u64>,
-        /// Planned-allocation memory budget in MiB (`None` = unlimited).
-        max_memory_mb: Option<u64>,
-    },
+        shard_size: usize = SHARD_SIZE => int,
+        /// Pinned hash-bucket count [default: derived from the table].
+        buckets: Option<usize> = BUCKETS => opt_int,
+        /// Quasi-identifier columns [default: all columns].
+        quasi: Option<Vec<String>> = QUASI => list,
+        /// Wall-clock budget (see BUDGETS).
+        deadline_ms: Option<u64> = DEADLINE => opt_int,
+        /// Planned-allocation budget (see BUDGETS).
+        max_memory_mb: Option<u64> = MEMORY => opt_int,
+        /// Print a machine-readable JSON report on stdout.
+        json: bool = JSON => switch,
+    }
 }
 
-/// The usage text.
+command! {
+    /// `kanon delta apply`: apply an ops CSV as one atomic batch.
+    DeltaApply {
+        /// Delta store directory.
+        dir: String = DIR => text,
+        /// Ops CSV with header `op,id,<columns...>`; `-` reads stdin.
+        ops: String = req("--ops", "<FILE|->", Kind::Text) => text,
+        /// Also write the new release here.
+        output: Option<String> = OUTPUT => opt_text,
+        /// Wall-clock budget (see BUDGETS).
+        deadline_ms: Option<u64> = DEADLINE => opt_int,
+        /// Planned-allocation budget (see BUDGETS).
+        max_memory_mb: Option<u64> = MEMORY => opt_int,
+        /// Print a machine-readable JSON report on stdout.
+        json: bool = JSON => switch,
+    }
+}
+
+command! {
+    /// `kanon delta status`: report store health without solving.
+    DeltaStatus {
+        /// Delta store directory.
+        dir: String = DIR => text,
+        /// Print a machine-readable JSON report on stdout.
+        json: bool = JSON => switch,
+    }
+}
+
+command! {
+    /// `kanon delta release`: write the current released CSV.
+    DeltaRelease {
+        /// Delta store directory.
+        dir: String = DIR => text,
+        /// Write here instead of stdout.
+        output: Option<String> = OUTPUT => opt_text,
+        /// Wall-clock budget (see BUDGETS).
+        deadline_ms: Option<u64> = DEADLINE => opt_int,
+        /// Planned-allocation budget (see BUDGETS).
+        max_memory_mb: Option<u64> = MEMORY => opt_int,
+    }
+}
+
+command! {
+    /// `kanon verify`: check a released CSV for k-anonymity.
+    Verify {
+        /// Privacy parameter: every released row matches k-1 others.
+        k: usize = K => int,
+        /// Input CSV; `-` reads stdin.
+        input: String = INPUT => text,
+        /// Quasi-identifier columns [default: all columns].
+        quasi: Option<Vec<String>> = QUASI => list,
+    }
+}
+
+command! {
+    /// `kanon attack`: linkage-attack a released CSV with external data.
+    Attack {
+        /// Released CSV (stars and bands allowed).
+        released: String = req("--released", "<FILE>", Kind::Text) => text,
+        /// The attacker's CSV with raw values.
+        external: String = req("--external", "<FILE>", Kind::Text) => text,
+        /// Join columns, same names on both sides.
+        join: Vec<String> = req("--join", "col1,col2,...", Kind::List) => items,
+    }
+}
+
+command! {
+    /// `kanon generate`: synthetic sample data.
+    Generate {
+        /// Records.
+        rows: usize = opt("--rows", "N", Kind::Count).or("100") => int,
+        /// RNG seed.
+        seed: u64 = opt("--seed", "S", Kind::Count).or("0") => int,
+        /// Write here instead of stdout.
+        output: Option<String> = OUTPUT => opt_text,
+        /// Census-like microdata or zipf-skewed categorical.
+        workload: String = opt("--workload", "", Kind::Choice(&["census", "zipf"])).or("census")
+            => text,
+        /// Zip-code regions (census, messy).
+        regions: usize = opt("--regions", "R", Kind::Count).or("8") => int,
+        /// Census rows made `;`-delimited, with mixed types and nulls.
+        messy: bool = opt("--messy", "", Kind::Switch) => switch,
+        /// Columns (zipf).
+        cols: usize = opt("--cols", "M", Kind::Count).or("8") => int,
+        /// Distinct values per column (zipf).
+        alphabet: usize = opt("--alphabet", "A", Kind::Count).or("50") => int,
+        /// Skew exponent (zipf).
+        exponent: String = opt("--exponent", "E", Kind::Text).or("1.0") => text,
+    }
+}
+
+command! {
+    /// `kanon serve`: the long-running anonymization server.
+    Serve {
+        /// Listen address; port 0 picks a free one.
+        addr: String = opt("--addr", "HOST:PORT", Kind::Text).or("127.0.0.1:8672") => text,
+        /// Job-solver threads.
+        workers: usize = opt("--workers", "N", Kind::Positive).or("4") => int,
+        /// Queued jobs beyond the running ones.
+        queue_depth: usize = opt("--queue-depth", "N", Kind::Positive).or("64") => int,
+        /// Memory pool that per-job budgets lease from.
+        pool_memory_mb: u64 = opt("--pool-memory-mb", "MB", Kind::Positive).or("256") => int,
+        /// Serve durable tables from this directory.
+        data_dir: Option<String> = opt("--data-dir", "DIR", Kind::Text) => opt_text,
+    }
+}
+
+/// What a flag's value must be.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag is present or absent.
+    Switch,
+    /// Any string.
+    Text,
+    /// Comma-separated column names.
+    List,
+    /// An integer `>= 1`.
+    Positive,
+    /// An integer `>= 0`.
+    Count,
+    /// One of these names.
+    Choice(&'static [&'static str]),
+    /// A string this check accepts; its error is the usage message.
+    Checked(fn(&str) -> Result<(), Box<dyn std::error::Error>>),
+}
+
+/// One row of a flag table.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder in the synopsis (unused by switches and choices).
+    value: &'static str,
+    kind: Kind,
+    required: bool,
+    default: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn opt(name: &'static str, value: &'static str, kind: Kind) -> Flag {
+    Flag {
+        name,
+        value,
+        kind,
+        required: false,
+        default: None,
+        help: "",
+    }
+}
+
+const fn req(name: &'static str, value: &'static str, kind: Kind) -> Flag {
+    Flag {
+        required: true,
+        ..opt(name, value, kind)
+    }
+}
+
+impl Flag {
+    /// This row with a default value.
+    const fn or(self, default: &'static str) -> Flag {
+        Flag {
+            default: Some(default),
+            ..self
+        }
+    }
+
+    /// This row with its line of help.
+    const fn help(self, help: &'static str) -> Flag {
+        Flag { help, ..self }
+    }
+
+    /// The flag as the synopsis spells it, value placeholder included.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Kind::Switch => self.name.to_string(),
+            Kind::Choice(names) => format!("{} {}", self.name, names.join("|")),
+            _ => format!("{} {}", self.name, self.value),
+        }
+    }
+
+    /// Checks one value against the row's type.
+    fn check(&self, value: &str) -> Result<(), CliError> {
+        let name = self.name;
+        let need = |valid: bool, what: &str| match valid {
+            true => Ok(()),
+            false => Err(usage_error(format!("{name} needs {what}"))),
+        };
+        match self.kind {
+            Kind::Switch | Kind::Text | Kind::List => Ok(()),
+            Kind::Positive => need(
+                value.parse::<u64>().is_ok_and(|x| x >= 1),
+                "a positive integer",
+            ),
+            Kind::Count => need(value.parse::<u64>().is_ok(), "an integer"),
+            Kind::Choice(names) if names.contains(&value) => Ok(()),
+            Kind::Choice(names) => Err(usage_error(format!(
+                "unknown {} `{value}` ({})",
+                name.trim_start_matches('-'),
+                names.join(" | ")
+            ))),
+            Kind::Checked(check) => check(value).map_err(usage_error),
+        }
+    }
+}
+
+const K: Flag = req("-k", "<K>", Kind::Positive);
+const INPUT: Flag = req("--input", "<FILE|->", Kind::Text);
+const OUTPUT: Flag = opt("--output", "<FILE>", Kind::Text);
+const QUASI: Flag = opt("--quasi", "col1,col2,...", Kind::List);
+const SHARD_SIZE: Flag = opt("--shard-size", "N", Kind::Positive).or("512");
+const BUCKETS: Flag = opt("--buckets", "N", Kind::Positive);
+const JSON: Flag = opt("--json", "", Kind::Switch);
+const DEADLINE: Flag = opt("--deadline-ms", "MS", Kind::Positive);
+const MEMORY: Flag = opt("--max-memory-mb", "MB", Kind::Positive);
+const DIR: Flag = req("--dir", "<DIR>", Kind::Text);
+
+/// A usage error: `msg`, a blank line, then the usage text (exit 2).
+pub(crate) fn usage_error(msg: impl std::fmt::Display) -> CliError {
+    CliError::Usage(format!("{msg}\n\n{}", usage()))
+}
+
+/// The usage text: the synopsis and the flag list rendered from the flag
+/// tables, then the notes on commands, budgets and the environment.
 #[must_use]
 pub fn usage() -> String {
-    "kanon — optimal k-anonymity by entry suppression (Meyerson-Williams, PODS 2004)
+    let mut out = String::from(
+        "kanon — optimal k-anonymity by entry suppression (Meyerson-Williams, PODS 2004)\n\n\
+         USAGE:\n",
+    );
+    for (name, flags, _) in COMMANDS {
+        let width = if name.contains(' ') { 13 } else { 9 };
+        let mut line = format!("    kanon {name:<width$}");
+        for flag in *flags {
+            let word = match flag.required {
+                true => flag.synopsis(),
+                false => format!("[{}]", flag.synopsis()),
+            };
+            if line.len() + 1 + word.len() > 78 {
+                out.push_str(&line);
+                line = format!("\n{:19}", "");
+            }
+            let _ = write!(line, " {word}");
+        }
+        let _ = writeln!(out, "{line}");
+    }
+    out.push_str("    kanon help\n\nFLAGS:\n");
+    let mut seen = std::collections::HashSet::new();
+    for flag in COMMANDS.iter().flat_map(|(_, flags, _)| flags.iter()) {
+        if !seen.insert((flag.name, flag.help)) {
+            continue;
+        }
+        let (synopsis, help) = (flag.synopsis(), flag.help.trim());
+        let _ = match synopsis.len() {
+            0..=26 => write!(out, "    {synopsis:<28}{help}"),
+            _ => write!(out, "    {synopsis}\n{:32}{help}", ""),
+        };
+        if let Some(default) = flag.default {
+            let _ = write!(out, " [default: {default}]");
+        }
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(NOTES);
+    out
+}
 
-USAGE:
-    kanon anonymize -k <K> --input <FILE|-> [--output <FILE>]
-                    [--algorithm center|exhaustive|forest|exact|ladder]
-                    [--quasi col1,col2,...] [--threads N]
-                    [--emit-mask <FILE>] [--json]
-                    [--deadline-ms MS] [--max-memory-mb MB]
-    kanon pipeline  -k <K> --input <FILE|-> [--output <FILE>]
-                    [--shard-size N] [--strategy hash|sorted] [--buckets N]
-                    [--workers N]
-                    [--quasi col1,col2,...] [--hierarchies <FILE>]
-                    [--privacy k|l=N|entropy-l=X|t=X|emd-t=X]
-                    [--sensitive COL]
-                    [--compare] [--json]
-                    [--deadline-ms MS] [--max-memory-mb MB]
-    kanon schema probe  --input <FILE|->
-    kanon schema infer  --input <FILE|-> [--output <FILE.schema>]
-    kanon schema verify --schema <FILE.schema> --input <FILE|->
-    kanon delta init    --dir <DIR> -k <K> --input <FILE|->
-                    [--shard-size N] [--buckets N] [--quasi col1,col2,...]
-                    [--deadline-ms MS] [--max-memory-mb MB] [--json]
-    kanon delta apply   --dir <DIR> --ops <FILE|-> [--output <FILE>]
-                    [--deadline-ms MS] [--max-memory-mb MB] [--json]
-    kanon delta status  --dir <DIR> [--json]
-    kanon delta release --dir <DIR> [--output <FILE>]
-                    [--deadline-ms MS] [--max-memory-mb MB]
-    kanon verify    -k <K> --input <FILE|-> [--quasi col1,col2,...]
-    kanon attack    --released <FILE> --external <FILE> --join col1,col2,...
-    kanon generate  [--rows N] [--seed S] [--output <FILE>]
-                    [--workload census|zipf] [--regions R] [--messy]
-                    [--cols M] [--alphabet A] [--exponent E]
-    kanon serve     [--addr HOST:PORT] [--workers N] [--queue-depth N]
-                    [--pool-memory-mb MB] [--data-dir DIR]
-    kanon help
+/// Flag values read from argv against one table, defaults filled in.
+struct Args<'a> {
+    flags: &'static [Flag],
+    values: Vec<Option<&'a str>>,
+}
 
+/// Reads `argv` against `flags`. The shape of the line is checked in argv
+/// order, then missing and mistyped values in table order.
+fn walk<'a>(flags: &'static [Flag], argv: &'a [String]) -> Result<Args<'a>, CliError> {
+    let row = |arg: &str| flags.iter().position(|f| f.name == arg);
+    let mut values: Vec<Option<&'a str>> = vec![None; flags.len()];
+    let mut i = 0;
+    while i < argv.len() {
+        let arg = argv[i].as_str();
+        let Some(r) = row(arg) else {
+            return Err(usage_error(format!("unexpected argument `{arg}`")));
+        };
+        if values[r].is_some() {
+            return Err(usage_error(format!("{arg} given more than once")));
+        }
+        values[r] = Some(match flags[r].kind {
+            Kind::Switch => "",
+            _ => match argv.get(i + 1) {
+                Some(value) if row(value).is_none() => {
+                    i += 1;
+                    value.as_str()
+                }
+                _ => return Err(usage_error(format!("{arg} needs a value"))),
+            },
+        });
+        i += 1;
+    }
+    for (flag, value) in flags.iter().zip(&mut values) {
+        *value = value.or(flag.default);
+        match value {
+            Some(v) => flag.check(v)?,
+            // A missing required number reads as a malformed one.
+            None if flag.required => {
+                return Err(match flag.kind {
+                    Kind::Positive => flag.check("").unwrap_err(),
+                    _ => usage_error(format!("{} is required", flag.name)),
+                })
+            }
+            None => {}
+        }
+    }
+    Ok(Args { flags, values })
+}
+
+/// The readers a [`command!`] field names: each turns its flag's checked
+/// value into the field's type. Required and defaulted flags always have
+/// a value after [`walk`].
+impl<'a> Args<'a> {
+    fn get(&self, name: &str) -> Option<&'a str> {
+        let row = self.flags.iter().position(|f| f.name == name);
+        self.values[row.expect("the flag is in this table")]
+    }
+
+    fn opt_text(&self, name: &str) -> Option<String> {
+        self.get(name).map(String::from)
+    }
+
+    fn text(&self, name: &str) -> String {
+        self.opt_text(name).expect("required or defaulted")
+    }
+
+    fn opt_int<T: FromStr<Err = ParseIntError>>(&self, name: &str) -> Option<T> {
+        self.get(name)
+            .map(|v| v.parse().expect("checked by `walk`"))
+    }
+
+    fn int<T: FromStr<Err = ParseIntError>>(&self, name: &str) -> T {
+        self.opt_int(name).expect("required or defaulted")
+    }
+
+    fn list(&self, name: &str) -> Option<Vec<String>> {
+        let split = |s: &str| s.split(',').map(|c| c.trim().to_string()).collect();
+        self.get(name).map(split)
+    }
+
+    fn items(&self, name: &str) -> Vec<String> {
+        self.list(name).expect("required")
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn strategy(&self, name: &str) -> ShardStrategy {
+        ShardStrategy::from_name(&self.text(name)).expect("checked by `walk`")
+    }
+
+    /// `--algorithm`; when absent, a budget flag selects the degradation
+    /// ladder (the best guarantee the budget affords) and center otherwise.
+    fn algorithm(&self, name: &str) -> Algorithm {
+        use Algorithm::{Center, Exact, Exhaustive, Forest, Ladder};
+        let budgeted = self.switch("--deadline-ms") || self.switch("--max-memory-mb");
+        match self.get(name) {
+            None if budgeted => Ladder,
+            None => Center,
+            Some(choice) => {
+                let i = ALGORITHMS.iter().position(|a| *a == choice);
+                [Center, Exhaustive, Forest, Exact, Ladder][i.expect("checked by `walk`")]
+            }
+        }
+    }
+}
+
+/// Parses argv (program name excluded).
+///
+/// # Errors
+/// [`CliError::Usage`] with usage text on any problem.
+pub fn parse(argv: &[String]) -> Result<Command, CliError> {
+    let Some(cmd) = argv.first().map(String::as_str) else {
+        return Err(CliError::Usage(usage()));
+    };
+    if matches!(cmd, "help" | "-h" | "--help") {
+        return Ok(Command::Help);
+    }
+    let (name, rest) = if matches!(cmd, "schema" | "delta") {
+        let actions: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|(name, _, _)| name.strip_prefix(cmd)?.strip_prefix(' '))
+            .collect();
+        let list = actions.join(" | ");
+        let Some(action) = argv.get(1) else {
+            return Err(usage_error(format!("{cmd} needs an action ({list})")));
+        };
+        if !actions.contains(&action.as_str()) {
+            return Err(usage_error(format!(
+                "unknown {cmd} action `{action}` ({list})"
+            )));
+        }
+        (format!("{cmd} {action}"), &argv[2..])
+    } else {
+        (cmd.to_string(), &argv[1..])
+    };
+    let Some((_, flags, build)) = COMMANDS.iter().find(|(n, _, _)| *n == name) else {
+        return Err(usage_error(format!("unknown command `{cmd}`")));
+    };
+    let command = build(&walk(flags, rest)?);
+    if let Command::Anonymize(a) = &command {
+        let budgeted = a.deadline_ms.is_some() || a.max_memory_mb.is_some();
+        if budgeted && matches!(a.algorithm, Algorithm::Forest | Algorithm::Exact) {
+            return Err(usage_error(
+                "--deadline-ms/--max-memory-mb are not supported with `forest` or `exact`; \
+                 use center, exhaustive, or ladder",
+            ));
+        }
+    }
+    Ok(command)
+}
+
+/// The hand-written part of the usage text.
+const NOTES: &str = "\
 COMMANDS:
     anonymize   Suppress a minimum of entries so every record matches
                 k-1 others on the quasi-identifier columns.
     pipeline    Shard the table, solve each shard under a slice of the
                 budget, and merge — scales to millions of rows (solver
                 memory is bounded by --shard-size, not the table).
-                Worker count precedence: --workers, then the
-                RAYON_NUM_THREADS environment variable, then all available
-                CPU cores. Workers take whole shards in shard order, so
-                the output is the same at every worker count; --shard-size
-                sets how many rows one solver sees.
+                Workers take whole shards in shard order, so the output is
+                the same at every worker count.
                 Without --quasi the run takes the schema-driven auto path:
                 the delimiter and column types are inferred, a ranked
                 quasi-identifier is chosen, and full-domain generalization
-                (auto-derived hierarchies; override with --hierarchies
-                JSON) is tried first, degrading to sharded suppression
-                when the lattice cannot reach k in budget. --compare also
-                runs suppression and reports both information losses.
-                --privacy holds the release to a model beyond k on the
-                --sensitive column (l=N distinct l-diversity,
+                over auto-derived hierarchies is tried first, degrading to
+                sharded suppression when the lattice cannot reach k in
+                budget. --privacy holds the release to a model beyond k on
+                the --sensitive column (l=N distinct l-diversity,
                 entropy-l=X, t=X variational t-closeness, emd-t=X ordered
-                EMD); the sensitive column stays out of the
-                quasi-identifier and the release is re-verified after the
-                post-merge repair.
+                EMD), re-verified after the post-merge repair.
     schema      The probe -> infer -> verify toolchain for messy CSVs.
                 `probe` reports delimiter/quoting/field-count structure;
                 `infer` renders the versioned .schema file (column types,
@@ -309,21 +699,20 @@ COMMANDS:
                 exiting nonzero on drift.
     delta       Incremental anonymization over a durable store (WAL +
                 snapshot). `init` ingests and solves a table once;
-                `apply` replays an ops CSV (header `op,id,<columns...>`,
-                ops insert/delete/update) as one atomic batch, re-solving
-                only the buckets it touched; `status` reports store
-                health; `release` writes the current anonymized CSV —
-                byte-identical to a fresh `pipeline` run on the same
-                table with the store's pinned --buckets.
+                `apply` replays an ops CSV (insert/delete/update) as one
+                atomic batch, re-solving only the buckets it touched;
+                `status` reports store health; `release` writes the
+                current anonymized CSV — byte-identical to a fresh
+                `pipeline` run on the same table with the store's pinned
+                --buckets.
     verify      Check that a released CSV (with * for suppressed cells)
                 is k-anonymous; reports the actual anonymity level.
     attack      Play the adversary: join a released CSV against external
                 data and report how many records are uniquely linkable.
     generate    Emit a synthetic CSV for experimentation: census-like
-                typed microdata, or zipf-skewed categorical data that
-                streams to --output for very large --rows. --messy roughs
-                the census workload up for the schema toolchain:
-                semicolon delimiter, mixed types, injected null markers.
+                typed microdata (--messy roughs it up for the schema
+                toolchain), or zipf-skewed categorical data that streams
+                to --output for very large --rows.
     serve       Run the anonymization server: POST /v1/anonymize submits
                 a job (202 + id, or 429 + Retry-After when the queue or
                 memory pool is full), GET /v1/jobs/<id> polls it, and
@@ -345,522 +734,12 @@ BUDGETS:
     and `exact` do not support budgets.
 
 ENVIRONMENT:
-    RAYON_NUM_THREADS   Default worker/thread count when --workers or
-                        --threads is not given.
+    RAYON_NUM_THREADS   Default worker count when --workers is not given.
     KANON_FORCE_KERNEL  Distance-kernel override: `scalar`, `swar`, or
                         `simd` (a ceiling — falls back to swar when the
                         CPU lacks AVX2/NEON). Unset picks the best
                         kernel the CPU supports at startup.
-"
-    .to_string()
-}
-
-fn parse_k(value: Option<&String>) -> Result<usize, CliError> {
-    value
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&k| k >= 1)
-        .ok_or_else(|| CliError::Usage(format!("-k needs a positive integer\n\n{}", usage())))
-}
-
-/// Parses argv (program name excluded).
-///
-/// # Errors
-/// [`CliError::Usage`] with usage text on any problem.
-pub fn parse(argv: &[String]) -> Result<Command, CliError> {
-    let mut it = argv.iter();
-    let Some(cmd) = it.next() else {
-        return Err(CliError::Usage(usage()));
-    };
-    let rest: Vec<&String> = it.collect();
-    let flag = |name: &str| -> Option<&String> {
-        rest.iter()
-            .position(|a| *a == name)
-            .and_then(|i| rest.get(i + 1).copied())
-    };
-    let unexpected = |allowed: &[&str], switches: &[&str]| -> Result<(), CliError> {
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].as_str();
-            if switches.contains(&a) {
-                i += 1; // valueless flag
-            } else if allowed.contains(&a) {
-                i += 2; // flag + value
-            } else {
-                return Err(CliError::Usage(format!(
-                    "unexpected argument `{a}`\n\n{}",
-                    usage()
-                )));
-            }
-        }
-        Ok(())
-    };
-    let has_switch = |name: &str| rest.iter().any(|a| *a == name);
-    let quasi = |raw: Option<&String>| -> Option<Vec<String>> {
-        raw.map(|s| {
-            s.split(',')
-                .map(str::trim)
-                .map(ToString::to_string)
-                .collect()
-        })
-    };
-
-    match cmd.as_str() {
-        "anonymize" => {
-            unexpected(
-                &[
-                    "-k",
-                    "--input",
-                    "--output",
-                    "--algorithm",
-                    "--quasi",
-                    "--threads",
-                    "--emit-mask",
-                    "--deadline-ms",
-                    "--max-memory-mb",
-                ],
-                &["--json"],
-            )?;
-            let k = parse_k(flag("-k"))?;
-            let input = flag("--input")
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("--input is required\n\n{}", usage())))?;
-            let budget_flag = |name: &str| -> Result<Option<u64>, CliError> {
-                match flag(name) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&x| x >= 1)
-                        .map(Some)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "{name} needs a positive integer\n\n{}",
-                                usage()
-                            ))
-                        }),
-                }
-            };
-            let deadline_ms = budget_flag("--deadline-ms")?;
-            let max_memory_mb = budget_flag("--max-memory-mb")?;
-            let budgeted = deadline_ms.is_some() || max_memory_mb.is_some();
-            let algorithm = match flag("--algorithm").map(String::as_str) {
-                // A budget without an explicit algorithm selects the
-                // degradation ladder: best guarantee the budget affords.
-                None if budgeted => Algorithm::Ladder,
-                None | Some("center") => Algorithm::Center,
-                Some("exhaustive") => Algorithm::Exhaustive,
-                Some("forest") => Algorithm::Forest,
-                Some("exact") => Algorithm::Exact,
-                Some("ladder") => Algorithm::Ladder,
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "unknown algorithm `{other}` (center | exhaustive | forest | exact | ladder)\n\n{}",
-                        usage()
-                    )))
-                }
-            };
-            if budgeted && matches!(algorithm, Algorithm::Forest | Algorithm::Exact) {
-                return Err(CliError::Usage(format!(
-                    "--deadline-ms/--max-memory-mb are not supported with `forest` or `exact`; \
-                     use center, exhaustive, or ladder\n\n{}",
-                    usage()
-                )));
-            }
-            let threads = match flag("--threads") {
-                None => 1,
-                Some(v) => v.parse::<usize>().ok().filter(|&t| t >= 1).ok_or_else(|| {
-                    CliError::Usage(format!("--threads needs a positive integer\n\n{}", usage()))
-                })?,
-            };
-            Ok(Command::Anonymize {
-                k,
-                input,
-                output: flag("--output").cloned(),
-                algorithm,
-                quasi: quasi(flag("--quasi")),
-                threads,
-                emit_mask: flag("--emit-mask").cloned(),
-                deadline_ms,
-                max_memory_mb,
-                json: has_switch("--json"),
-            })
-        }
-        "pipeline" => {
-            unexpected(
-                &[
-                    "-k",
-                    "--input",
-                    "--output",
-                    "--shard-size",
-                    "--strategy",
-                    "--buckets",
-                    "--workers",
-                    "--quasi",
-                    "--hierarchies",
-                    "--privacy",
-                    "--sensitive",
-                    "--deadline-ms",
-                    "--max-memory-mb",
-                ],
-                &["--json", "--compare"],
-            )?;
-            let k = parse_k(flag("-k"))?;
-            let input = flag("--input")
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("--input is required\n\n{}", usage())))?;
-            let positive = |name: &str| -> Result<Option<usize>, CliError> {
-                match flag(name) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&x| x >= 1)
-                        .map(Some)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "{name} needs a positive integer\n\n{}",
-                                usage()
-                            ))
-                        }),
-                }
-            };
-            let budget_flag = |name: &str| -> Result<Option<u64>, CliError> {
-                Ok(positive(name)?.map(|x| x as u64))
-            };
-            let strategy = match flag("--strategy") {
-                None => kanon_pipeline::ShardStrategy::default(),
-                Some(name) => kanon_pipeline::ShardStrategy::from_name(name)
-                    .map_err(|e| CliError::Usage(format!("{e}\n\n{}", usage())))?,
-            };
-            let privacy = match flag("--privacy") {
-                None => None,
-                Some(spec) => {
-                    kanon_privacy::PrivacyModel::parse(spec)
-                        .map_err(|e| CliError::Usage(format!("{e}\n\n{}", usage())))?;
-                    Some(spec.clone())
-                }
-            };
-            Ok(Command::Pipeline {
-                k,
-                input,
-                output: flag("--output").cloned(),
-                shard_size: positive("--shard-size")?.unwrap_or(512),
-                strategy,
-                buckets: positive("--buckets")?,
-                workers: positive("--workers")?,
-                quasi: quasi(flag("--quasi")),
-                hierarchies: flag("--hierarchies").cloned(),
-                compare: has_switch("--compare"),
-                privacy,
-                sensitive: flag("--sensitive").cloned(),
-                deadline_ms: budget_flag("--deadline-ms")?,
-                max_memory_mb: budget_flag("--max-memory-mb")?,
-                json: has_switch("--json"),
-            })
-        }
-        "schema" => {
-            let Some(action) = rest.first().map(|s| s.as_str()) else {
-                return Err(CliError::Usage(format!(
-                    "schema needs an action (probe | infer | verify)\n\n{}",
-                    usage()
-                )));
-            };
-            let rest = &rest[1..];
-            let flag = |name: &str| -> Option<&String> {
-                rest.iter()
-                    .position(|a| **a == name)
-                    .and_then(|i| rest.get(i + 1).copied())
-            };
-            let unexpected = |allowed: &[&str]| -> Result<(), CliError> {
-                let mut i = 0;
-                while i < rest.len() {
-                    let a = rest[i].as_str();
-                    if allowed.contains(&a) {
-                        i += 2;
-                    } else {
-                        return Err(CliError::Usage(format!(
-                            "unexpected argument `{a}`\n\n{}",
-                            usage()
-                        )));
-                    }
-                }
-                Ok(())
-            };
-            let input = || -> Result<String, CliError> {
-                flag("--input")
-                    .cloned()
-                    .ok_or_else(|| CliError::Usage(format!("--input is required\n\n{}", usage())))
-            };
-            match action {
-                "probe" => {
-                    unexpected(&["--input"])?;
-                    Ok(Command::Schema(SchemaAction::Probe { input: input()? }))
-                }
-                "infer" => {
-                    unexpected(&["--input", "--output"])?;
-                    Ok(Command::Schema(SchemaAction::Infer {
-                        input: input()?,
-                        output: flag("--output").cloned(),
-                    }))
-                }
-                "verify" => {
-                    unexpected(&["--schema", "--input"])?;
-                    let schema = flag("--schema").cloned().ok_or_else(|| {
-                        CliError::Usage(format!("--schema is required\n\n{}", usage()))
-                    })?;
-                    Ok(Command::Schema(SchemaAction::Verify {
-                        schema,
-                        input: input()?,
-                    }))
-                }
-                other => Err(CliError::Usage(format!(
-                    "unknown schema action `{other}` (probe | infer | verify)\n\n{}",
-                    usage()
-                ))),
-            }
-        }
-        "delta" => {
-            let Some(action) = rest.first().map(|s| s.as_str()) else {
-                return Err(CliError::Usage(format!(
-                    "delta needs an action (init | apply | status | release)\n\n{}",
-                    usage()
-                )));
-            };
-            // Local flag helpers over the args *after* the action word.
-            let rest = &rest[1..];
-            let flag = |name: &str| -> Option<&String> {
-                rest.iter()
-                    .position(|a| **a == name)
-                    .and_then(|i| rest.get(i + 1).copied())
-            };
-            let has_switch = |name: &str| rest.iter().any(|a| **a == name);
-            let unexpected = |allowed: &[&str], switches: &[&str]| -> Result<(), CliError> {
-                let mut i = 0;
-                while i < rest.len() {
-                    let a = rest[i].as_str();
-                    if switches.contains(&a) {
-                        i += 1;
-                    } else if allowed.contains(&a) {
-                        i += 2;
-                    } else {
-                        return Err(CliError::Usage(format!(
-                            "unexpected argument `{a}`\n\n{}",
-                            usage()
-                        )));
-                    }
-                }
-                Ok(())
-            };
-            let positive = |name: &str| -> Result<Option<usize>, CliError> {
-                match flag(name) {
-                    None => Ok(None),
-                    Some(v) => v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&x| x >= 1)
-                        .map(Some)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "{name} needs a positive integer\n\n{}",
-                                usage()
-                            ))
-                        }),
-                }
-            };
-            let budget_flag = |name: &str| -> Result<Option<u64>, CliError> {
-                Ok(positive(name)?.map(|x| x as u64))
-            };
-            let dir = || -> Result<String, CliError> {
-                flag("--dir")
-                    .cloned()
-                    .ok_or_else(|| CliError::Usage(format!("--dir is required\n\n{}", usage())))
-            };
-            match action {
-                "init" => {
-                    unexpected(
-                        &[
-                            "--dir",
-                            "-k",
-                            "--input",
-                            "--shard-size",
-                            "--buckets",
-                            "--quasi",
-                            "--deadline-ms",
-                            "--max-memory-mb",
-                        ],
-                        &["--json"],
-                    )?;
-                    let k = parse_k(flag("-k"))?;
-                    let input = flag("--input").cloned().ok_or_else(|| {
-                        CliError::Usage(format!("--input is required\n\n{}", usage()))
-                    })?;
-                    Ok(Command::Delta(DeltaAction::Init {
-                        dir: dir()?,
-                        k,
-                        input,
-                        shard_size: positive("--shard-size")?.unwrap_or(512),
-                        buckets: positive("--buckets")?,
-                        quasi: quasi(flag("--quasi")),
-                        deadline_ms: budget_flag("--deadline-ms")?,
-                        max_memory_mb: budget_flag("--max-memory-mb")?,
-                        json: has_switch("--json"),
-                    }))
-                }
-                "apply" => {
-                    unexpected(
-                        &[
-                            "--dir",
-                            "--ops",
-                            "--output",
-                            "--deadline-ms",
-                            "--max-memory-mb",
-                        ],
-                        &["--json"],
-                    )?;
-                    let ops = flag("--ops").cloned().ok_or_else(|| {
-                        CliError::Usage(format!("--ops is required\n\n{}", usage()))
-                    })?;
-                    Ok(Command::Delta(DeltaAction::Apply {
-                        dir: dir()?,
-                        ops,
-                        output: flag("--output").cloned(),
-                        deadline_ms: budget_flag("--deadline-ms")?,
-                        max_memory_mb: budget_flag("--max-memory-mb")?,
-                        json: has_switch("--json"),
-                    }))
-                }
-                "status" => {
-                    unexpected(&["--dir"], &["--json"])?;
-                    Ok(Command::Delta(DeltaAction::Status {
-                        dir: dir()?,
-                        json: has_switch("--json"),
-                    }))
-                }
-                "release" => {
-                    unexpected(
-                        &["--dir", "--output", "--deadline-ms", "--max-memory-mb"],
-                        &[],
-                    )?;
-                    Ok(Command::Delta(DeltaAction::Release {
-                        dir: dir()?,
-                        output: flag("--output").cloned(),
-                        deadline_ms: budget_flag("--deadline-ms")?,
-                        max_memory_mb: budget_flag("--max-memory-mb")?,
-                    }))
-                }
-                other => Err(CliError::Usage(format!(
-                    "unknown delta action `{other}` (init | apply | status | release)\n\n{}",
-                    usage()
-                ))),
-            }
-        }
-        "verify" => {
-            unexpected(&["-k", "--input", "--quasi"], &[])?;
-            let k = parse_k(flag("-k"))?;
-            let input = flag("--input")
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("--input is required\n\n{}", usage())))?;
-            Ok(Command::Verify {
-                k,
-                input,
-                quasi: quasi(flag("--quasi")),
-            })
-        }
-        "attack" => {
-            unexpected(&["--released", "--external", "--join"], &[])?;
-            let released = flag("--released")
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("--released is required\n\n{}", usage())))?;
-            let external = flag("--external")
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("--external is required\n\n{}", usage())))?;
-            let join = quasi(flag("--join"))
-                .ok_or_else(|| CliError::Usage(format!("--join is required\n\n{}", usage())))?;
-            Ok(Command::Attack {
-                released,
-                external,
-                join,
-            })
-        }
-        "generate" => {
-            unexpected(
-                &[
-                    "--rows",
-                    "--seed",
-                    "--regions",
-                    "--workload",
-                    "--cols",
-                    "--alphabet",
-                    "--exponent",
-                    "--output",
-                ],
-                &["--messy"],
-            )?;
-            let parse_or = |name: &str, default: u64| -> Result<u64, CliError> {
-                match flag(name) {
-                    None => Ok(default),
-                    Some(v) => v.parse::<u64>().map_err(|_| {
-                        CliError::Usage(format!("{name} needs an integer\n\n{}", usage()))
-                    }),
-                }
-            };
-            let workload = flag("--workload")
-                .cloned()
-                .unwrap_or_else(|| "census".into());
-            if !matches!(workload.as_str(), "census" | "zipf") {
-                return Err(CliError::Usage(format!(
-                    "unknown workload `{workload}` (census | zipf)\n\n{}",
-                    usage()
-                )));
-            }
-            Ok(Command::Generate {
-                rows: parse_or("--rows", 100)? as usize,
-                seed: parse_or("--seed", 0)?,
-                regions: parse_or("--regions", 8)? as usize,
-                workload,
-                cols: parse_or("--cols", 8)? as usize,
-                alphabet: parse_or("--alphabet", 50)? as u32,
-                exponent: flag("--exponent").cloned().unwrap_or_else(|| "1.0".into()),
-                messy: has_switch("--messy"),
-                output: flag("--output").cloned(),
-            })
-        }
-        "serve" => {
-            unexpected(
-                &[
-                    "--addr",
-                    "--workers",
-                    "--queue-depth",
-                    "--pool-memory-mb",
-                    "--data-dir",
-                ],
-                &[],
-            )?;
-            let positive = |name: &str, default: u64| -> Result<u64, CliError> {
-                match flag(name) {
-                    None => Ok(default),
-                    Some(v) => v.parse::<u64>().ok().filter(|&x| x >= 1).ok_or_else(|| {
-                        CliError::Usage(format!("{name} needs a positive integer\n\n{}", usage()))
-                    }),
-                }
-            };
-            Ok(Command::Serve {
-                addr: flag("--addr")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:8672".into()),
-                workers: positive("--workers", 4)? as usize,
-                queue_depth: positive("--queue-depth", 64)? as usize,
-                pool_memory_mb: positive("--pool-memory-mb", 256)?,
-                data_dir: flag("--data-dir").cloned(),
-            })
-        }
-        "help" | "-h" | "--help" => Ok(Command::Help),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{}",
-            usage()
-        ))),
-    }
-}
+";
 
 #[cfg(test)]
 mod tests {
@@ -878,7 +757,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Anonymize {
+            Command::Anonymize(Anonymize {
                 k: 3,
                 input: "a.csv".into(),
                 output: Some("b.csv".into()),
@@ -889,7 +768,7 @@ mod tests {
                 deadline_ms: None,
                 max_memory_mb: None,
                 json: false,
-            }
+            })
         );
     }
 
@@ -898,7 +777,7 @@ mod tests {
         let cmd = parse(&argv("anonymize -k 2 --input -")).unwrap();
         assert_eq!(
             cmd,
-            Command::Anonymize {
+            Command::Anonymize(Anonymize {
                 k: 2,
                 input: "-".into(),
                 output: None,
@@ -909,11 +788,11 @@ mod tests {
                 deadline_ms: None,
                 max_memory_mb: None,
                 json: false,
-            }
+            })
         );
         assert_eq!(
             parse(&argv("generate")).unwrap(),
-            Command::Generate {
+            Command::Generate(Generate {
                 rows: 100,
                 seed: 0,
                 regions: 8,
@@ -923,7 +802,7 @@ mod tests {
                 exponent: "1.0".into(),
                 messy: false,
                 output: None,
-            }
+            })
         );
     }
 
@@ -937,7 +816,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 k: 5,
                 input: "big.csv".into(),
                 output: Some("out.csv".into()),
@@ -953,13 +832,13 @@ mod tests {
                 deadline_ms: Some(30_000),
                 max_memory_mb: None,
                 json: true,
-            }
+            })
         );
         // Defaults.
         let cmd = parse(&argv("pipeline -k 3 --input -")).unwrap();
         assert_eq!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 k: 3,
                 input: "-".into(),
                 output: None,
@@ -975,7 +854,7 @@ mod tests {
                 deadline_ms: None,
                 max_memory_mb: None,
                 json: false,
-            }
+            })
         );
         // The auto path's knobs.
         let cmd = parse(&argv(
@@ -984,12 +863,12 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 quasi: None,
                 hierarchies: Some(ref h),
                 compare: true,
                 ..
-            } if h == "h.json"
+            }) if h == "h.json"
         ));
         // The privacy knob.
         let cmd = parse(&argv(
@@ -998,11 +877,11 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 privacy: Some(ref p),
                 sensitive: Some(ref s),
                 ..
-            } if p == "l=2" && s == "diagnosis"
+            }) if p == "l=2" && s == "diagnosis"
         ));
         let cmd = parse(&argv(
             "pipeline -k 3 --input t.csv --privacy emd-t=0.2 --sensitive d",
@@ -1010,10 +889,10 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 privacy: Some(ref p),
                 ..
-            } if p == "emd-t=0.2"
+            }) if p == "emd-t=0.2"
         ));
         // Errors.
         for bad in [
@@ -1043,7 +922,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Generate {
+            Command::Generate(Generate {
                 rows: 1000,
                 seed: 9,
                 regions: 8,
@@ -1053,7 +932,7 @@ mod tests {
                 exponent: "1.2".into(),
                 messy: false,
                 output: Some("data.csv".into()),
-            }
+            })
         );
         assert!(matches!(
             parse(&argv("generate --workload weibull")),
@@ -1066,12 +945,12 @@ mod tests {
         let cmd = parse(&argv("generate --messy --rows 500 --seed 3")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Generate {
+            Command::Generate(Generate {
                 messy: true,
                 rows: 500,
                 seed: 3,
                 ..
-            }
+            })
         ));
     }
 
@@ -1079,20 +958,20 @@ mod tests {
     fn parse_schema_actions() {
         assert_eq!(
             parse(&argv("schema probe --input messy.csv")).unwrap(),
-            Command::Schema(SchemaAction::Probe {
+            Command::SchemaProbe(SchemaProbe {
                 input: "messy.csv".into(),
             })
         );
         assert_eq!(
             parse(&argv("schema infer --input messy.csv --output t.schema")).unwrap(),
-            Command::Schema(SchemaAction::Infer {
+            Command::SchemaInfer(SchemaInfer {
                 input: "messy.csv".into(),
                 output: Some("t.schema".into()),
             })
         );
         assert_eq!(
             parse(&argv("schema verify --schema t.schema --input messy.csv")).unwrap(),
-            Command::Schema(SchemaAction::Verify {
+            Command::SchemaVerify(SchemaVerify {
                 schema: "t.schema".into(),
                 input: "messy.csv".into(),
             })
@@ -1139,6 +1018,28 @@ mod tests {
             parse(&argv("generate --rows abc")),
             Err(CliError::Usage(_))
         ));
+        // A value flag with no value (at the end of argv, or followed by
+        // another flag of the table) and a repeated flag.
+        for (bad, msg) in [
+            (
+                "anonymize -k 3 --input p.csv --output",
+                "--output needs a value",
+            ),
+            (
+                "anonymize -k 3 --input p.csv --deadline-ms",
+                "--deadline-ms needs a value",
+            ),
+            (
+                "anonymize -k 3 --input p.csv --output --json",
+                "--output needs a value",
+            ),
+            ("verify -k 3 -k 99 --input p.csv", "-k given more than once"),
+        ] {
+            assert!(
+                matches!(parse(&argv(bad)), Err(CliError::Usage(m)) if m.starts_with(msg)),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -1147,12 +1048,12 @@ mod tests {
         let cmd = parse(&argv("anonymize -k 3 --input - --deadline-ms 500")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Anonymize {
+            Command::Anonymize(Anonymize {
                 algorithm: Algorithm::Ladder,
                 deadline_ms: Some(500),
                 max_memory_mb: None,
                 ..
-            }
+            })
         ));
         // An explicit governed algorithm keeps its choice.
         let cmd = parse(&argv(
@@ -1161,21 +1062,21 @@ mod tests {
         .unwrap();
         assert!(matches!(
             cmd,
-            Command::Anonymize {
+            Command::Anonymize(Anonymize {
                 algorithm: Algorithm::Center,
                 max_memory_mb: Some(64),
                 ..
-            }
+            })
         ));
         // `ladder` is spellable without budget flags (unlimited ladder).
         let cmd = parse(&argv("anonymize -k 3 --input - --algorithm ladder")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Anonymize {
+            Command::Anonymize(Anonymize {
                 algorithm: Algorithm::Ladder,
                 deadline_ms: None,
                 ..
-            }
+            })
         ));
     }
 
@@ -1210,11 +1111,11 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Attack {
+            Command::Attack(Attack {
                 released: "r.csv".into(),
                 external: "e.csv".into(),
                 join: vec!["age".into(), "zip".into()],
-            }
+            })
         );
         assert!(matches!(
             parse(&argv("attack --released r.csv")),
@@ -1223,16 +1124,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_serve_and_bench_serve() {
+    fn parse_serve() {
         assert_eq!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve {
+            Command::Serve(Serve {
                 addr: "127.0.0.1:8672".into(),
                 workers: 4,
                 queue_depth: 64,
                 pool_memory_mb: 256,
                 data_dir: None,
-            }
+            })
         );
         assert_eq!(
             parse(&argv(
@@ -1240,13 +1141,13 @@ mod tests {
                  --data-dir /tmp/tables"
             ))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(Serve {
                 addr: "0.0.0.0:9000".into(),
                 workers: 8,
                 queue_depth: 16,
                 pool_memory_mb: 512,
                 data_dir: Some("/tmp/tables".into()),
-            }
+            })
         );
         for bad in ["serve --workers 0", "serve --bogus x"] {
             assert!(
@@ -1270,10 +1171,10 @@ mod tests {
         let cmd = parse(&argv("pipeline -k 3 --input - --buckets 250")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Pipeline {
+            Command::Pipeline(Pipeline {
                 buckets: Some(250),
                 ..
-            }
+            })
         ));
     }
 
@@ -1285,7 +1186,7 @@ mod tests {
                  --buckets 100 --quasi age,zip --deadline-ms 5000 --json"
             ))
             .unwrap(),
-            Command::Delta(DeltaAction::Init {
+            Command::DeltaInit(DeltaInit {
                 dir: "store".into(),
                 k: 3,
                 input: "t.csv".into(),
@@ -1302,7 +1203,7 @@ mod tests {
                 "delta apply --dir store --ops ops.csv --output out.csv"
             ))
             .unwrap(),
-            Command::Delta(DeltaAction::Apply {
+            Command::DeltaApply(DeltaApply {
                 dir: "store".into(),
                 ops: "ops.csv".into(),
                 output: Some("out.csv".into()),
@@ -1313,14 +1214,14 @@ mod tests {
         );
         assert_eq!(
             parse(&argv("delta status --dir store --json")).unwrap(),
-            Command::Delta(DeltaAction::Status {
+            Command::DeltaStatus(DeltaStatus {
                 dir: "store".into(),
                 json: true,
             })
         );
         assert_eq!(
             parse(&argv("delta release --dir store")).unwrap(),
-            Command::Delta(DeltaAction::Release {
+            Command::DeltaRelease(DeltaRelease {
                 dir: "store".into(),
                 output: None,
                 deadline_ms: None,

@@ -1,15 +1,15 @@
 //! Command execution for the `kanon` binary.
 
-use std::io::Read;
+use std::io::{Read, Write};
 
-use kanon_core::algo;
-use kanon_relation::csv;
-use kanon_relation::{Schema, Table};
+use kanon_core::{algo, Dataset};
+use kanon_relation::{csv, Codec, Table};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::args::{usage, Algorithm, Command, SchemaAction};
+use crate::args::{usage, usage_error, Algorithm, Anonymize, Command, Generate, Pipeline, Serve};
+use crate::args::{DeltaApply, DeltaInit, DeltaRelease};
 use crate::{CliError, Outcome};
 
 /// Executes a parsed command.
@@ -23,166 +23,37 @@ pub fn execute(cmd: &Command) -> Result<Outcome, CliError> {
             stdout: usage(),
             notes: Vec::new(),
         }),
-        Command::Generate {
-            rows,
-            seed,
-            regions,
-            workload,
-            cols,
-            alphabet,
-            exponent,
-            messy,
-            output,
-        } => {
-            let streams_itself = workload == "zipf" || *messy;
-            let mut outcome = if *messy {
-                generate_messy(*rows, *seed, *regions, output.as_deref())?
-            } else {
-                match workload.as_str() {
-                    "zipf" => {
-                        generate_zipf(*rows, *seed, *cols, *alphabet, exponent, output.as_deref())?
-                    }
-                    _ => generate(*rows, *seed, *regions)?,
-                }
-            };
-            // The zipf and messy generators stream to the file themselves;
-            // census output (small by design) is written here.
-            if let Some(path) = output {
-                if !streams_itself {
-                    std::fs::write(path, &outcome.stdout)
-                        .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-                    outcome.stdout = String::new();
-                }
-                outcome.notes.push(format!("wrote {path}"));
-            }
-            Ok(outcome)
-        }
-        Command::Attack {
-            released,
-            external,
-            join,
-        } => {
-            let released_text = read_input(released)?;
-            let external_text = read_input(external)?;
-            attack(&released_text, &external_text, join)
-        }
-        Command::Verify { k, input, quasi } => {
-            let text = read_input(input)?;
-            verify(&text, *k, quasi.as_deref())
-        }
-        Command::Anonymize {
-            k,
-            input,
-            output,
-            algorithm,
-            quasi,
-            threads,
-            emit_mask,
-            deadline_ms,
-            max_memory_mb,
-            json,
-        } => {
-            let text = read_input(input)?;
-            let (mut outcome, mask, csv_for_file) = anonymize(
-                &text,
-                *k,
-                *algorithm,
-                quasi.as_deref(),
-                *threads,
-                *deadline_ms,
-                *max_memory_mb,
-                *json,
-                output.is_some(),
-            )?;
-            if let Some(path) = emit_mask {
-                std::fs::write(path, mask)
-                    .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-                outcome
-                    .notes
-                    .push(format!("wrote suppression mask to {path}"));
-            }
-            if let Some(path) = output {
-                // In JSON mode stdout carries the report, so the released
-                // CSV travels in the side channel; otherwise stdout *is*
-                // the CSV and moves to the file wholesale.
-                let payload = csv_for_file.as_deref().unwrap_or(outcome.stdout.as_str());
-                std::fs::write(path, payload)
-                    .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-                outcome.notes.push(format!("wrote {path}"));
-                if csv_for_file.is_none() {
-                    outcome.stdout = String::new();
-                }
-            }
-            Ok(outcome)
-        }
-        Command::Pipeline {
-            k,
-            input,
-            output,
-            shard_size,
-            strategy,
-            buckets,
-            workers,
-            quasi,
-            hierarchies,
-            compare,
-            privacy,
-            sensitive,
-            deadline_ms,
-            max_memory_mb,
-            json,
-        } => pipeline(
-            *k,
-            input,
-            output.as_deref(),
-            *shard_size,
-            *strategy,
-            *buckets,
-            *workers,
-            quasi.as_deref(),
-            hierarchies.as_deref(),
-            *compare,
-            privacy.as_deref(),
-            sensitive.as_deref(),
-            *deadline_ms,
-            *max_memory_mb,
-            *json,
+        Command::Generate(args) => generate(args),
+        Command::Attack(args) => attack(
+            &read_input(&args.released)?,
+            &read_input(&args.external)?,
+            &args.join,
         ),
-        Command::Schema(action) => schema_cmd(action),
-        Command::Delta(action) => delta(action),
-        Command::Serve {
-            addr,
-            workers,
-            queue_depth,
-            pool_memory_mb,
-            data_dir,
-        } => serve(
-            addr,
-            *workers,
-            *queue_depth,
-            *pool_memory_mb,
-            data_dir.as_deref(),
-        ),
+        Command::Verify(args) => verify(&read_input(&args.input)?, args.k, args.quasi.as_deref()),
+        Command::Anonymize(args) => anonymize(&read_input(&args.input)?, args),
+        Command::Pipeline(args) => pipeline(args),
+        Command::SchemaProbe(args) => schema_probe(&args.input),
+        Command::SchemaInfer(args) => schema_infer(&args.input, args.output.as_deref()),
+        Command::SchemaVerify(args) => schema_verify(&args.schema, &args.input),
+        Command::DeltaInit(args) => delta_init(args),
+        Command::DeltaApply(args) => delta_apply(args),
+        Command::DeltaStatus(args) => delta_status(&args.dir, args.json),
+        Command::DeltaRelease(args) => delta_release(args),
+        Command::Serve(args) => serve(args),
     }
 }
 
 /// Boots the anonymization service and blocks forever. The bound address
 /// is printed before blocking so scripts can wait on it.
-fn serve(
-    addr: &str,
-    workers: usize,
-    queue_depth: usize,
-    pool_memory_mb: u64,
-    data_dir: Option<&str>,
-) -> Result<Outcome, CliError> {
-    let pool_memory_bytes = pool_memory_mb * 1024 * 1024;
+fn serve(args: &Serve) -> Result<Outcome, CliError> {
+    let pool_memory_bytes = args.pool_memory_mb * 1024 * 1024;
     let config = kanon_service::ServiceConfig {
-        addr: addr.to_string(),
-        workers,
-        queue_depth,
+        addr: args.addr.clone(),
+        workers: args.workers,
+        queue_depth: args.queue_depth,
         pool_memory_bytes,
-        default_job_memory_bytes: (pool_memory_bytes / workers.max(1) as u64).max(1),
-        data_dir: data_dir.map(std::path::PathBuf::from),
+        default_job_memory_bytes: (pool_memory_bytes / args.workers.max(1) as u64).max(1),
+        data_dir: args.data_dir.as_ref().map(std::path::PathBuf::from),
         ..kanon_service::ServiceConfig::default()
     };
     let server = kanon_service::Server::start(config)
@@ -204,46 +75,142 @@ fn parse_table(text: &str) -> Result<Table, CliError> {
     })
 }
 
-fn read_input(path: &str) -> Result<String, CliError> {
-    if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| CliError::Failed(format!("cannot read stdin: {e}")))?;
-        Ok(buf)
-    } else {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))
-    }
+/// Encodes CSV input to ingest codes, with the error classes and messages
+/// [`parse_table`] gives for the same text.
+fn ingest(text: &str) -> Result<(Dataset, Codec), CliError> {
+    kanon_pipeline::ingest_csv(text.as_bytes()).map_err(|e| match e {
+        // `ingest_csv` reports a missing header record as an empty table.
+        kanon_pipeline::Error::Relation(kanon_relation::Error::EmptyTable)
+            if matches!(csv::Reader::new(text.as_bytes()).read_record(), Ok(None)) =>
+        {
+            CliError::Failed("CSV error at line 1: missing header record".into())
+        }
+        kanon_pipeline::Error::Relation(kanon_relation::Error::EmptyTable) => CliError::EmptyInput,
+        kanon_pipeline::Error::Relation(e) => CliError::Failed(e.to_string()),
+        other => CliError::Failed(other.to_string()),
+    })
 }
 
-fn generate(rows: usize, seed: u64, regions: usize) -> Result<Outcome, CliError> {
-    if regions == 0 || regions > 900 {
-        return Err(CliError::Usage(format!(
-            "--regions must be in 1..=900\n\n{}",
-            usage()
-        )));
+fn read_input(path: &str) -> Result<String, CliError> {
+    let mut text = String::new();
+    open_input(path)?.read_to_string(&mut text).map_err(|e| {
+        let source = if path == "-" {
+            "stdin".into()
+        } else {
+            format!("`{path}`")
+        };
+        CliError::Failed(format!("cannot read {source}: {e}"))
+    })?;
+    Ok(text)
+}
+
+/// Opens an input path for streaming; `-` is stdin.
+fn open_input(path: &str) -> Result<Box<dyn Read>, CliError> {
+    if path == "-" {
+        return Ok(Box::new(std::io::stdin().lock()));
+    }
+    let file = std::fs::File::open(path)
+        .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
+    Ok(Box::new(std::io::BufReader::new(file)))
+}
+
+/// Sends one payload to `--output` or back for stdout. With a path,
+/// `render` streams into a `BufWriter<File>`, so a large release is never
+/// held as a string; a `wrote <path>` note is added and `None` returned.
+/// Without one, the rendered text is returned.
+fn emit(
+    output: Option<&str>,
+    notes: &mut Vec<String>,
+    render: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<Option<String>, CliError> {
+    let Some(path) = output else {
+        let mut buf = Vec::new();
+        render(&mut buf).expect("writing to a Vec cannot fail");
+        return Ok(Some(
+            String::from_utf8(buf).expect("every renderer writes UTF-8"),
+        ));
+    };
+    let cannot = |e: std::io::Error| CliError::Failed(format!("cannot write `{path}`: {e}"));
+    let mut w = std::io::BufWriter::new(std::fs::File::create(path).map_err(cannot)?);
+    render(&mut w).and_then(|()| w.flush()).map_err(cannot)?;
+    notes.push(format!("wrote {path}"));
+    Ok(None)
+}
+
+/// Emits a synthetic table: census-like microdata, its messy variant for
+/// the schema toolchain, or zipf-skewed categorical rows. The messy and
+/// zipf rows stream straight to `--output` however large `--rows` is.
+fn generate(args: &Generate) -> Result<Outcome, CliError> {
+    let (rows, seed, regions, cols) = (args.rows, args.seed, args.regions, args.cols);
+    if (args.messy || args.workload == "census") && !(1..=900).contains(&regions) {
+        let messy = if args.messy {
+            " for the messy workload"
+        } else {
+            ""
+        };
+        return Err(usage_error(format!("--regions must be in 1..=900{messy}")));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let table = census_table(&mut rng, &CensusParams { n: rows, regions });
-    Ok(Outcome {
-        stdout: csv::to_string(&table),
-        notes: vec![format!(
+    let output = args.output.as_deref();
+    let mut notes = Vec::new();
+    let stdout = if args.messy {
+        let params = kanon_workloads::MessyParams {
+            n: rows,
+            regions,
+            ..kanon_workloads::MessyParams::default()
+        };
+        notes.push(format!(
+            "generated {rows} messy rows ({regions} region(s), seed {seed})"
+        ));
+        emit(output, &mut notes, |mut w| {
+            kanon_workloads::write_messy_csv(&mut rng, &params, &mut w)
+        })?
+    } else if args.workload == "zipf" {
+        let exponent: f64 =
+            (args.exponent.parse()).map_err(|_| usage_error("--exponent needs a number"))?;
+        let alphabet = u32::try_from(args.alphabet)
+            .map_err(|_| usage_error("--alphabet must be at most 4294967295"))?;
+        if exponent < 0.0 || cols == 0 || alphabet == 0 {
+            return Err(usage_error(
+                "--exponent must be >= 0, --cols and --alphabet >= 1",
+            ));
+        }
+        let params = kanon_workloads::ZipfParams {
+            n: rows,
+            m: cols,
+            alphabet,
+            exponent,
+        };
+        notes.push(format!(
+            "generated {rows} zipf rows ({cols} cols, alphabet {alphabet}, exponent {exponent}, seed {seed})"
+        ));
+        emit(output, &mut notes, |mut w| {
+            kanon_workloads::write_zipf_csv(&mut rng, &params, &mut w)
+        })?
+    } else {
+        let table = census_table(&mut rng, &CensusParams { n: rows, regions });
+        notes.push(format!(
             "generated {rows} census-like records (seed {seed})"
-        )],
+        ));
+        let text = csv::to_string(&table);
+        emit(output, &mut notes, |w| w.write_all(text.as_bytes()))?
+    };
+    Ok(Outcome {
+        stdout: stdout.unwrap_or_default(),
+        notes,
     })
 }
 
 /// Resolves quasi-identifier names to column indices (default: all).
-fn quasi_indices(schema: &Schema, quasi: Option<&[String]>) -> Result<Vec<usize>, CliError> {
+fn quasi_indices(header: &[String], quasi: Option<&[String]>) -> Result<Vec<usize>, CliError> {
     match quasi {
-        None => Ok((0..schema.arity()).collect()),
+        None => Ok((0..header.len()).collect()),
         Some(names) => names
             .iter()
             .map(|n| {
-                schema
-                    .index_of(n)
-                    .map_err(|_| CliError::Usage(format!("unknown quasi-identifier column `{n}`")))
+                header.iter().position(|h| h == n).ok_or_else(|| {
+                    CliError::Usage(format!("unknown quasi-identifier column `{n}`"))
+                })
             })
             .collect(),
     }
@@ -282,7 +249,7 @@ fn verify(text: &str, k: usize, quasi: Option<&[String]>) -> Result<Outcome, Cli
             n: table.n_rows(),
         });
     }
-    let cols = quasi_indices(table.schema(), quasi)?;
+    let cols = quasi_indices(table.schema().names(), quasi)?;
     let mut counts: std::collections::HashMap<Vec<&str>, usize> = std::collections::HashMap::new();
     for row in table.rows() {
         let key: Vec<&str> = cols.iter().map(|&j| row[j].as_str()).collect();
@@ -342,50 +309,35 @@ fn build_budget(
     b.build()
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn anonymize(
-    text: &str,
-    k: usize,
-    algorithm: Algorithm,
-    quasi: Option<&[String]>,
-    threads: usize,
-    deadline_ms: Option<u64>,
-    max_memory_mb: Option<u64>,
-    json: bool,
-    to_file: bool,
-) -> Result<(Outcome, String, Option<String>), CliError> {
-    let table = parse_table(text)?;
-    let cols = quasi_indices(table.schema(), quasi)?;
+/// One whole-table solve on ingest codes, with the solver `--algorithm`
+/// names. Unlike `pipeline`, `center` and `exhaustive` fail when their
+/// budget trips rather than degrading.
+#[allow(clippy::too_many_lines)]
+fn anonymize(text: &str, args: &Anonymize) -> Result<Outcome, CliError> {
+    let (table, codec) = ingest(text)?;
+    let cols = quasi_indices(codec.header(), args.quasi.as_deref())?;
+    let k = args.k;
     if k == 0 || k > table.n_rows() {
         return Err(CliError::BadK {
             k,
             n: table.n_rows(),
         });
     }
-
-    // Project onto the quasi-identifier columns and encode.
-    let qi_names: Vec<&str> = cols
-        .iter()
-        .map(|&j| table.schema().names()[j].as_str())
-        .collect();
-    let qi_schema = Schema::new(qi_names.clone()).map_err(|e| CliError::Failed(e.to_string()))?;
-    let mut qi_table = Table::new(qi_schema);
-    for row in table.rows() {
-        qi_table
-            .push_row(cols.iter().map(|&j| row[j].clone()).collect())
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-    }
-    let (ds, _codec) = qi_table.encode();
+    // The projection's names must be distinct, as a schema's are.
+    kanon_relation::Schema::new(cols.iter().map(|&j| codec.header()[j].clone()).collect())
+        .map_err(|e| CliError::Failed(e.to_string()))?;
+    let ds = table
+        .project_columns(&cols)
+        .expect("quasi columns come from the header");
 
     let started = std::time::Instant::now();
     let center_config = kanon_core::greedy::CenterConfig {
-        threads,
+        threads: args.threads,
         ..Default::default()
     };
-    let budget = build_budget(deadline_ms, max_memory_mb);
-    let mut ladder_notes: Vec<String> = Vec::new();
+    let budget = build_budget(args.deadline_ms, args.max_memory_mb);
     let mut ladder_report: Option<kanon_baselines::RunReport> = None;
-    let result = match algorithm {
+    let result = match args.algorithm {
         Algorithm::Center => algo::center_greedy(&ds, k, &center_config, &budget),
         Algorithm::Exhaustive => algo::exhaustive_greedy(&ds, k, &Default::default(), &budget),
         Algorithm::Ladder => {
@@ -395,18 +347,6 @@ fn anonymize(
                 ..Default::default()
             };
             kanon_baselines::run_ladder(&ds, k, &config).map(|(anon, report)| {
-                for attempt in &report.attempts {
-                    if let kanon_baselines::RungOutcome::Failed { reason } = &attempt.outcome {
-                        ladder_notes.push(format!(
-                            "rung {} abandoned after {:.2?}: {reason}",
-                            attempt.rung, attempt.elapsed
-                        ));
-                    }
-                }
-                ladder_notes.push(format!(
-                    "ladder answered on rung {} (guarantee: {})",
-                    report.rung, report.guarantee
-                ));
                 ladder_report = Some(report);
                 anon
             })
@@ -431,20 +371,7 @@ fn anonymize(
     })?;
     let elapsed = started.elapsed();
 
-    // Reassemble the full table, starring suppressed quasi cells.
-    let mut out = Table::new(table.schema().clone());
-    for (i, row) in table.rows().enumerate() {
-        let mut new_row: Vec<String> = row.to_vec();
-        for (qi_pos, &j) in cols.iter().enumerate() {
-            if result.suppressor.is_suppressed(i, qi_pos) {
-                new_row[j] = "*".to_string();
-            }
-        }
-        out.push_row(new_row)
-            .map_err(|e| CliError::Failed(e.to_string()))?;
-    }
-
-    let algo_name = match algorithm {
+    let algo_name = match args.algorithm {
         Algorithm::Center => "center greedy (Thm 4.2)",
         Algorithm::Exhaustive => "exhaustive greedy (Thm 4.1)",
         Algorithm::Forest => "k-forest (follow-up literature)",
@@ -462,36 +389,51 @@ fn anonymize(
         format!("groups: {}", result.partition.n_blocks()),
         format!("time: {elapsed:.2?}"),
     ];
-    notes.extend(ladder_notes);
-    let released = csv::to_string(&out);
-    let (stdout, csv_for_file) = if json {
-        let short_name = match algorithm {
-            Algorithm::Center => "center",
-            Algorithm::Exhaustive => "exhaustive",
-            Algorithm::Forest => "forest",
-            Algorithm::Exact => "exact",
-            Algorithm::Ladder => "ladder",
-        };
-        let mut obj = kanon_pipeline::json::JsonObject::new();
-        obj.string("command", "anonymize")
-            .number("k", k as u128)
-            .string("algorithm", short_name)
-            .number("n_rows", ds.n_rows() as u128)
-            .number("quasi_cols", ds.n_cols() as u128)
-            .number("groups", result.partition.n_blocks() as u128)
-            .number("cost", result.cost as u128)
-            .number("cells", ds.n_cells() as u128)
-            .raw(
-                "suppression_rate",
-                &format!("{:.4}", result.suppression_rate()),
-            )
-            .number("elapsed_ms", elapsed.as_millis());
-        if let Some(report) = &ladder_report {
-            let mut attempts = String::from("[");
-            for (i, a) in report.attempts.iter().enumerate() {
-                if i > 0 {
-                    attempts.push(',');
-                }
+    if let Some(report) = &ladder_report {
+        for attempt in &report.attempts {
+            if let kanon_baselines::RungOutcome::Failed { reason } = &attempt.outcome {
+                notes.push(format!(
+                    "rung {} abandoned after {:.2?}: {reason}",
+                    attempt.rung, attempt.elapsed
+                ));
+            }
+        }
+        notes.push(format!(
+            "ladder answered on rung {} (guarantee: {})",
+            report.rung, report.guarantee
+        ));
+    }
+    if let Some(path) = &args.emit_mask {
+        std::fs::write(path, result.suppressor.to_mask_string())
+            .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
+        notes.push(format!("wrote suppression mask to {path}"));
+    }
+    let csv = emit(args.output.as_deref(), &mut notes, |w| {
+        kanon_pipeline::write_release(&table, &codec, &cols, &result.suppressor, w)
+    })?;
+    if !args.json {
+        return Ok(Outcome {
+            stdout: csv.unwrap_or_default(),
+            notes,
+        });
+    }
+    let mut obj = kanon_pipeline::json::JsonObject::new();
+    obj.string("command", "anonymize")
+        .number("k", k as u128)
+        .string("algorithm", args.algorithm.name())
+        .number("n_rows", ds.n_rows() as u128)
+        .number("quasi_cols", ds.n_cols() as u128)
+        .number("groups", result.partition.n_blocks() as u128)
+        .number("cost", result.cost as u128)
+        .number("cells", ds.n_cells() as u128)
+        .raw(
+            "suppression_rate",
+            &format!("{:.4}", result.suppression_rate()),
+        )
+        .number("elapsed_ms", elapsed.as_millis());
+    if let Some(report) = &ladder_report {
+        let attempts: Vec<String> = (report.attempts.iter())
+            .map(|a| {
                 let mut att = kanon_pipeline::json::JsonObject::new();
                 att.string("rung", a.rung.name())
                     .number("elapsed_ms", a.elapsed.as_millis());
@@ -504,104 +446,73 @@ fn anonymize(
                         att.string("outcome", "failed").string("reason", reason);
                     }
                 }
-                attempts.push_str(&att.finish());
-            }
-            attempts.push(']');
-            let mut ladder = kanon_pipeline::json::JsonObject::new();
-            ladder
-                .string("rung", report.rung.name())
-                .string("guarantee", report.guarantee)
-                .boolean("degraded", report.degraded())
-                .raw("attempts", &attempts);
-            obj.raw("ladder", &ladder.finish());
-        }
-        if to_file {
-            (obj.finish(), Some(released))
-        } else {
-            obj.string("csv", &released);
-            (obj.finish(), None)
-        }
-    } else {
-        (released, None)
-    };
-    Ok((
-        Outcome { stdout, notes },
-        result.suppressor.to_mask_string(),
-        csv_for_file,
-    ))
+                att.finish()
+            })
+            .collect();
+        let mut ladder = kanon_pipeline::json::JsonObject::new();
+        ladder
+            .string("rung", report.rung.name())
+            .string("guarantee", report.guarantee)
+            .boolean("degraded", report.degraded())
+            .raw("attempts", &format!("[{}]", attempts.join(",")));
+        obj.raw("ladder", &ladder.finish());
+    }
+    if let Some(csv) = &csv {
+        obj.string("csv", csv);
+    }
+    Ok(Outcome {
+        stdout: obj.finish(),
+        notes,
+    })
 }
 
-/// Runs the sharded out-of-core engine: streams the input CSV (never
-/// holding the raw text in memory when reading a file), solves shards
-/// under the budget, and writes the released CSV to `output` (streamed) or
-/// stdout. Without `--quasi` the run takes the schema-driven auto path:
-/// infer the schema, pick a quasi-identifier, try the generalization rung.
-#[allow(clippy::too_many_arguments)]
-fn pipeline(
-    k: usize,
-    input: &str,
-    output: Option<&str>,
-    shard_size: usize,
-    strategy: kanon_pipeline::ShardStrategy,
-    buckets: Option<usize>,
-    workers: Option<usize>,
-    quasi: Option<&[String]>,
-    hierarchies: Option<&str>,
-    compare: bool,
-    privacy: Option<&str>,
-    sensitive: Option<&str>,
-    deadline_ms: Option<u64>,
-    max_memory_mb: Option<u64>,
-    json: bool,
-) -> Result<Outcome, CliError> {
-    // Already validated at arg-parse time; re-parsed here because the
+/// Runs the sharded out-of-core engine: streams the input CSV, solves
+/// shards under the budget, and writes the released CSV to `--output`
+/// (streamed) or stdout. Without `--quasi` the run takes the schema-driven
+/// auto path: infer the schema, pick a quasi-identifier, try the
+/// generalization rung.
+fn pipeline(args: &Pipeline) -> Result<Outcome, CliError> {
+    // Already checked at arg-parse time; re-parsed here because the
     // model's f64 parameters cannot ride in the `Eq` Command enum.
-    let privacy = match privacy {
-        None => kanon_privacy::PrivacyModel::KOnly,
-        Some(spec) => {
-            kanon_privacy::PrivacyModel::parse(spec).map_err(|e| CliError::Usage(e.to_string()))?
-        }
-    };
+    let privacy = (args.privacy.as_deref())
+        .map_or(
+            Ok(kanon_privacy::PrivacyModel::KOnly),
+            kanon_privacy::PrivacyModel::parse,
+        )
+        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let k = args.k;
     let config = kanon_pipeline::PipelineConfig {
-        shard_size,
-        strategy,
-        n_buckets: buckets,
-        workers,
-        budget: build_budget(deadline_ms, max_memory_mb),
+        shard_size: args.shard_size,
+        strategy: args.strategy,
+        n_buckets: args.buckets,
+        workers: args.workers,
+        budget: build_budget(args.deadline_ms, args.max_memory_mb),
         ..Default::default()
     };
     // With no --quasi, no privacy model beyond k and no sensitive column,
     // the run takes the schema-driven auto path. Otherwise it takes the
     // suppression path, with any sensitive column carved out of the
     // quasi-identifier.
-    let private = privacy.requires_sensitive() || sensitive.is_some();
-    if !private && quasi.is_none() {
-        return pipeline_auto(k, input, output, &config, hierarchies, compare, json);
+    let private = privacy.requires_sensitive() || args.sensitive.is_some();
+    if !private && args.quasi.is_none() {
+        return pipeline_auto(args, &config);
     }
-    if hierarchies.is_some() || compare {
+    if args.hierarchies.is_some() || args.compare {
         let fix = if private {
             "they cannot combine with --privacy/--sensitive"
         } else {
             "drop --quasi to use them"
         };
-        return Err(CliError::Usage(format!(
+        return Err(usage_error(format!(
             "--hierarchies and --compare belong to the schema-driven auto \
-             path; {fix}\n\n{}",
-            usage()
+             path; {fix}"
         )));
     }
-    let reader: Box<dyn Read> = if input == "-" {
-        Box::new(std::io::stdin().lock())
-    } else {
-        let file = std::fs::File::open(input)
-            .map_err(|e| CliError::Failed(format!("cannot read `{input}`: {e}")))?;
-        Box::new(std::io::BufReader::new(file))
-    };
     let run = kanon_pipeline::run_csv_private_with_progress(
-        reader,
+        open_input(&args.input)?,
         k,
-        quasi,
-        sensitive,
+        args.quasi.as_deref(),
+        args.sensitive.as_deref(),
         privacy,
         &config,
         &|_| {},
@@ -649,52 +560,38 @@ fn pipeline(
             p.cost_after,
         ));
     }
-
-    let stdout = if let Some(path) = output {
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
+    let csv = emit(args.output.as_deref(), &mut notes, |w| {
         kanon_pipeline::write_release(
             &run.dataset,
             &run.codec,
             &run.quasi,
             &run.anonymization.suppressor,
-            std::io::BufWriter::new(file),
+            w,
         )
-        .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-        notes.push(format!("wrote {path}"));
-        if json {
-            pipeline_json(&run, None)
-        } else {
-            String::new()
-        }
-    } else {
-        let mut buf = Vec::new();
-        kanon_pipeline::write_release(
-            &run.dataset,
-            &run.codec,
-            &run.quasi,
-            &run.anonymization.suppressor,
-            &mut buf,
-        )
-        .map_err(|e| CliError::Failed(format!("cannot render release: {e}")))?;
-        let released = String::from_utf8(buf)
-            .map_err(|e| CliError::Failed(format!("cannot render release: {e}")))?;
-        if json {
-            pipeline_json(&run, Some(&released))
-        } else {
-            released
-        }
-    };
+    })?;
+    let stdout = pipeline_stdout(args.json, None, &run.report, csv);
     Ok(Outcome { stdout, notes })
 }
 
-/// The `pipeline --json` stdout object: the engine's report plus (when no
-/// `--output` captures it) the released CSV.
-fn pipeline_json(run: &kanon_pipeline::CsvRun, csv: Option<&str>) -> String {
+/// The `pipeline` stdout: the released CSV, or with `--json` the engine's
+/// report (plus which rung released, on the auto path) and the released
+/// CSV when no `--output` captured it.
+fn pipeline_stdout(
+    json: bool,
+    mode: Option<&str>,
+    report: &kanon_pipeline::PipelineReport,
+    csv: Option<String>,
+) -> String {
+    if !json {
+        return csv.unwrap_or_default();
+    }
     let mut obj = kanon_pipeline::json::JsonObject::new();
-    obj.string("command", "pipeline")
-        .raw("report", &run.report.to_json());
-    if let Some(csv) = csv {
+    obj.string("command", "pipeline");
+    if let Some(mode) = mode {
+        obj.string("mode", mode);
+    }
+    obj.raw("report", &report.to_json());
+    if let Some(csv) = &csv {
         obj.string("csv", csv);
     }
     obj.finish()
@@ -703,24 +600,16 @@ fn pipeline_json(run: &kanon_pipeline::CsvRun, csv: Option<&str>) -> String {
 /// The schema-driven auto path: probe the delimiter, infer the schema and
 /// quasi-identifier, try the generalization rung, degrade to suppression.
 fn pipeline_auto(
-    k: usize,
-    input: &str,
-    output: Option<&str>,
+    args: &Pipeline,
     config: &kanon_pipeline::PipelineConfig,
-    hierarchies: Option<&str>,
-    compare: bool,
-    json: bool,
 ) -> Result<Outcome, CliError> {
-    let overrides = hierarchies.map(read_input).transpose()?;
-    let auto = kanon_pipeline::AutoConfig { overrides, compare };
-    let run = if input == "-" {
-        kanon_pipeline::run_csv_auto(std::io::stdin().lock(), k, config, &auto)
-    } else {
-        let file = std::fs::File::open(input)
-            .map_err(|e| CliError::Failed(format!("cannot read `{input}`: {e}")))?;
-        kanon_pipeline::run_csv_auto(std::io::BufReader::new(file), k, config, &auto)
-    }
-    .map_err(|e| map_pipeline_error(e, k))?;
+    let overrides = args.hierarchies.as_deref().map(read_input).transpose()?;
+    let auto = kanon_pipeline::AutoConfig {
+        overrides,
+        compare: args.compare,
+    };
+    let run = kanon_pipeline::run_csv_auto(open_input(&args.input)?, args.k, config, &auto)
+        .map_err(|e| map_pipeline_error(e, args.k))?;
 
     let quasi_names: Vec<&str> = run
         .quasi
@@ -733,7 +622,7 @@ fn pipeline_auto(
         run.schema.columns.len(),
         quasi_names.join(","),
     )];
-    match &run.outcome {
+    let mode = match &run.outcome {
         kanon_pipeline::AutoOutcome::Generalized(g) => {
             let gen = run
                 .report
@@ -752,6 +641,7 @@ fn pipeline_auto(
                     supp,
                 ));
             }
+            "generalization"
         }
         kanon_pipeline::AutoOutcome::Suppressed {
             anonymization,
@@ -764,168 +654,114 @@ fn pipeline_auto(
                 anonymization.table.n_rows() * anonymization.table.n_cols(),
                 100.0 * anonymization.suppression_rate(),
             ));
-        }
-    }
-
-    let stdout = if let Some(path) = output {
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-        run.write_release(std::io::BufWriter::new(file))
-            .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-        notes.push(format!("wrote {path}"));
-        if json {
-            auto_json(&run, None)
-        } else {
-            String::new()
-        }
-    } else {
-        let mut buf = Vec::new();
-        run.write_release(&mut buf)
-            .map_err(|e| CliError::Failed(format!("cannot render release: {e}")))?;
-        let released = String::from_utf8(buf)
-            .map_err(|e| CliError::Failed(format!("cannot render release: {e}")))?;
-        if json {
-            auto_json(&run, Some(&released))
-        } else {
-            released
+            "suppression"
         }
     };
+    let csv = emit(args.output.as_deref(), &mut notes, |w| run.write_release(w))?;
+    let stdout = pipeline_stdout(args.json, Some(mode), &run.report, csv);
     Ok(Outcome { stdout, notes })
 }
 
-/// The auto path's `--json` object: same `"command":"pipeline"` envelope as
-/// the explicit-quasi path, plus which rung released.
-fn auto_json(run: &kanon_pipeline::AutoRun, csv: Option<&str>) -> String {
-    let mode = match run.outcome {
-        kanon_pipeline::AutoOutcome::Generalized(_) => "generalization",
-        kanon_pipeline::AutoOutcome::Suppressed { .. } => "suppression",
-    };
-    let mut obj = kanon_pipeline::json::JsonObject::new();
-    obj.string("command", "pipeline")
-        .string("mode", mode)
-        .raw("report", &run.report.to_json());
-    if let Some(csv) = csv {
-        obj.string("csv", csv);
-    }
-    obj.finish()
+/// Samples an input for the schema toolchain. It works on a bounded byte
+/// sample, so even `probe` on a multi-gigabyte file reads at most
+/// `SAMPLE_BYTES`; the flag says whether the sample was cut there.
+fn sample_of(path: &str) -> Result<(Vec<u8>, bool), CliError> {
+    let sample = kanon_schema::read_sample(&mut open_input(path)?)
+        .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
+    let truncated = sample.len() == kanon_schema::probe::SAMPLE_BYTES;
+    Ok((sample, truncated))
 }
 
-/// Runs a `kanon schema` action: probe, infer, or verify.
-fn schema_cmd(action: &SchemaAction) -> Result<Outcome, CliError> {
-    // The toolchain works on a bounded byte sample, so even `probe` on a
-    // multi-gigabyte file reads at most SAMPLE_BYTES.
-    let sample_of = |path: &str| -> Result<(Vec<u8>, bool), CliError> {
-        let sample = if path == "-" {
-            kanon_schema::read_sample(&mut std::io::stdin().lock())
-        } else {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
-            kanon_schema::read_sample(&mut std::io::BufReader::new(file))
-        }
-        .map_err(|e| CliError::Failed(format!("cannot read `{path}`: {e}")))?;
-        let truncated = sample.len() == kanon_schema::probe::SAMPLE_BYTES;
-        Ok((sample, truncated))
-    };
-    let infer = |path: &str| -> Result<kanon_schema::InferredSchema, CliError> {
-        let (sample, truncated) = sample_of(path)?;
-        kanon_schema::infer_bytes(&sample, truncated, kanon_schema::infer::DEFAULT_SAMPLE_ROWS)
-            .map_err(|e| CliError::Failed(format!("schema inference failed: {e}")))
-    };
-    match action {
-        SchemaAction::Probe { input } => {
-            let (sample, truncated) = sample_of(input)?;
-            let probe = kanon_schema::probe_bytes(&sample, truncated)
-                .map_err(|e| CliError::Failed(format!("probe failed: {e}")))?;
-            let stdout = format!(
-                "delimiter: {}\nfields per record: {}\nlines sampled: {}\n\
-                 consistency: {:.3}\nquoted fields: {}\n",
-                probe.delimiter_name(),
-                probe.n_fields,
-                probe.lines_sampled,
-                probe.consistency,
-                if probe.quoted { "yes" } else { "no" },
-            );
-            Ok(Outcome {
-                stdout,
-                notes: Vec::new(),
-            })
-        }
-        SchemaAction::Infer { input, output } => {
-            let schema = infer(input)?;
-            let text = kanon_schema::render_schema_file(&schema);
-            let suggestion = schema.quasi_suggestion();
-            let mut notes = vec![format!(
-                "inferred {} column(s) from {} sampled row(s) ({} ragged)",
-                schema.columns.len(),
-                schema.rows_sampled,
-                schema.ragged_rows,
-            )];
-            notes.push(if suggestion.is_empty() {
-                "no quasi-identifier suggestion (no column carries signal)".to_string()
-            } else {
-                format!(
-                    "suggested quasi-identifier (ranked): {}",
-                    suggestion.join(",")
-                )
-            });
-            let screening = schema.sensitive_screening();
-            notes.push(if screening.is_empty() {
-                "no sensitive-column candidate (no repeating column supports l >= 2)".to_string()
-            } else {
-                format!(
-                    "sensitive-column candidates (ranked, distinct l / entropy l): {}",
-                    screening
-                        .iter()
-                        .map(|c| format!(
-                            "{} ({} / {:.1})",
-                            c.name, c.max_distinct_l, c.effective_l
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            });
-            match output {
-                Some(path) => {
-                    std::fs::write(path, &text)
-                        .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-                    notes.push(format!("wrote {path}"));
-                    Ok(Outcome {
-                        stdout: String::new(),
-                        notes,
-                    })
-                }
-                None => Ok(Outcome {
-                    stdout: text,
-                    notes,
-                }),
-            }
-        }
-        SchemaAction::Verify { schema, input } => {
-            let stored_text = read_input(schema)?;
-            let stored = kanon_schema::parse_schema_file(&stored_text)
-                .map_err(|e| CliError::Failed(format!("bad schema file `{schema}`: {e}")))?;
-            let current = infer(input)?;
-            match kanon_schema::verify(&stored.schema, &current) {
-                Ok(kanon_schema::VerifyReport::Exact) => Ok(Outcome {
-                    stdout: "schema verified: exact match\n".to_string(),
-                    notes: Vec::new(),
-                }),
-                Ok(kanon_schema::VerifyReport::StatsChanged(changes)) => Ok(Outcome {
-                    stdout: format!(
-                        "schema verified: structure unchanged, {} stat(s) moved\n{}\n",
-                        changes.len(),
-                        changes.join("\n"),
-                    ),
-                    notes: Vec::new(),
-                }),
-                // Drift exits nonzero so CI and cron jobs can gate on it.
-                Err(kanon_schema::Error::Drift(reasons)) => Err(CliError::Failed(format!(
-                    "schema drift detected:\n{}",
-                    reasons.join("\n"),
-                ))),
-                Err(e) => Err(CliError::Failed(format!("verify failed: {e}"))),
-            }
-        }
+fn infer_schema(path: &str) -> Result<kanon_schema::InferredSchema, CliError> {
+    let (sample, truncated) = sample_of(path)?;
+    kanon_schema::infer_bytes(&sample, truncated, kanon_schema::infer::DEFAULT_SAMPLE_ROWS)
+        .map_err(|e| CliError::Failed(format!("schema inference failed: {e}")))
+}
+
+/// `kanon schema probe`: delimiter, quoting and field-count structure.
+fn schema_probe(input: &str) -> Result<Outcome, CliError> {
+    let (sample, truncated) = sample_of(input)?;
+    let probe = kanon_schema::probe_bytes(&sample, truncated)
+        .map_err(|e| CliError::Failed(format!("probe failed: {e}")))?;
+    let stdout = format!(
+        "delimiter: {}\nfields per record: {}\nlines sampled: {}\n\
+         consistency: {:.3}\nquoted fields: {}\n",
+        probe.delimiter_name(),
+        probe.n_fields,
+        probe.lines_sampled,
+        probe.consistency,
+        if probe.quoted { "yes" } else { "no" },
+    );
+    Ok(Outcome {
+        stdout,
+        notes: Vec::new(),
+    })
+}
+
+/// `kanon schema infer`: renders the versioned `.schema` file.
+fn schema_infer(input: &str, output: Option<&str>) -> Result<Outcome, CliError> {
+    let schema = infer_schema(input)?;
+    let text = kanon_schema::render_schema_file(&schema);
+    let suggestion = schema.quasi_suggestion();
+    let mut notes = vec![format!(
+        "inferred {} column(s) from {} sampled row(s) ({} ragged)",
+        schema.columns.len(),
+        schema.rows_sampled,
+        schema.ragged_rows,
+    )];
+    notes.push(if suggestion.is_empty() {
+        "no quasi-identifier suggestion (no column carries signal)".to_string()
+    } else {
+        format!(
+            "suggested quasi-identifier (ranked): {}",
+            suggestion.join(",")
+        )
+    });
+    let screening = schema.sensitive_screening();
+    notes.push(if screening.is_empty() {
+        "no sensitive-column candidate (no repeating column supports l >= 2)".to_string()
+    } else {
+        format!(
+            "sensitive-column candidates (ranked, distinct l / entropy l): {}",
+            screening
+                .iter()
+                .map(|c| format!("{} ({} / {:.1})", c.name, c.max_distinct_l, c.effective_l))
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    });
+    let stdout = emit(output, &mut notes, |w| w.write_all(text.as_bytes()))?;
+    Ok(Outcome {
+        stdout: stdout.unwrap_or_default(),
+        notes,
+    })
+}
+
+/// `kanon schema verify`: re-infers and diffs against a stored `.schema`.
+fn schema_verify(schema: &str, input: &str) -> Result<Outcome, CliError> {
+    let stored_text = read_input(schema)?;
+    let stored = kanon_schema::parse_schema_file(&stored_text)
+        .map_err(|e| CliError::Failed(format!("bad schema file `{schema}`: {e}")))?;
+    let current = infer_schema(input)?;
+    match kanon_schema::verify(&stored.schema, &current) {
+        Ok(kanon_schema::VerifyReport::Exact) => Ok(Outcome {
+            stdout: "schema verified: exact match\n".to_string(),
+            notes: Vec::new(),
+        }),
+        Ok(kanon_schema::VerifyReport::StatsChanged(changes)) => Ok(Outcome {
+            stdout: format!(
+                "schema verified: structure unchanged, {} stat(s) moved\n{}\n",
+                changes.len(),
+                changes.join("\n"),
+            ),
+            notes: Vec::new(),
+        }),
+        // Drift exits nonzero so CI and cron jobs can gate on it.
+        Err(kanon_schema::Error::Drift(reasons)) => Err(CliError::Failed(format!(
+            "schema drift detected:\n{}",
+            reasons.join("\n"),
+        ))),
+        Err(e) => Err(CliError::Failed(format!("verify failed: {e}"))),
     }
 }
 
@@ -961,268 +797,116 @@ fn map_pipeline_error(e: kanon_pipeline::Error, k: usize) -> CliError {
     }
 }
 
-/// Runs a `kanon delta` action against the durable store.
-fn delta(action: &crate::args::DeltaAction) -> Result<Outcome, CliError> {
-    use crate::args::DeltaAction;
-    use kanon_pipeline::DeltaStore;
-
-    let open = |dir: &str, deadline_ms: Option<u64>, max_memory_mb: Option<u64>| {
-        DeltaStore::open(dir, build_budget(deadline_ms, max_memory_mb))
-            .map_err(|e| map_pipeline_error(e, 0))
-    };
-    let write_output = |path: &str, csv: &str| -> Result<(), CliError> {
-        std::fs::write(path, csv)
-            .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))
-    };
-
-    match action {
-        DeltaAction::Init {
-            dir,
-            k,
-            input,
-            shard_size,
-            buckets,
-            quasi,
-            deadline_ms,
-            max_memory_mb,
-            json,
-        } => {
-            let config = kanon_pipeline::DeltaConfig {
-                k: *k,
-                shard_size: *shard_size,
-                n_buckets: *buckets,
-                quasi: quasi.clone(),
-                budget: build_budget(*deadline_ms, *max_memory_mb),
-            };
-            let store = if input == "-" {
-                DeltaStore::init(dir, std::io::stdin().lock(), &config)
-            } else {
-                let file = std::fs::File::open(input)
-                    .map_err(|e| CliError::Failed(format!("cannot read `{input}`: {e}")))?;
-                DeltaStore::init(dir, std::io::BufReader::new(file), &config)
-            }
-            .map_err(|e| map_pipeline_error(e, *k))?;
-            let status = store.status();
-            let notes = vec![format!(
-                "initialized delta store at {dir}: {} rows, k={}, {} bucket(s), shard size {}",
-                status.n_rows, status.k, status.n_buckets, status.shard_size,
-            )];
-            let stdout = if *json {
-                status.to_json()
-            } else {
-                String::new()
-            };
-            Ok(Outcome { stdout, notes })
-        }
-        DeltaAction::Apply {
-            dir,
-            ops,
-            output,
-            deadline_ms,
-            max_memory_mb,
-            json,
-        } => {
-            let mut store = open(dir, *deadline_ms, *max_memory_mb)?;
-            let parsed = if ops == "-" {
-                store.parse_ops(std::io::stdin().lock())
-            } else {
-                let file = std::fs::File::open(ops)
-                    .map_err(|e| CliError::Failed(format!("cannot read `{ops}`: {e}")))?;
-                store.parse_ops(std::io::BufReader::new(file))
-            }
-            .map_err(|e| map_pipeline_error(e, store.k()))?;
-            let k = store.k();
-            let report = store.apply(&parsed).map_err(|e| map_pipeline_error(e, k))?;
-            let mut notes = vec![
-                format!(
-                    "batch {}: +{} -{} ~{} → {} rows",
-                    report.seq, report.inserted, report.deleted, report.updated, report.n_rows,
-                ),
-                format!(
-                    "re-solved {} unit(s) / {} row(s) of {} ({:.1}%), total cost {}",
-                    report.resolved_units,
-                    report.resolved_rows,
-                    report.n_rows,
-                    100.0 * report.resolved_rows as f64 / report.n_rows.max(1) as f64,
-                    report.total_cost,
-                ),
-            ];
-            if let Some(path) = output {
-                let release = store.release().map_err(|e| map_pipeline_error(e, k))?;
-                write_output(path, &release.to_csv_string())?;
-                notes.push(format!("wrote {path}"));
-            }
-            let stdout = if *json {
-                report.to_json()
-            } else {
-                String::new()
-            };
-            Ok(Outcome { stdout, notes })
-        }
-        DeltaAction::Status { dir, json } => {
-            let store = open(dir, None, None)?;
-            let status = store.status();
-            let stdout = if *json {
-                status.to_json()
-            } else {
-                let cost = status
-                    .total_cost
-                    .map_or_else(|| "unknown (dirty)".to_string(), |c| c.to_string());
-                format!(
-                    "{} rows, k={}, seq {}, {} bucket(s), {} cached / {} dirty unit(s), \
-                     wal {} B, total cost {cost}",
-                    status.n_rows,
-                    status.k,
-                    status.seq,
-                    status.n_buckets,
-                    status.cached_units,
-                    status.dirty_units,
-                    status.wal_bytes,
-                )
-            };
-            Ok(Outcome {
-                stdout,
-                notes: Vec::new(),
-            })
-        }
-        DeltaAction::Release {
-            dir,
-            output,
-            deadline_ms,
-            max_memory_mb,
-        } => {
-            let mut store = open(dir, *deadline_ms, *max_memory_mb)?;
-            let k = store.k();
-            let release = store.release().map_err(|e| map_pipeline_error(e, k))?;
-            let csv = release.to_csv_string();
-            match output {
-                Some(path) => {
-                    write_output(path, &csv)?;
-                    Ok(Outcome {
-                        stdout: String::new(),
-                        notes: vec![format!("wrote {path}")],
-                    })
-                }
-                None => Ok(Outcome {
-                    stdout: csv,
-                    notes: Vec::new(),
-                }),
-            }
-        }
-    }
+fn open_store(
+    dir: &str,
+    deadline_ms: Option<u64>,
+    max_memory_mb: Option<u64>,
+) -> Result<kanon_pipeline::DeltaStore, CliError> {
+    kanon_pipeline::DeltaStore::open(dir, build_budget(deadline_ms, max_memory_mb))
+        .map_err(|e| map_pipeline_error(e, 0))
 }
 
-/// Streams a zipf-skewed categorical CSV; with `--output` the rows go
-/// straight to the file (O(1) memory however large `--rows` is).
-fn generate_zipf(
-    rows: usize,
-    seed: u64,
-    cols: usize,
-    alphabet: u32,
-    exponent: &str,
-    output: Option<&str>,
-) -> Result<Outcome, CliError> {
-    let exponent: f64 = exponent
-        .parse()
-        .map_err(|_| CliError::Usage(format!("--exponent needs a number\n\n{}", usage())))?;
-    if exponent < 0.0 || cols == 0 || alphabet == 0 {
-        return Err(CliError::Usage(format!(
-            "--exponent must be >= 0, --cols and --alphabet >= 1\n\n{}",
-            usage()
-        )));
-    }
-    let params = kanon_workloads::ZipfParams {
-        n: rows,
-        m: cols,
-        alphabet,
-        exponent,
+/// `kanon delta init`: ingests and solves a table into a new store.
+fn delta_init(args: &DeltaInit) -> Result<Outcome, CliError> {
+    let config = kanon_pipeline::DeltaConfig {
+        k: args.k,
+        shard_size: args.shard_size,
+        n_buckets: args.buckets,
+        quasi: args.quasi.clone(),
+        budget: build_budget(args.deadline_ms, args.max_memory_mb),
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let note = format!(
-        "generated {rows} zipf rows ({cols} cols, alphabet {alphabet}, exponent {exponent}, seed {seed})"
-    );
-    match output {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-            let mut w = std::io::BufWriter::new(file);
-            kanon_workloads::write_zipf_csv(&mut rng, &params, &mut w)
-                .and_then(|()| std::io::Write::flush(&mut w))
-                .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-            Ok(Outcome {
-                stdout: String::new(),
-                notes: vec![note],
-            })
-        }
-        None => {
-            let mut buf = Vec::new();
-            kanon_workloads::write_zipf_csv(&mut rng, &params, &mut buf)
-                .map_err(|e| CliError::Failed(format!("cannot render workload: {e}")))?;
-            let stdout = String::from_utf8(buf)
-                .map_err(|e| CliError::Failed(format!("cannot render workload: {e}")))?;
-            Ok(Outcome {
-                stdout,
-                notes: vec![note],
-            })
-        }
-    }
+    let store = kanon_pipeline::DeltaStore::init(&args.dir, open_input(&args.input)?, &config)
+        .map_err(|e| map_pipeline_error(e, args.k))?;
+    let status = store.status();
+    let notes = vec![format!(
+        "initialized delta store at {}: {} rows, k={}, {} bucket(s), shard size {}",
+        args.dir, status.n_rows, status.k, status.n_buckets, status.shard_size,
+    )];
+    let stdout = if args.json {
+        status.to_json()
+    } else {
+        String::new()
+    };
+    Ok(Outcome { stdout, notes })
 }
 
-/// Streams the messy schema-inference workload: `;`-delimited, mixed
-/// types, null markers, quoted fields. With `--output` the rows go
-/// straight to the file.
-fn generate_messy(
-    rows: usize,
-    seed: u64,
-    regions: usize,
-    output: Option<&str>,
-) -> Result<Outcome, CliError> {
-    if regions == 0 || regions > 900 {
-        return Err(CliError::Usage(format!(
-            "--regions must be in 1..=900 for the messy workload\n\n{}",
-            usage()
-        )));
+/// `kanon delta apply`: replays an ops CSV as one atomic batch.
+fn delta_apply(args: &DeltaApply) -> Result<Outcome, CliError> {
+    let mut store = open_store(&args.dir, args.deadline_ms, args.max_memory_mb)?;
+    let k = store.k();
+    let parsed = (store.parse_ops(open_input(&args.ops)?)).map_err(|e| map_pipeline_error(e, k))?;
+    let report = store.apply(&parsed).map_err(|e| map_pipeline_error(e, k))?;
+    let mut notes = vec![
+        format!(
+            "batch {}: +{} -{} ~{} → {} rows",
+            report.seq, report.inserted, report.deleted, report.updated, report.n_rows,
+        ),
+        format!(
+            "re-solved {} unit(s) / {} row(s) of {} ({:.1}%), total cost {}",
+            report.resolved_units,
+            report.resolved_rows,
+            report.n_rows,
+            100.0 * report.resolved_rows as f64 / report.n_rows.max(1) as f64,
+            report.total_cost,
+        ),
+    ];
+    if args.output.is_some() {
+        let release = store.release().map_err(|e| map_pipeline_error(e, k))?;
+        emit(args.output.as_deref(), &mut notes, |w| release.write_csv(w))?;
     }
-    let params = kanon_workloads::MessyParams {
-        n: rows,
-        regions,
-        ..kanon_workloads::MessyParams::default()
+    let stdout = if args.json {
+        report.to_json()
+    } else {
+        String::new()
     };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let note = format!("generated {rows} messy rows ({regions} region(s), seed {seed})");
-    match output {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-            let mut w = std::io::BufWriter::new(file);
-            kanon_workloads::write_messy_csv(&mut rng, &params, &mut w)
-                .and_then(|()| std::io::Write::flush(&mut w))
-                .map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))?;
-            Ok(Outcome {
-                stdout: String::new(),
-                notes: vec![note],
-            })
-        }
-        None => {
-            let mut buf = Vec::new();
-            kanon_workloads::write_messy_csv(&mut rng, &params, &mut buf)
-                .map_err(|e| CliError::Failed(format!("cannot render workload: {e}")))?;
-            let stdout = String::from_utf8(buf)
-                .map_err(|e| CliError::Failed(format!("cannot render workload: {e}")))?;
-            Ok(Outcome {
-                stdout,
-                notes: vec![note],
-            })
-        }
-    }
+    Ok(Outcome { stdout, notes })
+}
+
+/// `kanon delta status`: store health, without solving.
+fn delta_status(dir: &str, json: bool) -> Result<Outcome, CliError> {
+    let status = open_store(dir, None, None)?.status();
+    let stdout = if json {
+        status.to_json()
+    } else {
+        let cost = status
+            .total_cost
+            .map_or_else(|| "unknown (dirty)".to_string(), |c| c.to_string());
+        format!(
+            "{} rows, k={}, seq {}, {} bucket(s), {} cached / {} dirty unit(s), \
+             wal {} B, total cost {cost}",
+            status.n_rows,
+            status.k,
+            status.seq,
+            status.n_buckets,
+            status.cached_units,
+            status.dirty_units,
+            status.wal_bytes,
+        )
+    };
+    Ok(Outcome {
+        stdout,
+        notes: Vec::new(),
+    })
+}
+
+/// `kanon delta release`: writes the current anonymized CSV.
+fn delta_release(args: &DeltaRelease) -> Result<Outcome, CliError> {
+    let mut store = open_store(&args.dir, args.deadline_ms, args.max_memory_mb)?;
+    let k = store.k();
+    let release = store.release().map_err(|e| map_pipeline_error(e, k))?;
+    let mut notes = Vec::new();
+    let stdout = emit(args.output.as_deref(), &mut notes, |w| release.write_csv(w))?;
+    Ok(Outcome {
+        stdout: stdout.unwrap_or_default(),
+        notes,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The pre-`--json` calling convention most tests want: CSV stdout, no
-    /// side-channel file payload.
+    /// A plain `anonymize` run on in-memory text: CSV on stdout, no files.
     fn anonymize_plain(
         text: &str,
         k: usize,
@@ -1231,19 +915,35 @@ mod tests {
         threads: usize,
         deadline_ms: Option<u64>,
         max_memory_mb: Option<u64>,
-    ) -> Result<(Outcome, String), CliError> {
-        anonymize(
-            text,
+    ) -> Result<Outcome, CliError> {
+        let args = Anonymize {
             k,
+            input: "-".into(),
+            output: None,
             algorithm,
-            quasi,
+            quasi: quasi.map(<[String]>::to_vec),
             threads,
+            emit_mask: None,
             deadline_ms,
             max_memory_mb,
-            false,
-            false,
-        )
-        .map(|(o, m, _)| (o, m))
+            json: false,
+        };
+        anonymize(text, &args)
+    }
+
+    /// The census workload at the given size, seed and region count.
+    fn generate_census(rows: usize, seed: u64, regions: usize) -> Result<Outcome, CliError> {
+        generate(&Generate {
+            rows,
+            seed,
+            regions,
+            workload: "census".into(),
+            cols: 8,
+            alphabet: 50,
+            exponent: "1.0".into(),
+            messy: false,
+            output: None,
+        })
     }
 
     const SAMPLE: &str = "first,last,age,race\n\
@@ -1254,9 +954,7 @@ mod tests {
 
     #[test]
     fn anonymize_then_verify_roundtrip() {
-        let (out, mask) =
-            anonymize_plain(SAMPLE, 2, Algorithm::Exact, None, 1, None, None).unwrap();
-        assert!(mask.lines().count() == 4);
+        let out = anonymize_plain(SAMPLE, 2, Algorithm::Exact, None, 1, None, None).unwrap();
         assert!(out.stdout.contains('*'));
         let verified = verify(&out.stdout, 2, None).unwrap();
         assert!(verified.stdout.contains("anonymity level: 2"));
@@ -1265,7 +963,7 @@ mod tests {
     #[test]
     fn quasi_columns_keep_sensitive_data() {
         let quasi: Vec<String> = vec!["first".into(), "last".into(), "age".into()];
-        let (out, _) =
+        let out =
             anonymize_plain(SAMPLE, 2, Algorithm::Center, Some(&quasi), 1, None, None).unwrap();
         // Race column survives untouched.
         for race in ["Afr-Am", "Cauc", "Hisp"] {
@@ -1295,7 +993,7 @@ mod tests {
         let input = dir.join("in.csv");
         let mask_path = dir.join("mask.txt");
         std::fs::write(&input, SAMPLE).unwrap();
-        let outcome = execute(&Command::Anonymize {
+        let outcome = execute(&Command::Anonymize(Anonymize {
             k: 2,
             input: input.to_string_lossy().into_owned(),
             output: None,
@@ -1306,7 +1004,7 @@ mod tests {
             deadline_ms: None,
             max_memory_mb: None,
             json: false,
-        })
+        }))
         .unwrap();
         assert!(outcome.notes.iter().any(|n| n.contains("suppression mask")));
         let mask_text = std::fs::read_to_string(&mask_path).unwrap();
@@ -1357,13 +1055,18 @@ mod tests {
             attack(header_only, "a,b\n1,2\n", &["a".into()]).unwrap_err(),
             CliError::EmptyInput
         );
+        // Zero bytes carry no header record, and both paths say so.
+        let no_header = CliError::Failed("CSV error at line 1: missing header record".into());
+        let err = anonymize_plain("", 2, Algorithm::Center, None, 1, None, None).unwrap_err();
+        assert_eq!(err, no_header);
+        assert_eq!(verify("", 2, None).unwrap_err(), no_header);
     }
 
     #[test]
     fn ladder_with_unlimited_budget_matches_exhaustive() {
-        let (ladder_out, _) =
+        let ladder_out =
             anonymize_plain(SAMPLE, 2, Algorithm::Ladder, None, 1, None, None).unwrap();
-        let (direct_out, _) =
+        let direct_out =
             anonymize_plain(SAMPLE, 2, Algorithm::Exhaustive, None, 1, None, None).unwrap();
         assert_eq!(ladder_out.stdout, direct_out.stdout);
         assert!(ladder_out
@@ -1374,7 +1077,7 @@ mod tests {
 
     #[test]
     fn governed_center_with_roomy_deadline_succeeds() {
-        let (out, _) =
+        let out =
             anonymize_plain(SAMPLE, 2, Algorithm::Center, None, 1, Some(60_000), None).unwrap();
         assert!(verify(&out.stdout, 2, None).is_ok());
     }
@@ -1385,7 +1088,7 @@ mod tests {
         // ~0.7 MiB plus n²-sized order tables ~1.4 MiB) cannot fit in the
         // smallest spellable cap of 1 MiB, so the governed run must fail
         // with a structured budget error — no timing involved.
-        let data = generate(600, 11, 5).unwrap().stdout;
+        let data = generate_census(600, 11, 5).unwrap().stdout;
         let err = anonymize_plain(&data, 3, Algorithm::Center, None, 1, None, Some(1)).unwrap_err();
         assert!(
             err.to_string().contains("budget exceeded") && err.to_string().contains("memory"),
@@ -1395,18 +1098,18 @@ mod tests {
 
     #[test]
     fn generate_emits_parseable_csv() {
-        let out = generate(25, 7, 4).unwrap();
+        let out = generate_census(25, 7, 4).unwrap();
         let parsed = csv::parse(&out.stdout).unwrap();
         assert_eq!(parsed.n_rows(), 25);
         assert_eq!(parsed.arity(), 8);
-        assert!(generate(1, 0, 0).is_err());
+        assert!(generate_census(1, 0, 0).is_err());
     }
 
     #[test]
     fn generated_data_anonymizes_end_to_end() {
-        let data = generate(40, 3, 3).unwrap().stdout;
+        let data = generate_census(40, 3, 3).unwrap().stdout;
         let quasi: Vec<String> = vec!["age".into(), "sex".into(), "race".into(), "zip".into()];
-        let (out, _) =
+        let out =
             anonymize_plain(&data, 3, Algorithm::Center, Some(&quasi), 2, None, None).unwrap();
         assert!(verify(&out.stdout, 3, Some(&quasi)).is_ok());
     }
@@ -1415,7 +1118,7 @@ mod tests {
     fn execute_help_and_generate() {
         let help = execute(&Command::Help).unwrap();
         assert!(help.stdout.contains("USAGE"));
-        let gen = execute(&Command::Generate {
+        let gen = execute(&Command::Generate(Generate {
             rows: 5,
             seed: 1,
             regions: 2,
@@ -1425,7 +1128,7 @@ mod tests {
             exponent: "1.0".into(),
             messy: false,
             output: None,
-        })
+        }))
         .unwrap();
         assert!(gen.stdout.starts_with("age,sex"));
     }

@@ -3,15 +3,7 @@
 //! The `kanon` command-line anonymizer: CSV in, k-anonymous CSV out, built
 //! on the Meyerson–Williams algorithms in `kanon-core`. The binary is a
 //! thin wrapper around [`run`]; all logic lives here so it is unit-testable.
-//!
-//! ```text
-//! kanon anonymize -k 3 --input people.csv [--algorithm center|exhaustive|exact]
-//!                 [--quasi age,zip,sex] [--output out.csv] [--json]
-//! kanon pipeline  -k 3 --input big.csv [--shard-size 512] [--workers 4]
-//!                 [--output out.csv] [--json]
-//! kanon verify    -k 3 --input released.csv [--quasi age,zip,sex]
-//! kanon generate  --rows 200 [--seed 7] [--regions 8] [--workload census|zipf]
-//! ```
+//! `kanon help` lists every command and flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

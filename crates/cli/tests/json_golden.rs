@@ -8,33 +8,11 @@
 
 use kanon_cli::run;
 
-/// Replaces every numeric value following `"key":` with `0` so wall-clock
-/// noise cannot fail the comparison.
-fn scrub_number(s: &str, key: &str) -> String {
-    let marker = format!("\"{key}\":");
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(i) = rest.find(&marker) {
-        let after = i + marker.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        let tail = &rest[after..];
-        let end = tail
-            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-            .unwrap_or(tail.len());
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn normalize(s: &str) -> String {
-    scrub_number(&scrub_number(s, "elapsed_ms"), "rows_per_sec")
-}
+mod common;
 
 fn assert_matches_golden(actual: &str, name: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    let actual = normalize(actual);
+    let actual = common::scrub_timing(actual);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, format!("{actual}\n")).unwrap();
         return;

@@ -2,7 +2,8 @@
 //! and CLI crates.
 
 use kanon_baselines::{agglomerative, knn_greedy, mondrian};
-use kanon_cli::{args::Algorithm, Command};
+use kanon_cli::args::{Algorithm, Anonymize, Verify};
+use kanon_cli::Command;
 use kanon_core::algo;
 use kanon_core::Budget;
 use kanon_relation::csv;
@@ -90,7 +91,7 @@ fn cli_anonymize_verify_roundtrip_through_files() {
     std::fs::write(&input, csv::to_string(&table)).unwrap();
 
     let quasi = vec!["age".to_string(), "sex".to_string(), "zip".to_string()];
-    let outcome = kanon_cli::commands::execute(&Command::Anonymize {
+    let outcome = kanon_cli::commands::execute(&Command::Anonymize(Anonymize {
         k: 3,
         input: input.to_string_lossy().into_owned(),
         output: Some(output.to_string_lossy().into_owned()),
@@ -101,15 +102,15 @@ fn cli_anonymize_verify_roundtrip_through_files() {
         deadline_ms: None,
         max_memory_mb: None,
         json: false,
-    })
+    }))
     .unwrap();
     assert!(outcome.notes.iter().any(|n| n.contains("suppressed")));
 
-    let verify = kanon_cli::commands::execute(&Command::Verify {
+    let verify = kanon_cli::commands::execute(&Command::Verify(Verify {
         k: 3,
         input: output.to_string_lossy().into_owned(),
         quasi: Some(quasi),
-    })
+    }))
     .unwrap();
     assert!(verify.stdout.contains("anonymity level"));
 

@@ -187,24 +187,25 @@ fn cli_pipeline_privacy_release_passes_independent_recheck() {
     std::fs::write(&input, kanon_relation::csv::to_string(&census)).unwrap();
 
     let k = 2;
-    let outcome = kanon_cli::commands::execute(&kanon_cli::Command::Pipeline {
-        k,
-        input: input.to_string_lossy().into_owned(),
-        output: Some(output.to_string_lossy().into_owned()),
-        shard_size: 64,
-        strategy: kanon_pipeline::ShardStrategy::HashQuasi,
-        buckets: None,
-        workers: Some(2),
-        quasi: None,
-        hierarchies: None,
-        compare: false,
-        privacy: Some("l=2".to_string()),
-        sensitive: Some("occupation".to_string()),
-        deadline_ms: None,
-        max_memory_mb: None,
-        json: false,
-    })
-    .unwrap();
+    let outcome =
+        kanon_cli::commands::execute(&kanon_cli::Command::Pipeline(kanon_cli::args::Pipeline {
+            k,
+            input: input.to_string_lossy().into_owned(),
+            output: Some(output.to_string_lossy().into_owned()),
+            shard_size: 64,
+            strategy: kanon_pipeline::ShardStrategy::HashQuasi,
+            buckets: None,
+            workers: Some(2),
+            quasi: None,
+            hierarchies: None,
+            compare: false,
+            privacy: Some("l=2".to_string()),
+            sensitive: Some("occupation".to_string()),
+            deadline_ms: None,
+            max_memory_mb: None,
+            json: false,
+        }))
+        .unwrap();
     assert!(
         outcome
             .notes
