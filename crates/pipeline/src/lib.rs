@@ -64,7 +64,7 @@ pub use error::{Error, Result};
 pub use generalize::{run_csv_auto, AutoConfig, AutoOutcome, AutoRun, Generalized};
 pub use ingest::{ingest_csv, ingest_csv_with_delimiter, run_csv, CsvRun};
 pub use privacy::run_csv_private_with_progress;
-pub use release::{attack_tables, write_generalized_release, write_release};
+pub use release::{attack_release, attack_tables, write_generalized_release, write_release};
 pub use report::{
     json_escape, GeneralizationReport, PipelineReport, PrivacyReport, ShardReport, SolvedBy,
 };

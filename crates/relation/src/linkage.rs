@@ -12,6 +12,7 @@
 //! has `k−1` twins), which experiment E17 verifies empirically.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use crate::error::Result;
 use crate::table::Table;
@@ -78,12 +79,183 @@ fn consistent(released: &str, external: &str) -> bool {
     false
 }
 
+/// A cell value the [`LinkageIndex`] keys on: a dictionary code (`u32`)
+/// or a released string (`&str`).
+pub trait CellKey: Copy + Eq + Hash {
+    /// Whether this released cell is a pattern — an interval or prefix
+    /// mask that matches by [`CellKey::consistent`] rather than by
+    /// equality. Only strings hold patterns; a bare star is not one.
+    fn is_pattern(self) -> bool {
+        false
+    }
+
+    /// Whether released cell `self` is consistent with external `value`.
+    fn consistent(self, value: Self) -> bool {
+        self == value
+    }
+}
+
+impl CellKey for u32 {}
+
+impl CellKey for &str {
+    fn is_pattern(self) -> bool {
+        self != "*" && self.contains(['*', '-'])
+    }
+
+    fn consistent(self, value: Self) -> bool {
+        consistent(self, value)
+    }
+}
+
+/// The released side of a linkage attack, indexed so an external record
+/// costs one hash lookup per distinct star mask instead of one comparison
+/// per released record.
+///
+/// Released rows without a pattern cell are grouped by star mask (the set
+/// of starred columns), then counted per projection onto the unstarred
+/// columns: such a row is consistent with an external record exactly when
+/// that projection is equal. A k-anonymous release holds few distinct
+/// masks, and never more than its starred rows plus one. Rows with a
+/// pattern cell are counted per distinct key and scanned with
+/// [`CellKey::consistent`].
+#[derive(Clone, Debug)]
+pub struct LinkageIndex<K> {
+    /// One entry per distinct star mask: its unstarred columns, and the
+    /// released rows counted per projection onto those columns.
+    masks: Vec<(Vec<usize>, Counts<K>)>,
+    /// Released keys holding a pattern cell (`None` is a star), counted.
+    patterns: Counts<Option<K>>,
+}
+
+/// Released rows counted per key.
+type Counts<T> = HashMap<Vec<T>, usize>;
+
+/// Counts one more row under `key`, allocating only for a new key.
+fn bump<T: Clone + Eq + Hash>(counts: &mut Counts<T>, key: &[T]) {
+    match counts.get_mut(key) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(key.to_vec(), 1);
+        }
+    }
+}
+
+impl<K: CellKey> LinkageIndex<K> {
+    /// Indexes released rows, each given as its cells on the attack
+    /// columns with `None` for a star.
+    pub fn new<R: IntoIterator<Item = Option<K>>>(released: impl IntoIterator<Item = R>) -> Self {
+        let mut masks: Vec<(Vec<usize>, Counts<K>)> = Vec::new();
+        let mut patterns: Counts<Option<K>> = HashMap::new();
+        let (mut cells, mut kept, mut key) = (Vec::new(), Vec::new(), Vec::new());
+        for row in released {
+            cells.clear();
+            cells.extend(row);
+            if cells.iter().flatten().any(|c| c.is_pattern()) {
+                bump(&mut patterns, &cells);
+                continue;
+            }
+            kept.clear();
+            kept.extend((0..cells.len()).filter(|&j| cells[j].is_some()));
+            key.clear();
+            key.extend(cells.iter().flatten());
+            // A linear search: the attack pays a lookup per mask for every
+            // external record anyway, so this never dominates.
+            let group = match masks.iter().position(|(m, _)| *m == kept) {
+                Some(g) => g,
+                None => {
+                    masks.push((kept.clone(), HashMap::new()));
+                    masks.len() - 1
+                }
+            };
+            bump(&mut masks[group].1, &key);
+        }
+        LinkageIndex { masks, patterns }
+    }
+
+    /// Attacks the index with external records, each given as its values
+    /// on the attack columns in the released rows' column order. Records
+    /// are folded in order, so the report is a pure function of the
+    /// per-record candidate counts.
+    pub fn attack<R: IntoIterator<Item = K>>(
+        &self,
+        external: impl IntoIterator<Item = R>,
+    ) -> LinkageReport {
+        let mut values: Vec<K> = Vec::new();
+        let mut projection: Vec<K> = Vec::new();
+        fold(external.into_iter().map(|row| {
+            values.clear();
+            values.extend(row);
+            let mut candidates = 0;
+            for (kept, counts) in &self.masks {
+                projection.clear();
+                projection.extend(kept.iter().map(|&j| values[j]));
+                candidates += counts.get(projection.as_slice()).copied().unwrap_or(0);
+            }
+            for (key, &count) in &self.patterns {
+                let all_ok = key
+                    .iter()
+                    .zip(&values)
+                    .all(|(r, &v)| r.is_none_or(|r| r.consistent(v)));
+                if all_ok {
+                    candidates += count;
+                }
+            }
+            candidates
+        }))
+    }
+}
+
+/// Folds per-record candidate counts, in record order, into a report.
+fn fold(candidates: impl Iterator<Item = usize>) -> LinkageReport {
+    let mut attacked = 0usize;
+    let mut unique = 0usize;
+    let mut none = 0usize;
+    let mut total_candidates = 0usize;
+    let mut matched_records = 0usize;
+    let mut min_candidates = usize::MAX;
+    let mut success_mass = 0.0f64;
+    for c in candidates {
+        attacked += 1;
+        if c == 0 {
+            none += 1;
+            continue;
+        }
+        if c == 1 {
+            unique += 1;
+        }
+        matched_records += 1;
+        total_candidates += c;
+        min_candidates = min_candidates.min(c);
+        success_mass += 1.0 / c as f64;
+    }
+    LinkageReport {
+        attacked,
+        unique_matches: unique,
+        no_match: none,
+        mean_candidates: if matched_records == 0 {
+            0.0
+        } else {
+            total_candidates as f64 / matched_records as f64
+        },
+        min_candidates: if min_candidates == usize::MAX {
+            0
+        } else {
+            min_candidates
+        },
+        expected_success: if attacked == 0 {
+            0.0
+        } else {
+            success_mass / attacked as f64
+        },
+    }
+}
+
 /// Runs the linkage attack.
 ///
 /// `pairs` maps attack columns: `(external column name, released column
 /// name)`. Every external record is matched against every released record
 /// on those columns (stars and generalized values in the release match
-/// permissively).
+/// permissively), through a [`LinkageIndex`] of the released records.
 ///
 /// # Errors
 /// [`crate::Error::UnknownAttribute`] if a named column is missing.
@@ -100,78 +272,16 @@ pub fn linkage_attack(
         .iter()
         .map(|(_, r)| released.schema().index_of(r))
         .collect::<Result<_>>()?;
-
-    // Exact-release fast path: group fully-specified released keys.
-    let mut exact_groups: HashMap<Vec<&str>, usize> = HashMap::new();
-    let mut fuzzy_rows: Vec<usize> = Vec::new();
-    for i in 0..released.n_rows() {
+    let index = LinkageIndex::new((0..released.n_rows()).map(|i| {
         let row = released.row(i);
-        let key: Vec<&str> = rel_cols.iter().map(|&j| row[j].as_str()).collect();
-        if key.iter().any(|v| v.contains('*') || v.contains('-')) {
-            fuzzy_rows.push(i);
-        } else {
-            *exact_groups.entry(key).or_insert(0) += 1;
-        }
-    }
-
-    let mut unique = 0usize;
-    let mut none = 0usize;
-    let mut total_candidates = 0usize;
-    let mut matched_records = 0usize;
-    let mut min_candidates = usize::MAX;
-    let mut success_mass = 0.0f64;
-    for e in 0..external.n_rows() {
-        let ext_row = external.row(e);
-        let ext_key: Vec<&str> = ext_cols.iter().map(|&j| ext_row[j].as_str()).collect();
-        let mut candidates = exact_groups.get(&ext_key).copied().unwrap_or(0);
-        for &i in &fuzzy_rows {
-            let rel_row = released.row(i);
-            let all_ok = rel_cols
-                .iter()
-                .zip(&ext_key)
-                .all(|(&j, ev)| consistent(&rel_row[j], ev));
-            if all_ok {
-                candidates += 1;
-            }
-        }
-        match candidates {
-            0 => none += 1,
-            1 => {
-                unique += 1;
-                matched_records += 1;
-                total_candidates += 1;
-                min_candidates = min_candidates.min(1);
-                success_mass += 1.0;
-            }
-            c => {
-                matched_records += 1;
-                total_candidates += c;
-                min_candidates = min_candidates.min(c);
-                success_mass += 1.0 / c as f64;
-            }
-        }
-    }
-
-    Ok(LinkageReport {
-        attacked: external.n_rows(),
-        unique_matches: unique,
-        no_match: none,
-        mean_candidates: if matched_records == 0 {
-            0.0
-        } else {
-            total_candidates as f64 / matched_records as f64
-        },
-        min_candidates: if min_candidates == usize::MAX {
-            0
-        } else {
-            min_candidates
-        },
-        expected_success: if external.n_rows() == 0 {
-            0.0
-        } else {
-            success_mass / external.n_rows() as f64
-        },
-    })
+        rel_cols
+            .iter()
+            .map(move |&j| Some(row[j].as_str()).filter(|&v| v != "*"))
+    }));
+    Ok(index.attack((0..external.n_rows()).map(|e| {
+        let row = external.row(e);
+        ext_cols.iter().map(move |&j| row[j].as_str())
+    })))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 
 use std::io::{BufReader, Read};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -27,7 +28,6 @@ use kanon_pipeline::json::JsonObject;
 use kanon_pipeline::{run_csv_private_with_progress, CsvRun};
 use kanon_pipeline::{PipelineConfig, Progress};
 use kanon_privacy::PrivacyModel;
-use kanon_relation::linkage_attack;
 
 use crate::config::ServiceConfig;
 use crate::error::Result;
@@ -424,23 +424,41 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
         Progress::UnitSolved { done, units, .. } => state.jobs.set_progress(id, done, units),
         Progress::Merging => {}
     };
-    let outcome = match source {
-        JobSource::Inline(bytes) => run_source(bytes.as_slice(), &params, &config, &on_progress),
-        JobSource::Path(path) => match std::fs::File::open(&path) {
-            Ok(file) => run_source(
-                BufReader::new(LimitedRead {
-                    inner: file,
-                    left: state.config.max_body_bytes,
-                }),
-                &params,
-                &config,
-                &on_progress,
-            ),
-            Err(e) => Err(kanon_pipeline::Error::Relation(kanon_relation::Error::Io(
-                e.to_string(),
-            ))),
-        },
-    };
+    // A panic in the solve fails this job and spares its worker, which
+    // goes back to the queue: the solve holds no service lock while its
+    // own code runs, so nothing is left poisoned.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        tests::inject_panic(&params, tests::PANIC_IN_SOLVE);
+        match source {
+            JobSource::Inline(bytes) => {
+                run_source(bytes.as_slice(), &params, &config, &on_progress)
+            }
+            JobSource::Path(path) => match std::fs::File::open(&path) {
+                Ok(file) => run_source(
+                    BufReader::new(LimitedRead {
+                        inner: file,
+                        left: state.config.max_body_bytes,
+                    }),
+                    &params,
+                    &config,
+                    &on_progress,
+                ),
+                Err(e) => Err(kanon_pipeline::Error::Relation(kanon_relation::Error::Io(
+                    e.to_string(),
+                ))),
+            },
+        }
+    }))
+    .map_err(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| (*m).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        format!("job panicked: {message}")
+    })
+    .and_then(|solved| solved.map_err(|e| e.to_string()));
     // Return the job's memory to the pool before its outcome is published,
     // so a client that resubmits as soon as it sees `completed` or `failed`
     // finds the reservation free again.
@@ -449,15 +467,23 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
         Ok(run) => {
             let k_anonymous = run.anonymization.table.is_k_anonymous(params.k);
             let privacy_verified = run.report.privacy.as_ref().map(|p| p.verified);
-            let attack = measure_attack(&run);
+            // The measurement is advisory: a panic in it leaves `attack`
+            // absent and the job completed.
+            let attack = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                tests::inject_panic(&params, tests::PANIC_IN_ATTACK);
+                measure_attack(&run)
+            }))
+            .ok()
+            .flatten();
             state.metrics.record_completed(&run.report);
             state
                 .jobs
                 .complete(id, run.report, k_anonymous, privacy_verified, attack);
         }
-        Err(e) => {
+        Err(error) => {
             state.metrics.record_failed();
-            state.jobs.fail(id, e.to_string());
+            state.jobs.fail(id, error);
         }
     }
 }
@@ -501,14 +527,7 @@ const ATTACK_SAMPLE_CAP: usize = 20_000;
 /// replay fails in any way — the measurement is advisory and must never
 /// turn a completed job into a failed one.
 fn measure_attack(run: &CsvRun) -> Option<AttackSummary> {
-    let (released, external) = kanon_pipeline::attack_tables(run, ATTACK_SAMPLE_CAP).ok()?;
-    let names: Vec<&str> = run
-        .quasi
-        .iter()
-        .map(|&j| run.codec.header()[j].as_str())
-        .collect();
-    let pairs: Vec<(&str, &str)> = names.iter().map(|&n| (n, n)).collect();
-    let report = linkage_attack(&released, &external, &pairs).ok()?;
+    let report = kanon_pipeline::attack_release(run, ATTACK_SAMPLE_CAP).ok()?;
     Some(AttackSummary {
         attacked: report.attacked,
         unique_matches: report.unique_matches,
@@ -541,5 +560,79 @@ impl<R: Read> Read for LimitedRead<R> {
         let n = self.inner.read(&mut buf[..cap])?;
         self.left -= n;
         Ok(n)
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod http_client;
+
+#[cfg(test)]
+mod tests {
+    use super::http_client::{await_job, extract_number, http};
+    use super::*;
+    use crate::config::ServiceConfig;
+
+    /// A job whose quasi-identifier names this column panics in its solve.
+    pub(super) const PANIC_IN_SOLVE: &str = "panic_in_solve";
+    /// A job whose quasi-identifier names this column panics in its attack
+    /// measurement, after a successful solve.
+    pub(super) const PANIC_IN_ATTACK: &str = "panic_in_attack";
+
+    /// The fault injection point `run_job` calls before each stage. It
+    /// exists in test builds only; no request can reach it otherwise.
+    pub(super) fn inject_panic(params: &SubmitParams, stage: &str) {
+        if params.quasi.iter().flatten().any(|c| c == stage) {
+            panic!("injected panic in {stage}");
+        }
+    }
+
+    /// Submits a job and polls it to a terminal state; returns its JSON.
+    fn run(addr: SocketAddr, query: &str, csv: &str) -> String {
+        let target = format!("/v1/anonymize?{query}");
+        let (status, _, body) = http(addr, "POST", &target, csv.as_bytes());
+        assert_eq!(status, 202, "{body}");
+        await_job(addr, extract_number(&body, "\"id\":").expect("job id"))
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_serves_the_next() {
+        let server = Server::start(ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        let addr = server.addr();
+        let csv = "panic_in_solve,panic_in_attack,zip\n1,a,90210\n1,a,90210\n\
+                   2,b,90211\n2,b,90211\n";
+
+        let failed = run(addr, "k=2&quasi=panic_in_solve", csv);
+        assert!(failed.contains("\"state\":\"failed\""), "{failed}");
+        assert!(
+            failed.contains("\"error\":\"job panicked: injected panic in panic_in_solve\""),
+            "{failed}"
+        );
+
+        // The one worker survived: it completes the next job, and a panic
+        // in the advisory attack only drops the measurement.
+        let unmeasured = run(addr, "k=2&quasi=panic_in_attack,zip", csv);
+        assert!(
+            unmeasured.contains("\"state\":\"completed\""),
+            "{unmeasured}"
+        );
+        assert!(!unmeasured.contains("\"attack\""), "{unmeasured}");
+        let measured = run(addr, "k=2&quasi=zip", csv);
+        assert!(measured.contains("\"state\":\"completed\""), "{measured}");
+        assert!(
+            measured.contains("\"attack\":{\"attacked\":4"),
+            "{measured}"
+        );
+
+        let (_, _, page) = http(addr, "GET", "/metrics", &[]);
+        let counter = |name: &str| extract_number(&page, &format!("\n{name} "));
+        assert_eq!(counter("kanon_jobs_accepted_total"), Some(3));
+        assert_eq!(counter("kanon_jobs_completed_total"), Some(2));
+        assert_eq!(counter("kanon_jobs_failed_total"), Some(1));
     }
 }
