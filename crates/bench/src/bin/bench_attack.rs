@@ -5,7 +5,7 @@
 //! quasi-identifying) is anonymized under a ladder of settings — k
 //! tightening with no model, then l-diversity and t-closeness tightening
 //! at fixed k — and every release is attacked with
-//! [`kanon_relation::linkage_attack`], using the table's own rows as the
+//! [`kanon_pipeline::attack_release`], using the table's own rows as the
 //! external side. Each run reports:
 //!
 //! - **expected_success**: the probability a uniformly-guessing attacker
@@ -27,9 +27,8 @@
 
 use std::time::Instant;
 
-use kanon_pipeline::{attack_tables, run_csv_private_with_progress, PipelineConfig};
+use kanon_pipeline::{attack_release, run_csv_private_with_progress, PipelineConfig};
 use kanon_privacy::PrivacyModel;
-use kanon_relation::linkage_attack;
 use kanon_workloads::{write_zipf_csv, ZipfParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,10 +177,7 @@ fn main() {
             rung.label,
             rung.k
         );
-        let (released, external) = attack_tables(&run, usize::MAX).expect("attack tables");
-        let names: Vec<String> = (0..n_quasi).map(|j| format!("c{j}")).collect();
-        let pairs: Vec<(&str, &str)> = names.iter().map(|n| (n.as_str(), n.as_str())).collect();
-        let report = linkage_attack(&released, &external, &pairs).expect("attack runs");
+        let report = attack_release(&run, usize::MAX).expect("attack runs");
         // Suppression rate over the quasi projection: cells starred out of
         // cells released, the unified [0, 1] utility axis.
         let information_loss = run.anonymization.cost as f64 / (rows * n_quasi) as f64;

@@ -19,9 +19,8 @@
 //! `BENCH_attack.json`.
 
 use crate::Ctx;
-use kanon_pipeline::{attack_tables, run_csv_private_with_progress, PipelineConfig};
+use kanon_pipeline::{attack_release, run_csv_private_with_progress, PipelineConfig};
 use kanon_privacy::PrivacyModel;
-use kanon_relation::linkage_attack;
 use kanon_workloads::{write_zipf_csv, ZipfParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,8 +68,6 @@ pub fn run(ctx: &Ctx) -> String {
     let mut csv = Vec::new();
     write_zipf_csv(&mut rng, &params, &mut csv).expect("in-memory write");
     let n_quasi = params.m - 1;
-    let names: Vec<String> = (0..n_quasi).map(|j| format!("c{j}")).collect();
-    let pairs: Vec<(&str, &str)> = names.iter().map(|n| (n.as_str(), n.as_str())).collect();
 
     let mut out = String::new();
     out.push_str("E23  linkage attack vs privacy setting (zipf, c4 sensitive)\n\n");
@@ -97,8 +94,7 @@ pub fn run(ctx: &Ctx) -> String {
         )
         .expect("sweep rung completes");
         assert!(run.anonymization.table.is_k_anonymous(k), "{label}");
-        let (released, external) = attack_tables(&run, usize::MAX).expect("attack tables");
-        let report = linkage_attack(&released, &external, &pairs).expect("attack runs");
+        let report = attack_release(&run, usize::MAX).expect("attack runs");
         let loss = run.anonymization.cost as f64 / (rows * n_quasi) as f64;
         let (merges, verified) = match run.report.privacy.as_deref() {
             Some(p) => (p.merges, if p.verified { "yes" } else { "NO" }),

@@ -24,13 +24,12 @@ fn main() -> ExitCode {
 }
 
 /// Writes the command's stdout, then its notes one per line on stderr.
+/// The notes go out even when stdout failed (its reader may be gone while
+/// stderr is still a terminal); the first error is returned.
 fn emit(stdout: &str, notes: &[String]) -> io::Result<()> {
     let mut out = io::stdout().lock();
-    out.write_all(stdout.as_bytes())?;
-    out.flush()?;
+    let printed = out.write_all(stdout.as_bytes()).and_then(|()| out.flush());
     let mut err = io::stderr().lock();
-    for note in notes {
-        writeln!(err, "{note}")?;
-    }
-    Ok(())
+    let noted = notes.iter().try_for_each(|note| writeln!(err, "{note}"));
+    printed.and(noted)
 }

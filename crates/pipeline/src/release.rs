@@ -12,7 +12,7 @@ use std::io;
 
 use kanon_core::{Dataset, Suppressor};
 use kanon_relation::csv;
-use kanon_relation::{linkage_attack, Codec, LinkageIndex, LinkageReport, Schema, Table};
+use kanon_relation::{Codec, LinkageIndex, LinkageReport, Schema, Table};
 
 use crate::ingest::CsvRun;
 
@@ -161,15 +161,11 @@ pub fn attack_tables(run: &CsvRun, cap: usize) -> kanon_relation::Result<(Table,
     Ok((released, external))
 }
 
-/// Runs the linkage attack of [`attack_tables`] on the run's codes: the
+/// Runs the linkage attack of [`attack_tables`] straight off the run: the
 /// same rows, the same join on every quasi-identifier column, and the same
 /// [`LinkageReport`] as [`kanon_relation::linkage_attack`] on those
-/// tables, without rendering a single string.
-///
-/// Codes stand in for strings only while every released cell is a plain
-/// value or a star. When a quasi-identifier dictionary holds a value
-/// containing `*` or `-`, the string attack reads that value as a prefix
-/// mask or an interval, so this falls back to the two tables.
+/// tables, with every cell borrowed from the codec's dictionary instead of
+/// copied into a [`Table`].
 ///
 /// # Errors
 /// As [`attack_tables`].
@@ -177,32 +173,26 @@ pub fn attack_tables(run: &CsvRun, cap: usize) -> kanon_relation::Result<(Table,
 /// # Panics
 /// As [`attack_tables`].
 pub fn attack_release(run: &CsvRun, cap: usize) -> kanon_relation::Result<LinkageReport> {
-    let names: Vec<&str> = run
-        .quasi
-        .iter()
-        .map(|&j| run.codec.header()[j].as_str())
-        .collect();
     // The header check the tables make.
-    Schema::new(names.clone())?;
-    let mut values = run.quasi.iter().flat_map(|&j| run.codec.column_values(j));
-    if values.any(|v| v.contains(['*', '-'])) {
-        let (released, external) = attack_tables(run, cap)?;
-        let pairs: Vec<(&str, &str)> = names.iter().map(|&n| (n, n)).collect();
-        return linkage_attack(&released, &external, &pairs);
-    }
-    let rows = run.dataset.n_rows().min(cap);
-    let suppressor = &run.anonymization.suppressor;
-    let index = LinkageIndex::new((0..rows).map(|i| {
-        let row = run.dataset.row(i);
+    Schema::new(
         run.quasi
             .iter()
-            .enumerate()
-            .map(move |(pos, &j)| Some(row[j]).filter(|_| !suppressor.is_suppressed(i, pos)))
+            .map(|&j| run.codec.header()[j].as_str())
+            .collect(),
+    )?;
+    let rows = run.dataset.n_rows().min(cap);
+    let suppressor = &run.anonymization.suppressor;
+    let value = |i: usize, j: usize| {
+        run.codec
+            .value(j, run.dataset.row(i)[j])
+            .expect("codes come from this codec")
+    };
+    let index = LinkageIndex::new((0..rows).map(|i| {
+        run.quasi.iter().enumerate().map(move |(pos, &j)| {
+            Some(value(i, j)).filter(|&v| v != "*" && !suppressor.is_suppressed(i, pos))
+        })
     }));
-    Ok(index.attack((0..rows).map(|i| {
-        let row = run.dataset.row(i);
-        run.quasi.iter().map(move |&j| row[j])
-    })))
+    Ok(index.attack((0..rows).map(|i| run.quasi.iter().map(move |&j| value(i, j)))))
 }
 
 #[cfg(test)]
@@ -283,7 +273,7 @@ mod tests {
                 .unwrap();
         assert_eq!(report.unique_matches, 0);
         assert!(report.expected_success <= 1.0 / 3.0 + 1e-12);
-        // The codes path reports the same attack.
+        // The borrowed attack reports the same.
         assert_eq!(attack_release(&run, usize::MAX).unwrap(), report);
         // The cap truncates the sample.
         let (capped, _) = attack_tables(&run, 2).unwrap();

@@ -45,6 +45,6 @@ pub use encode::Codec;
 pub use error::{Error, Result};
 pub use hierarchy::Hierarchy;
 pub use lattice::{GeneralizationLattice, LatticeNode};
-pub use linkage::{linkage_attack, CellKey, LinkageIndex, LinkageReport};
+pub use linkage::{linkage_attack, LinkageIndex, LinkageReport};
 pub use schema::Schema;
 pub use table::Table;

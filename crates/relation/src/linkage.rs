@@ -79,32 +79,11 @@ fn consistent(released: &str, external: &str) -> bool {
     false
 }
 
-/// A cell value the [`LinkageIndex`] keys on: a dictionary code (`u32`)
-/// or a released string (`&str`).
-pub trait CellKey: Copy + Eq + Hash {
-    /// Whether this released cell is a pattern — an interval or prefix
-    /// mask that matches by [`CellKey::consistent`] rather than by
-    /// equality. Only strings hold patterns; a bare star is not one.
-    fn is_pattern(self) -> bool {
-        false
-    }
-
-    /// Whether released cell `self` is consistent with external `value`.
-    fn consistent(self, value: Self) -> bool {
-        self == value
-    }
-}
-
-impl CellKey for u32 {}
-
-impl CellKey for &str {
-    fn is_pattern(self) -> bool {
-        self != "*" && self.contains(['*', '-'])
-    }
-
-    fn consistent(self, value: Self) -> bool {
-        consistent(self, value)
-    }
+/// Whether a released cell is a pattern: an interval or prefix mask that
+/// matches by [`consistent`] rather than by equality. A bare star is not
+/// one.
+fn is_pattern(released: &str) -> bool {
+    released != "*" && released.contains(['*', '-'])
 }
 
 /// The released side of a linkage attack, indexed so an external record
@@ -116,15 +95,15 @@ impl CellKey for &str {
 /// columns: such a row is consistent with an external record exactly when
 /// that projection is equal. A k-anonymous release holds few distinct
 /// masks, and never more than its starred rows plus one. Rows with a
-/// pattern cell are counted per distinct key and scanned with
-/// [`CellKey::consistent`].
+/// pattern cell are counted per distinct key and scanned with the
+/// consistency rules of [`linkage_attack`].
 #[derive(Clone, Debug)]
-pub struct LinkageIndex<K> {
+pub struct LinkageIndex<'a> {
     /// One entry per distinct star mask: its unstarred columns, and the
     /// released rows counted per projection onto those columns.
-    masks: Vec<(Vec<usize>, Counts<K>)>,
+    masks: Vec<(Vec<usize>, Counts<&'a str>)>,
     /// Released keys holding a pattern cell (`None` is a star), counted.
-    patterns: Counts<Option<K>>,
+    patterns: Counts<Option<&'a str>>,
 }
 
 /// Released rows counted per key.
@@ -140,17 +119,19 @@ fn bump<T: Clone + Eq + Hash>(counts: &mut Counts<T>, key: &[T]) {
     }
 }
 
-impl<K: CellKey> LinkageIndex<K> {
+impl<'a> LinkageIndex<'a> {
     /// Indexes released rows, each given as its cells on the attack
     /// columns with `None` for a star.
-    pub fn new<R: IntoIterator<Item = Option<K>>>(released: impl IntoIterator<Item = R>) -> Self {
-        let mut masks: Vec<(Vec<usize>, Counts<K>)> = Vec::new();
-        let mut patterns: Counts<Option<K>> = HashMap::new();
+    pub fn new<R: IntoIterator<Item = Option<&'a str>>>(
+        released: impl IntoIterator<Item = R>,
+    ) -> Self {
+        let mut masks: Vec<(Vec<usize>, Counts<&'a str>)> = Vec::new();
+        let mut patterns: Counts<Option<&'a str>> = HashMap::new();
         let (mut cells, mut kept, mut key) = (Vec::new(), Vec::new(), Vec::new());
         for row in released {
             cells.clear();
             cells.extend(row);
-            if cells.iter().flatten().any(|c| c.is_pattern()) {
+            if cells.iter().flatten().any(|c| is_pattern(c)) {
                 bump(&mut patterns, &cells);
                 continue;
             }
@@ -176,12 +157,12 @@ impl<K: CellKey> LinkageIndex<K> {
     /// on the attack columns in the released rows' column order. Records
     /// are folded in order, so the report is a pure function of the
     /// per-record candidate counts.
-    pub fn attack<R: IntoIterator<Item = K>>(
+    pub fn attack<R: IntoIterator<Item = &'a str>>(
         &self,
         external: impl IntoIterator<Item = R>,
     ) -> LinkageReport {
-        let mut values: Vec<K> = Vec::new();
-        let mut projection: Vec<K> = Vec::new();
+        let mut values: Vec<&str> = Vec::new();
+        let mut projection: Vec<&str> = Vec::new();
         fold(external.into_iter().map(|row| {
             values.clear();
             values.extend(row);
@@ -195,7 +176,7 @@ impl<K: CellKey> LinkageIndex<K> {
                 let all_ok = key
                     .iter()
                     .zip(&values)
-                    .all(|(r, &v)| r.is_none_or(|r| r.consistent(v)));
+                    .all(|(r, v)| r.is_none_or(|r| consistent(r, v)));
                 if all_ok {
                     candidates += count;
                 }

@@ -2,12 +2,12 @@
 //!
 //! `oracle` is the attack as first written: every external record is
 //! compared with every released record that holds a `*` or `-` cell. The
-//! indexed [`linkage_attack`] over strings and [`attack_release`] over
-//! codes must give the same [`LinkageReport`] on every release, down to
-//! the bits of `expected_success`: suppression releases from the hash and
-//! sorted plans under plain k and `l=2`, generalized releases with interval
-//! and prefix cells, and tables whose raw values themselves contain `*` or
-//! `-` (where the codes path falls back to strings).
+//! indexed [`linkage_attack`] over tables and [`attack_release`] over the
+//! codec's dictionary must give the same [`LinkageReport`] on every
+//! release, down to the bits of `expected_success`: suppression releases
+//! from the hash and sorted plans under plain k and `l=2`, generalized
+//! releases with interval and prefix cells, and tables whose raw values
+//! themselves contain `*` or `-` (which both attacks read as patterns).
 
 use std::collections::HashMap;
 
@@ -222,7 +222,7 @@ proptest! {
     }
 
     /// Raw values that read as patterns (`*`, `a*`, `1-3`, `x-y`): the
-    /// codes path must fall back to strings and still agree.
+    /// attack off the dictionary must read them as the tables' attack does.
     #[test]
     fn pattern_like_raw_values_match_the_oracle(
         seed in 0u64..10_000,
