@@ -15,7 +15,7 @@ use crate::greedy::{
 };
 use crate::partition::Partition;
 use crate::rounding::suppressor_for_partition;
-use crate::suppression::{verify_k_anonymity, AnonymizedTable, Suppressor};
+use crate::suppression::{verified_cost, AnonymizedTable, Suppressor};
 
 /// Which solver produced an anonymization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +76,24 @@ pub fn anonymization_from_partition(
     k: usize,
     algorithm: Algorithm,
 ) -> Result<Anonymization> {
-    let suppressor = suppressor_for_partition(ds, &partition)?;
-    let (table, cost) = verify_k_anonymity(ds, &suppressor, k)?;
+    anonymization_of_codes(ds.clone(), partition, k, algorithm)
+}
+
+/// As [`anonymization_from_partition`], taking the codes by value: the
+/// released table keeps them, so a caller that built them for the release
+/// copies nothing.
+///
+/// # Errors
+/// As [`anonymization_from_partition`].
+pub fn anonymization_of_codes(
+    codes: Dataset,
+    partition: Partition,
+    k: usize,
+    algorithm: Algorithm,
+) -> Result<Anonymization> {
+    let suppressor = suppressor_for_partition(&codes, &partition)?;
+    let table = AnonymizedTable::new(codes, suppressor.clone())?;
+    let cost = verified_cost(&table, k)?;
     Ok(Anonymization {
         partition,
         suppressor,

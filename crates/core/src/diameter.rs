@@ -71,18 +71,9 @@ pub fn non_constant_columns(ds: &Dataset, rows: &[usize]) -> BitSet {
     cols
 }
 
-/// Number of non-constant columns on `rows`.
-#[must_use]
-pub fn non_constant_count(ds: &Dataset, rows: &[usize]) -> usize {
-    // Cheaper than materializing the BitSet when only the count is needed:
-    // track agreement against the first row, but a column can disagree with
-    // the first row in several members, so we still need per-column state.
-    non_constant_columns(ds, rows).count()
-}
-
 /// `ANON(S)`: entries that must be starred so all of `rows` become identical.
 ///
-/// Equals `|S| · non_constant_count(S)`.
+/// Equals `|S|` times the number of [`non_constant_columns`].
 ///
 /// ```
 /// use kanon_core::{Dataset, diameter::{anon_cost, diameter}};
@@ -100,7 +91,7 @@ pub fn anon_cost(ds: &Dataset, rows: &[usize]) -> usize {
     if rows.is_empty() {
         return 0;
     }
-    rows.len() * non_constant_count(ds, rows)
+    rows.len() * non_constant_columns(ds, rows).count()
 }
 
 /// Incremental tracker for a growing group's non-constant column set.

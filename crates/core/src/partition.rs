@@ -101,6 +101,12 @@ impl Partition {
         &self.blocks
     }
 
+    /// Consumes the partition, returning its blocks.
+    #[must_use]
+    pub fn into_blocks(self) -> Vec<Vec<u32>> {
+        self.blocks
+    }
+
     /// Number of blocks.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
@@ -189,16 +195,13 @@ impl Partition {
         let mut blocks: Vec<Vec<u32>> = Vec::new();
         let mut offset: usize = 0;
         for part in parts {
-            for block in part.blocks {
-                let shifted = block
-                    .into_iter()
-                    .map(|r| {
-                        u32::try_from(offset + r as usize).map_err(|_| Error::Overflow {
-                            what: "row index offset in Partition::concat_disjoint",
-                        })
-                    })
-                    .collect::<Result<Vec<u32>>>()?;
-                blocks.push(shifted);
+            for mut block in part.blocks {
+                for r in &mut block {
+                    *r = u32::try_from(offset + *r as usize).map_err(|_| Error::Overflow {
+                        what: "row index offset in Partition::concat_disjoint",
+                    })?;
+                }
+                blocks.push(block);
             }
             offset += part.n;
         }

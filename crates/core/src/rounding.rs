@@ -7,7 +7,6 @@
 //! construction and its cost is `Σ_S ANON(S)`.
 
 use crate::dataset::Dataset;
-use crate::diameter::non_constant_columns;
 use crate::error::Result;
 use crate::partition::Partition;
 use crate::suppression::Suppressor;
@@ -19,14 +18,14 @@ use crate::suppression::Suppressor;
 /// Propagates mask-shape errors (cannot occur for a valid partition over
 /// `ds`).
 pub fn suppressor_for_partition(ds: &Dataset, partition: &Partition) -> Result<Suppressor> {
-    let m = ds.n_cols();
-    let mut s = Suppressor::identity(ds.n_rows(), m);
+    let mut s = Suppressor::identity(ds.n_rows(), ds.n_cols());
     for block in partition.blocks() {
-        let rows: Vec<usize> = block.iter().map(|&r| r as usize).collect();
-        let cols = non_constant_columns(ds, &rows);
-        for &r in &rows {
-            for j in cols.iter() {
-                s.suppress(r, j);
+        let first = block.first().map_or(&[][..], |&r| ds.row(r as usize));
+        for (j, &v) in first.iter().enumerate() {
+            if block.iter().any(|&r| ds.get(r as usize, j) != v) {
+                for &r in block {
+                    s.suppress(r as usize, j);
+                }
             }
         }
     }

@@ -1,16 +1,17 @@
 //! Suppressors and anonymized tables (Definitions 2.1 and 2.2).
 //!
 //! A *suppressor* `t` maps each record to itself with some coordinates
-//! replaced by `*`. Here it is represented positionally: one column
-//! [`BitSet`] per row, bit `j` set meaning entry `(row, j)` is starred.
-//! Applying a suppressor yields an [`AnonymizedTable`], on which the
-//! k-anonymity predicate of Definition 2.2 can be checked: every suppressed
-//! record must coincide, entry for entry (stars included), with at least
-//! `k − 1` other suppressed records.
+//! replaced by `*`. Here it is represented positionally: one row-major
+//! bitmap over the `n × m` table, bit `i·m + j` set meaning entry `(i, j)`
+//! is starred. Applying a suppressor yields an [`AnonymizedTable`] — the
+//! codes plus that bitmap — on which the k-anonymity predicate of
+//! Definition 2.2 can be checked: every suppressed record must coincide,
+//! entry for entry (stars included), with at least `k − 1` other
+//! suppressed records.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{Hash, Hasher};
 
-use crate::bitset::BitSet;
 use crate::dataset::{Dataset, Value};
 use crate::error::{Error, Result};
 
@@ -28,7 +29,10 @@ use crate::error::{Error, Result};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Suppressor {
-    masks: Vec<BitSet>,
+    /// Row-major star bits, 64 to a word; bits past `n·m` stay clear.
+    bits: Vec<u64>,
+    /// Rows, kept explicitly so an `n × 0` suppressor still counts them.
+    n: usize,
     m: usize,
 }
 
@@ -37,7 +41,8 @@ impl Suppressor {
     #[must_use]
     pub fn identity(n: usize, m: usize) -> Self {
         Suppressor {
-            masks: vec![BitSet::new(m); n],
+            bits: vec![0; (n * m).div_ceil(64)],
+            n,
             m,
         }
     }
@@ -45,7 +50,7 @@ impl Suppressor {
     /// Number of rows covered.
     #[must_use]
     pub fn n_rows(&self) -> usize {
-        self.masks.len()
+        self.n
     }
 
     /// Stars cell `(row, col)`.
@@ -53,20 +58,33 @@ impl Suppressor {
     /// # Panics
     /// Panics if out of bounds.
     pub fn suppress(&mut self, row: usize, col: usize) {
-        self.masks[row].insert(col);
+        assert!(
+            row < self.n && col < self.m,
+            "cell ({row}, {col}) out of bounds for {}x{}",
+            self.n,
+            self.m
+        );
+        let bit = row * self.m + col;
+        self.bits[bit / 64] |= 1 << (bit % 64);
     }
 
-    /// Whether cell `(row, col)` is starred.
+    /// Whether cell `(row, col)` is starred; `false` for a column past the
+    /// table's width.
+    ///
+    /// # Panics
+    /// Panics if `row >= n_rows()`.
     #[must_use]
     pub fn is_suppressed(&self, row: usize, col: usize) -> bool {
-        self.masks[row].contains(col)
+        assert!(row < self.n, "row {row} out of bounds for n = {}", self.n);
+        let bit = row * self.m + col;
+        col < self.m && self.bits[bit / 64] >> (bit % 64) & 1 == 1
     }
 
     /// Total number of starred cells — the objective value the paper
     /// minimizes.
     #[must_use]
     pub fn cost(&self) -> usize {
-        self.masks.iter().map(BitSet::count).sum()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Serializes the suppressor as a mask grid: one line per row, `1` for
@@ -85,11 +103,9 @@ impl Suppressor {
     /// ```
     #[must_use]
     pub fn to_mask_string(&self) -> String {
-        let mut out = String::with_capacity(self.masks.len() * (self.m + 1));
-        for mask in &self.masks {
-            for j in 0..self.m {
-                out.push(if mask.contains(j) { '1' } else { '0' });
-            }
+        let mut out = String::with_capacity(self.n * (self.m + 1));
+        for i in 0..self.n {
+            out.extend((0..self.m).map(|j| if self.is_suppressed(i, j) { '1' } else { '0' }));
             out.push('\n');
         }
         out
@@ -103,7 +119,7 @@ impl Suppressor {
     pub fn from_mask_string(text: &str) -> Result<Self> {
         let lines: Vec<&str> = text.lines().collect();
         let m = lines.first().map_or(0, |l| l.chars().count());
-        let mut masks = Vec::with_capacity(lines.len());
+        let mut s = Suppressor::identity(lines.len(), m);
         for (i, line) in lines.iter().enumerate() {
             if line.chars().count() != m {
                 return Err(Error::InvalidPartition(format!(
@@ -111,12 +127,9 @@ impl Suppressor {
                     line.chars().count()
                 )));
             }
-            let mut mask = BitSet::new(m);
             for (j, ch) in line.chars().enumerate() {
                 match ch {
-                    '1' => {
-                        mask.insert(j);
-                    }
+                    '1' => s.suppress(i, j),
                     '0' => {}
                     other => {
                         return Err(Error::InvalidPartition(format!(
@@ -125,9 +138,8 @@ impl Suppressor {
                     }
                 }
             }
-            masks.push(mask);
         }
-        Ok(Suppressor { masks, m })
+        Ok(s)
     }
 
     /// Applies the suppressor to a dataset, producing the released table.
@@ -135,33 +147,7 @@ impl Suppressor {
     /// # Errors
     /// Returns [`Error::InvalidPartition`] on a shape mismatch.
     pub fn apply(&self, ds: &Dataset) -> Result<AnonymizedTable> {
-        if ds.n_rows() != self.masks.len() || ds.n_cols() != self.m {
-            return Err(Error::InvalidPartition(format!(
-                "suppressor shaped {}x{} applied to dataset {}x{}",
-                self.masks.len(),
-                self.m,
-                ds.n_rows(),
-                ds.n_cols()
-            )));
-        }
-        let cells = ds
-            .rows()
-            .zip(&self.masks)
-            .flat_map(|(row, mask)| {
-                row.iter().enumerate().map(move |(j, &v)| {
-                    if mask.contains(j) {
-                        Cell::Star
-                    } else {
-                        Cell::Value(v)
-                    }
-                })
-            })
-            .collect();
-        Ok(AnonymizedTable {
-            n: ds.n_rows(),
-            m: self.m,
-            cells,
-        })
+        AnonymizedTable::new(ds.clone(), self.clone())
     }
 }
 
@@ -183,25 +169,91 @@ impl std::fmt::Display for Cell {
     }
 }
 
-/// The result of applying a suppressor: records over `Σ ∪ {*}`.
+/// The result of applying a suppressor: records over `Σ ∪ {*}`, held as
+/// the codes plus the star bitmap. Everything here reads only those two,
+/// so a check of this table is independent of the solver that chose the
+/// stars.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AnonymizedTable {
-    n: usize,
-    m: usize,
-    cells: Vec<Cell>,
+    codes: Dataset,
+    stars: Suppressor,
+}
+
+/// A borrowed released row: `m` [`Cell`]s, compared and hashed by cell.
+#[derive(Clone, Copy, Debug)]
+pub struct Row<'a> {
+    table: &'a AnonymizedTable,
+    i: usize,
+}
+
+impl<'a> Row<'a> {
+    /// The entries in column order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Cell> + 'a {
+        let Row { table, i } = *self;
+        let codes = table.codes.row(i).iter().enumerate();
+        codes.map(move |(j, &v)| {
+            if table.stars.is_suppressed(i, j) {
+                Cell::Star
+            } else {
+                Cell::Value(v)
+            }
+        })
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Row<'_> {}
+
+impl Hash for Row<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for cell in self.iter() {
+            match cell {
+                Cell::Star => state.write_u8(0),
+                Cell::Value(v) => state.write_u32(v),
+            }
+        }
+    }
 }
 
 impl AnonymizedTable {
+    /// The release of `codes` under `stars`.
+    ///
+    /// # Errors
+    /// Returns [`Error::InvalidPartition`] on a shape mismatch.
+    pub fn new(codes: Dataset, stars: Suppressor) -> Result<Self> {
+        if codes.n_rows() != stars.n || codes.n_cols() != stars.m {
+            return Err(Error::InvalidPartition(format!(
+                "suppressor shaped {}x{} applied to dataset {}x{}",
+                stars.n,
+                stars.m,
+                codes.n_rows(),
+                codes.n_cols()
+            )));
+        }
+        Ok(AnonymizedTable { codes, stars })
+    }
+
     /// Number of records.
     #[must_use]
     pub fn n_rows(&self) -> usize {
-        self.n
+        self.codes.n_rows()
     }
 
     /// Number of attributes.
     #[must_use]
     pub fn n_cols(&self) -> usize {
-        self.m
+        self.codes.n_cols()
+    }
+
+    /// The codes under the release, starred cells included.
+    #[must_use]
+    pub fn codes(&self) -> &Dataset {
+        &self.codes
     }
 
     /// Borrow row `i`.
@@ -209,22 +261,20 @@ impl AnonymizedTable {
     /// # Panics
     /// Panics if `i >= n_rows()`.
     #[must_use]
-    pub fn row(&self, i: usize) -> &[Cell] {
-        &self.cells[i * self.m..(i + 1) * self.m]
+    pub fn row(&self, i: usize) -> Row<'_> {
+        assert!(i < self.n_rows(), "row {i} out of bounds");
+        Row { table: self, i }
     }
 
     /// Iterates over rows.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Cell]> {
-        self.cells.chunks_exact(self.m.max(1)).take(self.n)
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+        (0..self.n_rows()).map(|i| Row { table: self, i })
     }
 
     /// Number of starred entries — the suppression cost.
     #[must_use]
     pub fn suppressed_cells(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c, Cell::Star))
-            .count()
+        self.stars.cost()
     }
 
     /// Definition 2.2: every released record equals at least `k − 1` others.
@@ -240,22 +290,23 @@ impl AnonymizedTable {
     }
 
     /// The k-groups of the released table: each distinct suppressed record
-    /// with its multiplicity. Order is by first occurrence.
+    /// with its multiplicity. Order is by first occurrence. One hash pass
+    /// over the rows' (star bits, surviving codes).
     #[must_use]
     pub fn group_sizes(&self) -> Vec<(usize, usize)> {
-        // Map each distinct row to (first_row_index, count).
-        let mut groups: HashMap<&[Cell], (usize, usize)> = HashMap::new();
-        let mut order: Vec<&[Cell]> = Vec::new();
+        // Each distinct row maps to its slot in `out`.
+        let mut slots: HashMap<Row<'_>, usize> = HashMap::new();
+        let mut out: Vec<(usize, usize)> = Vec::new();
         for (i, row) in self.rows().enumerate() {
-            match groups.entry(row) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 += 1,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((i, 1));
-                    order.push(row);
+            match slots.entry(row) {
+                Entry::Occupied(e) => out[*e.get()].1 += 1,
+                Entry::Vacant(e) => {
+                    e.insert(out.len());
+                    out.push((i, 1));
                 }
             }
         }
-        order.iter().map(|r| groups[r]).collect()
+        out
     }
 
     /// The smallest k-group size, i.e. the largest `k` for which the table
@@ -295,7 +346,7 @@ impl AnonymizedTable {
         let mut out = String::new();
         for row in self.rows() {
             let mut first = true;
-            for cell in row {
+            for cell in row.iter() {
                 if !first {
                     out.push(' ');
                 }
@@ -320,19 +371,26 @@ pub fn verify_k_anonymity(
     k: usize,
 ) -> Result<(AnonymizedTable, usize)> {
     let table = suppressor.apply(ds)?;
+    let cost = verified_cost(&table, k)?;
+    Ok((table, cost))
+}
+
+/// The star count of `table`, or [`Error::InvalidPartition`] naming its
+/// smallest group when it is not k-anonymous.
+pub(crate) fn verified_cost(table: &AnonymizedTable, k: usize) -> Result<usize> {
     if !table.is_k_anonymous(k) {
         let worst = table.anonymity_level().unwrap_or(0);
         return Err(Error::InvalidPartition(format!(
             "released table is only {worst}-anonymous, needed {k}"
         )));
     }
-    let cost = table.suppressed_cells();
-    Ok((table, cost))
+    Ok(table.suppressed_cells())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
     use proptest::prelude::*;
 
     /// The §1 hospital example, dictionary coded:
@@ -477,7 +535,90 @@ mod tests {
         assert_eq!(t.violations(3), vec![(0, 2), (2, 1), (3, 1)]);
     }
 
+    #[test]
+    fn mask_string_errors_name_the_line_and_the_doc_grid_round_trips() {
+        let err = Suppressor::from_mask_string("010\n01\n").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("mask line 1 has 2 cells, expected 3"));
+        let err = Suppressor::from_mask_string("01\n0x\n").unwrap_err();
+        assert!(err.to_string().contains("mask line 1 contains `x`"));
+        let grid = Suppressor::from_mask_string("001\n100\n").unwrap();
+        assert_eq!((grid.n_rows(), grid.cost()), (2, 2));
+        assert!(grid.is_suppressed(0, 2) && grid.is_suppressed(1, 0));
+        assert_eq!(grid.to_mask_string(), "001\n100\n");
+    }
+
+    #[test]
+    fn zero_width_and_zero_row_suppressors_keep_their_shape() {
+        let narrow = Suppressor::identity(3, 0);
+        assert_eq!((narrow.n_rows(), narrow.cost()), (3, 0));
+        assert_eq!(narrow.to_mask_string(), "\n\n\n");
+        assert_eq!(Suppressor::from_mask_string("\n\n\n").unwrap(), narrow);
+        let empty = Suppressor::identity(0, 65);
+        assert_eq!((empty.n_rows(), empty.cost()), (0, 0));
+        assert_eq!(empty.to_mask_string(), "");
+        let ds = Dataset::from_flat(0, 65, Vec::new()).unwrap();
+        assert_eq!(empty.apply(&ds).unwrap().n_rows(), 0);
+    }
+
+    /// The widths where a row's bits start, end or span a word boundary.
+    const WIDTHS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
     proptest! {
+        /// The flat bitmap against the per-row `BitSet` layout it replaced:
+        /// the same stars, cost, mask text and release at every width.
+        #[test]
+        fn flat_suppressor_matches_per_row_bitsets(
+            w in 0usize..WIDTHS.len(),
+            n in 0usize..5,
+            bits in proptest::collection::vec(proptest::bool::ANY, 5 * 130),
+            values in proptest::collection::vec(0u32..3, 5 * 130),
+        ) {
+            let m = WIDTHS[w];
+            let mut flat = Suppressor::identity(n, m);
+            let mut oracle = vec![BitSet::new(m); n];
+            for i in 0..n {
+                for j in (0..m).filter(|&j| bits[i * 130 + j]) {
+                    flat.suppress(i, j);
+                    oracle[i].insert(j);
+                }
+            }
+            prop_assert_eq!(flat.n_rows(), n);
+            prop_assert_eq!(flat.cost(), oracle.iter().map(BitSet::count).sum::<usize>());
+            for (i, mask) in oracle.iter().enumerate() {
+                for j in 0..m + 2 {
+                    prop_assert_eq!(flat.is_suppressed(i, j), mask.contains(j));
+                }
+            }
+
+            let text = flat.to_mask_string();
+            let want: String = oracle
+                .iter()
+                .flat_map(|mask| (0..m).map(|j| if mask.contains(j) { '1' } else { '0' }).chain(['\n']))
+                .collect();
+            prop_assert_eq!(&text, &want);
+            let back = Suppressor::from_mask_string(&text).unwrap();
+            if n > 0 || m == 0 {
+                prop_assert_eq!(&back, &flat);
+            } else {
+                // An empty grid has no line to read a width from.
+                prop_assert_eq!(back, Suppressor::identity(0, 0));
+            }
+
+            let ds = Dataset::from_flat(n, m, values[..n * m].to_vec()).unwrap();
+            let table = flat.apply(&ds).unwrap();
+            prop_assert_eq!(table.suppressed_cells(), flat.cost());
+            prop_assert_eq!(table.rows().len(), n);
+            for (i, row) in table.rows().enumerate() {
+                let want: Vec<Cell> = (0..m)
+                    .map(|j| if oracle[i].contains(j) { Cell::Star } else { Cell::Value(ds.get(i, j)) })
+                    .collect();
+                prop_assert_eq!(row.iter().collect::<Vec<_>>(), want);
+            }
+            prop_assert!(Suppressor::identity(n + 1, m).apply(&ds).is_err());
+        }
+
         /// Mask serialization roundtrips for arbitrary suppressors.
         #[test]
         fn mask_string_roundtrip(

@@ -57,7 +57,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use kanon_core::govern::Budget;
-use kanon_core::{Anonymization, Dataset, Partition, Value};
+use kanon_core::{Anonymization, Dataset, Partition};
 use kanon_relation::csv::Reader;
 use kanon_relation::Codec;
 use kanon_store::bytes::{ByteReader, ByteWriter};
@@ -353,24 +353,7 @@ pub struct DeltaStore {
 }
 
 fn bucket_of(codes: &[u32], quasi_cols: &[usize], n_buckets: usize) -> usize {
-    let qi: Vec<u32> = quasi_cols.iter().map(|&j| codes[j]).collect();
-    (fnv1a_row(&qi) % n_buckets as u64) as usize
-}
-
-/// The quasi-identifier projection of the rows `ids`, in order, built in
-/// `buf`.
-fn qi_rows(
-    rows: &BTreeMap<u64, Vec<u32>>,
-    quasi_cols: &[usize],
-    ids: &[u64],
-    mut buf: Vec<Value>,
-) -> Dataset {
-    buf.clear();
-    for id in ids {
-        let codes = &rows[id];
-        buf.extend(quasi_cols.iter().map(|&j| codes[j]));
-    }
-    Dataset::from_flat(ids.len(), quasi_cols.len(), buf).expect("one value per row and column")
+    (fnv1a_row(quasi_cols.iter().map(|&j| &codes[j])) % n_buckets as u64) as usize
 }
 
 fn snapshot_path(dir: &Path) -> PathBuf {
@@ -971,7 +954,7 @@ impl DeltaStore {
             &|_| {},
             |i, buf, budget| {
                 let ids = chunks.get(i).copied().unwrap_or(residue);
-                let sub = qi_rows(rows, quasi_cols, ids, std::mem::take(buf));
+                let sub = engine::gather(ids.iter().map(|id| &rows[id][..]), quasi_cols, buf);
                 let out = if i < chunks.len() {
                     engine::solve_shard(i, &sub, k, pipeline, budget)
                 } else {
@@ -1028,9 +1011,6 @@ impl DeltaStore {
             flat.extend_from_slice(codes);
         }
         let dataset = Dataset::from_flat(n, m, flat).map_err(Error::Core)?;
-        let qi = dataset
-            .project_columns(&self.quasi_cols)
-            .map_err(Error::Core)?;
         let mut perm: Vec<u32> = Vec::with_capacity(n);
         let mut parts: Vec<Partition> = Vec::with_capacity(keys.len());
         for key in &keys {
@@ -1041,7 +1021,8 @@ impl DeltaStore {
                 cached.rows.len(),
             ));
         }
-        let anonymization = engine::finalize_merge(&qi, self.k, &perm, parts)?;
+        let anonymization =
+            engine::finalize_merge(&dataset, &self.quasi_cols, self.k, &perm, parts)?;
         debug_assert_eq!(
             anonymization.cost,
             self.cache.values().map(|c| c.cost).sum::<usize>(),

@@ -12,10 +12,9 @@
 //! A unit's error stops dispatch and is returned; a panic in a unit's
 //! solve is re-raised on the calling thread.
 //!
-//! Workers materialize each unit's sub-table into a worker-local flat
-//! buffer that is recycled from unit to unit
-//! ([`Dataset::select_rows_into`] / [`Dataset::into_flat_buffer`]), so at
-//! most one materialized sub-table exists per worker and steady-state
+//! Workers gather each unit's rows over the quasi-identifier columns into
+//! a worker-local flat buffer recycled from unit to unit (`gather`), so
+//! at most one materialized sub-table exists per worker and steady-state
 //! dispatch performs no per-unit row-buffer allocation.
 //!
 //! ## Budget slicing
@@ -45,7 +44,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use kanon_baselines::ladder::{run_ladder, LadderConfig, Rung};
-use kanon_core::algo::anonymization_from_partition;
+use kanon_core::algo::anonymization_of_codes;
 use kanon_core::distcache::resolve_threads;
 use kanon_core::govern::Budget;
 use kanon_core::{Algorithm, Anonymization, Dataset, Partition, Resource, Value};
@@ -53,10 +52,10 @@ use kanon_core::{Algorithm, Anonymization, Dataset, Partition, Resource, Value};
 use crate::config::PipelineConfig;
 use crate::error::{Error, Result};
 use crate::report::{PipelineReport, ShardReport, SolvedBy};
-use crate::shard::{chunk_near_equal, full_cover_candidates, plan_shards, residue_chunk_target};
+use crate::shard::{chunk_near_equal, full_cover_candidates, plan_columns, residue_chunk_target};
 
 /// Live progress of a pipeline run, emitted through the callback of
-/// [`run_pipeline_with_progress`] so callers that own long-running jobs
+/// [`crate::run_csv_private_with_progress`] so callers that own long-running jobs
 /// (the `kanon-service` job store) can surface status while the run is in
 /// flight. Events arrive on the calling thread, in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -305,26 +304,43 @@ fn weaker_solver(a: SolvedBy, b: SolvedBy) -> SolvedBy {
     }
 }
 
+/// The sub-table of `rows` over `cols`, built in the recycled `buf`.
+pub(crate) fn gather<'a>(
+    rows: impl ExactSizeIterator<Item = &'a [Value]>,
+    cols: &[usize],
+    buf: &mut Vec<Value>,
+) -> Dataset {
+    let n = rows.len();
+    let mut data = std::mem::take(buf);
+    data.clear();
+    for row in rows {
+        data.extend(cols.iter().map(|&j| row[j]));
+    }
+    Dataset::from_flat(n, cols.len(), data).expect("one code per row and column")
+}
+
 /// The merge step shared by the batch engine and the delta engine:
 /// concatenate per-shard partitions (in `parts` order), remap the
 /// concatenated indices through `perm` (the shard rows in the same order)
-/// back to table rows, then re-validate the (k, 2k-1) band before
-/// assembling the final [`Anonymization`].
+/// back to table rows in place, then re-validate the (k, 2k-1) band and
+/// assemble the final [`Anonymization`] over the projection of `ds` onto
+/// `cols` — the release's own codes.
 pub(crate) fn finalize_merge(
     ds: &Dataset,
+    cols: &[usize],
     k: usize,
     perm: &[u32],
     parts: Vec<Partition>,
 ) -> Result<Anonymization> {
     let concat = Partition::concat_disjoint(parts).map_err(Error::Core)?;
-    let blocks: Vec<Vec<u32>> = concat
-        .blocks()
-        .iter()
-        .map(|b| b.iter().map(|&i| perm[i as usize]).collect())
-        .collect();
+    let mut blocks = concat.into_blocks();
+    for r in blocks.iter_mut().flatten() {
+        *r = perm[*r as usize];
+    }
     let partition = Partition::new(blocks, ds.n_rows(), k).map_err(Error::Core)?;
     partition.validate_group_sizes(k).map_err(Error::Core)?;
-    anonymization_from_partition(ds, partition, k, Algorithm::External("pipeline"))
+    let codes = ds.project_columns(cols).map_err(Error::Core)?;
+    anonymization_of_codes(codes, partition, k, Algorithm::External("pipeline"))
         .map_err(Error::Core)
 }
 
@@ -466,26 +482,28 @@ pub fn run_pipeline(
     k: usize,
     config: &PipelineConfig,
 ) -> Result<(Anonymization, PipelineReport)> {
-    run_pipeline_with_progress(ds, k, config, &|_| {})
+    let all: Vec<usize> = (0..ds.n_cols()).collect();
+    run_columns(ds, &all, k, config, &|_| {})
 }
 
-/// As [`run_pipeline`], with a progress callback invoked (on the calling
-/// thread) as the plan is fixed, as each shard and the residue finish, and
-/// when the merge starts. The engine holds no global state — handles are
-/// fully re-entrant, so any number of pipelines may run concurrently in one
-/// process, each reporting through its own callback.
-pub fn run_pipeline_with_progress(
+/// [`run_pipeline`] over the projection of `ds` onto the in-range columns
+/// `cols`, read in place: each shard gathers its own sub-table, and the
+/// projection is built once, as the release's codes. `on_progress` hears,
+/// on the calling thread, the plan, each finished unit and the merge.
+pub(crate) fn run_columns(
     ds: &Dataset,
+    cols: &[usize],
     k: usize,
     config: &PipelineConfig,
     on_progress: &(dyn Fn(Progress) + Sync),
 ) -> Result<(Anonymization, PipelineReport)> {
     let started = Instant::now();
-    let plan = plan_shards(ds, k, config)?;
-    let units = plan.shards.len() + usize::from(!plan.residue.is_empty());
+    let plan = plan_columns(ds, cols, k, config)?;
+    let (n_shards, residue_rows) = (plan.shards.len(), plan.residue.len());
+    let units = n_shards + usize::from(residue_rows > 0);
     on_progress(Progress::Planned {
         units,
-        residue_rows: plan.residue.len(),
+        residue_rows,
     });
     // A cancelled budget aborts up front. An already-expired *deadline*
     // does not: the run proceeds and every shard degrades to the fallback,
@@ -503,14 +521,12 @@ pub fn run_pipeline_with_progress(
     let (solved, workers) = solve_units(
         config,
         &shard_rows,
-        plan.residue.len(),
+        residue_rows,
         on_progress,
         |i, buf, budget| {
             let rows = plan.shards.get(i).unwrap_or(&plan.residue);
-            let sub = ds
-                .select_rows_into(rows, std::mem::take(buf))
-                .expect("shard plan only holds in-range row indices");
-            let out = if i < plan.shards.len() {
+            let sub = gather(rows.iter().map(|&r| ds.row(r as usize)), cols, buf);
+            let out = if i < n_shards {
                 solve_shard(i, &sub, k, config, budget)
             } else {
                 solve_residue(i, &sub, k, residue_target, config, &budget)
@@ -527,12 +543,12 @@ pub fn run_pipeline_with_progress(
     let mut perm: Vec<u32> = Vec::with_capacity(ds.n_rows());
     let mut parts = Vec::with_capacity(solved.len());
     let mut shard_reports = Vec::with_capacity(solved.len());
-    for (rows, s) in plan.shards.iter().chain([&plan.residue]).zip(solved) {
-        perm.extend_from_slice(rows);
+    for (rows, s) in plan.shards.into_iter().chain([plan.residue]).zip(solved) {
+        perm.extend_from_slice(&rows);
         parts.push(s.partition);
         shard_reports.push(s.report);
     }
-    let anon = finalize_merge(ds, k, &perm, parts)?;
+    let anon = finalize_merge(ds, cols, k, &perm, parts)?;
     // Per-block suppression is position-independent, so the merged cost is
     // exactly the sum of the per-shard costs.
     debug_assert_eq!(
@@ -542,13 +558,13 @@ pub fn run_pipeline_with_progress(
 
     let report = PipelineReport {
         n_rows: ds.n_rows(),
-        n_cols: ds.n_cols(),
+        n_cols: cols.len(),
         k,
         shard_size: config.shard_size,
         strategy: config.strategy.name(),
         workers,
         shards: shard_reports,
-        residue_rows: plan.residue.len(),
+        residue_rows,
         total_cost: anon.cost,
         elapsed: started.elapsed(),
         generalization: None,
@@ -667,9 +683,10 @@ mod tests {
                 ..PipelineConfig::default()
             };
             let events = Mutex::new(Vec::new());
-            let (_, report) =
-                run_pipeline_with_progress(&ds, 3, &config, &|p| events.lock().unwrap().push(p))
-                    .unwrap();
+            let (_, report) = run_columns(&ds, &[0, 1, 2, 3], 3, &config, &|p| {
+                events.lock().unwrap().push(p)
+            })
+            .unwrap();
             let events = events.into_inner().unwrap();
             let units = report.shards.len();
             assert_eq!(events.len(), units + 2, "{events:?}");

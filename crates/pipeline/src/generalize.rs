@@ -179,11 +179,18 @@ pub fn run_csv_auto<R: io::Read>(
     let slice = config
         .budget
         .child(config.budget.remaining().map(|r| r / 2));
-    let attempt = try_generalize(&dataset, &codec, &quasi, &qi_hierarchies, k, &slice);
+    let attempt = match try_generalize(&dataset, &codec, &quasi, &qi_hierarchies, k, &slice) {
+        Ok(Some(gen)) => Ok(gen),
+        Ok(None) => Err("no k-anonymous node in the generalization lattice".to_string()),
+        Err(e) if budget_tripped(&e) => Err(format!("generalization budget slice tripped: {e}")),
+        Err(e) => return Err(e),
+    };
+    // Sharded suppression on the quasi projection, read in place.
+    let suppress = || crate::engine::run_columns(&dataset, &quasi, k, config, &|_| {});
     let (outcome, report) = match attempt {
-        Ok(Some(gen)) => {
+        Ok(gen) => {
             let (suppression_cost, suppression_loss) = if auto.compare {
-                let (anon, rep) = suppress(&dataset, &quasi, k, config)?;
+                let (anon, rep) = suppress()?;
                 let cells = rep.n_rows * rep.n_cols;
                 (
                     Some(anon.cost),
@@ -219,20 +226,8 @@ pub fn run_csv_auto<R: io::Read>(
             };
             (AutoOutcome::Generalized(gen), report)
         }
-        Ok(None) => {
-            let (anonymization, mut report) = suppress(&dataset, &quasi, k, config)?;
-            report.elapsed = started.elapsed();
-            (
-                AutoOutcome::Suppressed {
-                    anonymization,
-                    reason: "no k-anonymous node in the generalization lattice".to_string(),
-                },
-                report,
-            )
-        }
-        Err(e) if budget_tripped(&e) => {
-            let reason = format!("generalization budget slice tripped: {e}");
-            let (anonymization, mut report) = suppress(&dataset, &quasi, k, config)?;
+        Err(reason) => {
+            let (anonymization, mut report) = suppress()?;
             report.elapsed = started.elapsed();
             (
                 AutoOutcome::Suppressed {
@@ -242,7 +237,6 @@ pub fn run_csv_auto<R: io::Read>(
                 report,
             )
         }
-        Err(e) => return Err(e),
     };
 
     Ok(AutoRun {
@@ -315,19 +309,6 @@ pub fn try_generalize(
         precision_loss,
         rendered,
     }))
-}
-
-/// Runs the sharded suppression pipeline on the quasi projection.
-fn suppress(
-    dataset: &Dataset,
-    quasi: &[usize],
-    k: usize,
-    config: &PipelineConfig,
-) -> Result<(Anonymization, PipelineReport)> {
-    let qi = dataset
-        .project_columns(quasi)
-        .map_err(|e| Error::Relation(kanon_relation::Error::Core(e)))?;
-    crate::engine::run_pipeline(&qi, k, config)
 }
 
 /// True for the budget-trip errors the ladder contract treats as

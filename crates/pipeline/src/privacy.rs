@@ -110,21 +110,20 @@ pub fn run_csv_private_with_progress<R: io::Read>(
             "no quasi-identifier columns remain after excluding the sensitive column".into(),
         ));
     }
-    let qi = dataset
-        .project_columns(&quasi_cols)
-        .map_err(|e| Error::Relation(kanon_relation::Error::Core(e)))?;
     let (mut anonymization, mut report) =
-        crate::engine::run_pipeline_with_progress(&qi, k, config, on_progress)?;
+        crate::engine::run_columns(&dataset, &quasi_cols, k, config, on_progress)?;
 
     if let (Some(col), true) = (sens_col, model.requires_sensitive()) {
         let sens_values: Vec<Value> = (0..dataset.n_rows()).map(|i| dataset.row(i)[col]).collect();
-        let outcome = enforce(&qi, &anonymization.partition, &sens_values, model)?;
+        // The release's codes are the quasi-identifier projection.
+        let qi = anonymization.table.codes();
+        let outcome = enforce(qi, &anonymization.partition, &sens_values, model)?;
         if outcome.merges > 0 {
             // Merged blocks may exceed the (k, 2k-1) band — splitting them
             // back would break the constraint, so the band is the price of
             // the stronger guarantee here.
             anonymization = anonymization_from_partition(
-                &qi,
+                qi,
                 outcome.partition,
                 k,
                 Algorithm::External("pipeline+privacy"),

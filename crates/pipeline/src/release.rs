@@ -34,34 +34,15 @@ pub fn write_release(
     codec: &Codec,
     quasi: &[usize],
     suppressor: &Suppressor,
-    mut w: impl io::Write,
+    w: impl io::Write,
 ) -> io::Result<()> {
-    let arity = codec.arity();
-    // Column j's position inside the quasi-identifier projection, if any.
-    let mut qi_pos: Vec<Option<usize>> = vec![None; arity];
-    for (pos, &j) in quasi.iter().enumerate() {
-        qi_pos[j] = Some(pos);
-    }
-    let mut line = String::new();
-    csv::write_record(&mut line, codec.header().iter().map(String::as_str));
-    w.write_all(line.as_bytes())?;
-    let mut fields: Vec<&str> = Vec::with_capacity(arity);
-    for i in 0..dataset.n_rows() {
-        fields.clear();
-        for (j, pos) in qi_pos.iter().enumerate() {
-            let suppressed = pos.is_some_and(|pos| suppressor.is_suppressed(i, pos));
-            if suppressed {
-                fields.push("*");
-            } else {
-                let code = dataset.get(i, j);
-                fields.push(codec.value(j, code).expect("codes come from this codec"));
-            }
+    write_rows(dataset, codec, quasi, w, |i, pos, j, code| {
+        if suppressor.is_suppressed(i, pos) {
+            "*"
+        } else {
+            codec.value(j, code).expect("codes come from this codec")
         }
-        line.clear();
-        csv::write_record(&mut line, fields.iter().copied());
-        w.write_all(line.as_bytes())?;
-    }
-    w.flush()
+    })
 }
 
 /// Streams a *generalized* release to `w`: header, then one record per
@@ -85,9 +66,25 @@ pub fn write_generalized_release(
     codec: &Codec,
     quasi: &[usize],
     rendered: &[Vec<String>],
+    w: impl io::Write,
+) -> io::Result<()> {
+    write_rows(dataset, codec, quasi, w, |_, pos, _, code| {
+        rendered[pos][code as usize].as_str()
+    })
+}
+
+/// The one release writer: the header, then each row with quasi cell
+/// `(i, pos)` of table column `j` holding `code` rendered by `quasi_cell`
+/// and every other cell as its dictionary value.
+fn write_rows<'a>(
+    dataset: &Dataset,
+    codec: &'a Codec,
+    quasi: &[usize],
     mut w: impl io::Write,
+    quasi_cell: impl Fn(usize, usize, usize, u32) -> &'a str,
 ) -> io::Result<()> {
     let arity = codec.arity();
+    // Column j's position inside the quasi-identifier projection, if any.
     let mut qi_pos: Vec<Option<usize>> = vec![None; arity];
     for (pos, &j) in quasi.iter().enumerate() {
         qi_pos[j] = Some(pos);
@@ -100,12 +97,10 @@ pub fn write_generalized_release(
         fields.clear();
         for (j, pos) in qi_pos.iter().enumerate() {
             let code = dataset.get(i, j);
-            match pos {
-                Some(pos) => fields.push(rendered[*pos][code as usize].as_str()),
-                None => {
-                    fields.push(codec.value(j, code).expect("codes come from this codec"));
-                }
-            }
+            fields.push(match pos {
+                Some(pos) => quasi_cell(i, *pos, j, code),
+                None => codec.value(j, code).expect("codes come from this codec"),
+            });
         }
         line.clear();
         csv::write_record(&mut line, fields.iter().copied());

@@ -4,6 +4,8 @@
 
 use std::time::Duration;
 
+use crate::json::JsonObject;
+
 /// What produced a shard's partition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolvedBy {
@@ -182,129 +184,74 @@ impl PipelineReport {
     /// Renders the report as a JSON object (stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 128 * self.shards.len());
-        out.push('{');
-        push_kv(&mut out, "n_rows", &self.n_rows.to_string());
-        push_kv(&mut out, "n_cols", &self.n_cols.to_string());
-        push_kv(&mut out, "k", &self.k.to_string());
-        push_kv(&mut out, "shard_size", &self.shard_size.to_string());
-        push_kv(
-            &mut out,
-            "strategy",
-            &format!("\"{}\"", json_escape(self.strategy)),
-        );
-        push_kv(&mut out, "workers", &self.workers.to_string());
-        push_kv(&mut out, "n_shards", &self.n_shards().to_string());
-        push_kv(&mut out, "residue_rows", &self.residue_rows.to_string());
-        push_kv(
-            &mut out,
-            "degraded_shards",
-            &self.degraded_shards().to_string(),
-        );
-        push_kv(&mut out, "total_cost", &self.total_cost.to_string());
-        push_kv(
-            &mut out,
-            "elapsed_ms",
-            &self.elapsed.as_millis().to_string(),
-        );
-        push_kv(
-            &mut out,
-            "rows_per_sec",
-            &format!("{:.1}", self.rows_per_sec()),
-        );
-        push_kv(
-            &mut out,
-            "information_loss",
-            &format!("{:.6}", self.information_loss()),
-        );
-        if let Some(g) = &self.generalization {
-            let mut gen = String::from("{");
-            let names: Vec<String> = g
-                .columns
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect();
-            push_kv(&mut gen, "columns", &format!("[{}]", names.join(",")));
-            let levels: Vec<String> = g.levels.iter().map(ToString::to_string).collect();
-            push_kv(&mut gen, "levels", &format!("[{}]", levels.join(",")));
-            let heights: Vec<String> = g.heights.iter().map(ToString::to_string).collect();
-            push_kv(&mut gen, "heights", &format!("[{}]", heights.join(",")));
-            push_kv(
-                &mut gen,
-                "precision_loss",
-                &format!("{:.6}", g.precision_loss),
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let mut obj = JsonObject::new();
+        obj.number("n_rows", self.n_rows as u128)
+            .number("n_cols", self.n_cols as u128)
+            .number("k", self.k as u128)
+            .number("shard_size", self.shard_size as u128)
+            .string("strategy", self.strategy)
+            .number("workers", self.workers as u128)
+            .number("n_shards", self.n_shards() as u128)
+            .number("residue_rows", self.residue_rows as u128)
+            .number("degraded_shards", self.degraded_shards() as u128)
+            .number("total_cost", self.total_cost as u128)
+            .number("elapsed_ms", self.elapsed.as_millis())
+            .raw("rows_per_sec", &format!("{:.1}", self.rows_per_sec()))
+            .raw(
+                "information_loss",
+                &format!("{:.6}", self.information_loss()),
             );
+        if let Some(g) = &self.generalization {
+            let names = g.columns.iter().map(|c| format!("\"{}\"", json_escape(c)));
+            let mut gen = JsonObject::new();
+            gen.raw("columns", &list(names.collect()))
+                .raw(
+                    "levels",
+                    &list(g.levels.iter().map(ToString::to_string).collect()),
+                )
+                .raw(
+                    "heights",
+                    &list(g.heights.iter().map(ToString::to_string).collect()),
+                )
+                .raw("precision_loss", &format!("{:.6}", g.precision_loss));
             if let Some(cost) = g.suppression_cost {
-                push_kv(&mut gen, "suppression_cost", &cost.to_string());
+                gen.number("suppression_cost", cost as u128);
             }
             if let Some(loss) = g.suppression_loss {
-                push_kv(&mut gen, "suppression_loss", &format!("{loss:.6}"));
+                gen.raw("suppression_loss", &format!("{loss:.6}"));
             }
-            gen.pop();
-            gen.push('}');
-            push_kv(&mut out, "generalization", &gen);
+            obj.raw("generalization", &gen.finish());
         }
         if let Some(p) = &self.privacy {
-            let mut pv = String::from("{");
-            push_kv(&mut pv, "spec", &format!("\"{}\"", json_escape(&p.spec)));
-            push_kv(&mut pv, "family", &format!("\"{}\"", json_escape(p.family)));
-            push_kv(
-                &mut pv,
-                "sensitive",
-                &format!("\"{}\"", json_escape(&p.sensitive)),
-            );
-            push_kv(
-                &mut pv,
-                "violations_before",
-                &p.violations_before.to_string(),
-            );
-            push_kv(&mut pv, "merges", &p.merges.to_string());
-            push_kv(&mut pv, "cost_before", &p.cost_before.to_string());
-            push_kv(&mut pv, "cost_after", &p.cost_after.to_string());
-            push_kv(&mut pv, "verified", &p.verified.to_string());
-            pv.pop();
-            pv.push('}');
-            push_kv(&mut out, "privacy", &pv);
+            let mut pv = JsonObject::new();
+            pv.string("spec", &p.spec)
+                .string("family", p.family)
+                .string("sensitive", &p.sensitive)
+                .number("violations_before", p.violations_before as u128)
+                .number("merges", p.merges as u128)
+                .number("cost_before", p.cost_before as u128)
+                .number("cost_after", p.cost_after as u128)
+                .boolean("verified", p.verified);
+            obj.raw("privacy", &pv.finish());
         }
-        out.push_str("\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_kv(&mut out, "id", &shard.id.to_string());
-            push_kv(&mut out, "rows", &shard.rows.to_string());
-            push_kv(
-                &mut out,
-                "solved_by",
-                &format!("\"{}\"", json_escape(shard.solved_by.name())),
-            );
-            push_kv(&mut out, "degraded", &shard.degraded.to_string());
-            push_kv(&mut out, "attempts", &shard.attempts.to_string());
-            push_kv(&mut out, "cost", &shard.cost.to_string());
-            push_kv(
-                &mut out,
-                "elapsed_ms",
-                &shard.elapsed.as_millis().to_string(),
-            );
+        let shards = self.shards.iter().map(|shard| {
+            let mut s = JsonObject::new();
+            s.number("id", shard.id as u128)
+                .number("rows", shard.rows as u128)
+                .string("solved_by", shard.solved_by.name())
+                .boolean("degraded", shard.degraded)
+                .number("attempts", shard.attempts as u128)
+                .number("cost", shard.cost as u128)
+                .number("elapsed_ms", shard.elapsed.as_millis());
             if let Some(note) = &shard.note {
-                push_kv(&mut out, "note", &format!("\"{}\"", json_escape(note)));
+                s.string("note", note);
             }
-            // Strip the trailing comma the last push_kv left.
-            out.pop();
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            s.finish()
+        });
+        obj.raw("shards", &list(shards.collect()));
+        obj.finish()
     }
-}
-
-fn push_kv(out: &mut String, key: &str, rendered_value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(rendered_value);
-    out.push(',');
 }
 
 /// Escapes a string for inclusion inside a JSON string literal.

@@ -45,7 +45,7 @@ impl ShardPlan {
 /// platforms and worker counts (it reads only the table contents). The
 /// delta engine routes updates with the same hash, so a row keeps its
 /// bucket for as long as its codes are unchanged.
-pub(crate) fn fnv1a_row(row: &[u32]) -> u64 {
+pub(crate) fn fnv1a_row<'a>(row: impl IntoIterator<Item = &'a u32>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -137,9 +137,23 @@ pub(crate) fn plan_units<T: Copy + Ord>(
 /// `k` validation errors from [`Dataset::check_k`], and
 /// [`Error::Config`](crate::Error::Config) when `config.shard_size < 2k - 1`.
 pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<ShardPlan> {
+    plan_columns(ds, &(0..ds.n_cols()).collect::<Vec<_>>(), k, config)
+}
+
+/// [`plan_shards`] over the projection of `ds` onto `cols`, read in place.
+pub(crate) fn plan_columns(
+    ds: &Dataset,
+    cols: &[usize],
+    k: usize,
+    config: &PipelineConfig,
+) -> Result<ShardPlan> {
     ds.check_k(k)?;
     config.validate(k)?;
     let n = ds.n_rows();
+    let qi = |i: u32| {
+        let row = ds.row(i as usize);
+        cols.iter().map(move |&j| &row[j])
+    };
 
     // Bucket rows by strategy. Buckets preserve the strategy's row order:
     // ascending row id for hashing, sort position for range sharding.
@@ -150,9 +164,9 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
                 .unwrap_or_else(|| n.div_ceil(config.shard_size))
                 .max(1);
             let mut buckets = vec![Vec::new(); n_buckets];
-            for (i, row) in ds.rows().enumerate() {
-                let b = (fnv1a_row(row) % n_buckets as u64) as usize;
-                buckets[b].push(i as u32);
+            for i in 0..n as u32 {
+                let b = (fnv1a_row(qi(i)) % n_buckets as u64) as usize;
+                buckets[b].push(i);
             }
             buckets
         }
@@ -160,9 +174,7 @@ pub fn plan_shards(ds: &Dataset, k: usize, config: &PipelineConfig) -> Result<Sh
             let mut order: Vec<u32> = (0..n as u32).collect();
             // Lexicographic by row values, row id as tiebreak, so the order
             // is a deterministic total order.
-            order.sort_unstable_by(|&a, &b| {
-                ds.row(a as usize).cmp(ds.row(b as usize)).then(a.cmp(&b))
-            });
+            order.sort_unstable_by(|&a, &b| qi(a).cmp(qi(b)).then(a.cmp(&b)));
             vec![order]
         }
     };

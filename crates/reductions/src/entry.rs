@@ -168,7 +168,6 @@ impl EntryReduction {
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| !matches!(c, Cell::Star))
-                .map(|(j, &c)| (j, c))
                 .collect();
             let [(j, cell)] = survivors.as_slice() else {
                 return Err(CoreError::InvalidPartition(format!(

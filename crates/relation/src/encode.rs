@@ -132,7 +132,7 @@ impl Codec {
                 first = false;
                 match cell {
                     Cell::Star => out.push('*'),
-                    Cell::Value(code) => out.push_str(self.value(j, *code)?),
+                    Cell::Value(code) => out.push_str(self.value(j, code)?),
                 }
             }
             out.push('\n');

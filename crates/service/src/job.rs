@@ -14,6 +14,8 @@ use std::time::Instant;
 use kanon_pipeline::json::JsonObject;
 use kanon_pipeline::PipelineReport;
 
+use crate::lock::recover;
+
 /// Opaque job identifier, allocated sequentially from 1.
 pub type JobId = u64;
 
@@ -168,12 +170,12 @@ impl JobStore {
             submitted: Instant::now(),
             state: JobState::Queued,
         };
-        self.jobs.lock().expect("job store lock").insert(id, record);
+        recover(self.jobs.lock()).insert(id, record);
         id
     }
 
     fn update(&self, id: JobId, f: impl FnOnce(&mut JobRecord)) {
-        if let Some(record) = self.jobs.lock().expect("job store lock").get_mut(&id) {
+        if let Some(record) = recover(self.jobs.lock()).get_mut(&id) {
             f(record);
         }
     }
@@ -229,32 +231,24 @@ impl JobStore {
     /// fails after the id was allocated (the refused job must leave no
     /// trace).
     pub fn remove(&self, id: JobId) {
-        self.jobs.lock().expect("job store lock").remove(&id);
+        recover(self.jobs.lock()).remove(&id);
     }
 
     /// Renders the job's status JSON, or `None` for an unknown id.
     #[must_use]
     pub fn render(&self, id: JobId) -> Option<String> {
-        self.jobs
-            .lock()
-            .expect("job store lock")
-            .get(&id)
-            .map(JobRecord::to_json)
+        recover(self.jobs.lock()).get(&id).map(JobRecord::to_json)
     }
 
     /// True when the job exists and has reached a terminal state.
     #[must_use]
     pub fn is_finished(&self, id: JobId) -> bool {
-        self.jobs
-            .lock()
-            .expect("job store lock")
-            .get(&id)
-            .is_some_and(|r| {
-                matches!(
-                    r.state,
-                    JobState::Completed { .. } | JobState::Failed { .. }
-                )
-            })
+        recover(self.jobs.lock()).get(&id).is_some_and(|r| {
+            matches!(
+                r.state,
+                JobState::Completed { .. } | JobState::Failed { .. }
+            )
+        })
     }
 }
 

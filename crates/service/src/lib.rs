@@ -45,6 +45,7 @@ pub mod config;
 pub mod error;
 pub mod http;
 pub mod job;
+mod lock;
 pub mod metrics;
 pub mod queue;
 pub mod router;

@@ -21,6 +21,8 @@ use std::time::Duration;
 
 use kanon_pipeline::PipelineReport;
 
+use crate::lock::recover;
+
 /// Upper bounds (seconds) of the request-latency histogram buckets; the
 /// rendered histogram appends the implicit `+Inf` bucket.
 const LATENCY_BUCKETS: &[(&str, f64)] = &[
@@ -103,7 +105,7 @@ impl Metrics {
         if report.degraded_shards() > 0 {
             self.jobs_degraded.fetch_add(1, Ordering::Relaxed);
         }
-        let mut by_solver = self.shards_by_solver.lock().expect("metrics lock");
+        let mut by_solver = recover(self.shards_by_solver.lock());
         for shard in &report.shards {
             *by_solver.entry(shard.solved_by.name()).or_insert(0) += 1;
         }
@@ -116,10 +118,7 @@ impl Metrics {
 
     /// Records one HTTP response and its end-to-end handling latency.
     pub fn record_response(&self, status: u16, latency: Duration) {
-        *self
-            .http_responses
-            .lock()
-            .expect("metrics lock")
+        *recover(self.http_responses.lock())
             .entry(status)
             .or_insert(0) += 1;
         let secs = latency.as_secs_f64();
@@ -137,19 +136,19 @@ impl Metrics {
 
     /// Updates (creating on first touch) the stats of one durable table.
     pub fn table(&self, name: &str, update: impl FnOnce(&mut TableStats)) {
-        let mut tables = self.tables.lock().expect("metrics lock");
+        let mut tables = recover(self.tables.lock());
         update(tables.entry(name.to_string()).or_default());
     }
 
     /// Drops a deleted table's stats so the scrape stops reporting it.
     pub fn remove_table(&self, name: &str) {
-        self.tables.lock().expect("metrics lock").remove(name);
+        recover(self.tables.lock()).remove(name);
     }
 
     /// A snapshot of one table's stats, if the table is known.
     #[must_use]
     pub fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.tables.lock().expect("metrics lock").get(name).cloned()
+        recover(self.tables.lock()).get(name).cloned()
     }
 
     /// Jobs admitted so far.
@@ -221,7 +220,7 @@ impl Metrics {
 
         out.push_str("# HELP kanon_shards_solved_total Shards answered, by solver.\n");
         out.push_str("# TYPE kanon_shards_solved_total counter\n");
-        for (solver, count) in self.shards_by_solver.lock().expect("metrics lock").iter() {
+        for (solver, count) in recover(self.shards_by_solver.lock()).iter() {
             out.push_str(&format!(
                 "kanon_shards_solved_total{{solver=\"{solver}\"}} {count}\n"
             ));
@@ -229,14 +228,14 @@ impl Metrics {
 
         out.push_str("# HELP kanon_http_responses_total HTTP responses sent, by status code.\n");
         out.push_str("# TYPE kanon_http_responses_total counter\n");
-        for (code, count) in self.http_responses.lock().expect("metrics lock").iter() {
+        for (code, count) in recover(self.http_responses.lock()).iter() {
             out.push_str(&format!(
                 "kanon_http_responses_total{{code=\"{code}\"}} {count}\n"
             ));
         }
 
         {
-            let tables = self.tables.lock().expect("metrics lock");
+            let tables = recover(self.tables.lock());
             if !tables.is_empty() {
                 let mut family =
                     |name: &str, kind: &str, help: &str, value: &dyn Fn(&TableStats) -> String| {

@@ -6,6 +6,8 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
+use crate::lock::recover;
+
 /// Why [`JobQueue::try_push`] refused an item.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
@@ -48,7 +50,7 @@ impl<T> JobQueue<T> {
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`JobQueue::close`]; both return the item.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = recover(self.inner.lock());
         if inner.closed {
             return Err(PushError::Closed(item));
         }
@@ -64,7 +66,7 @@ impl<T> JobQueue<T> {
     /// Blocks until an item is available or the queue closes. `None` means
     /// closed *and* drained — workers exit on it.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let mut inner = recover(self.inner.lock());
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -72,20 +74,20 @@ impl<T> JobQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.ready.wait(inner).expect("queue lock poisoned");
+            inner = recover(self.ready.wait(inner));
         }
     }
 
     /// Items currently waiting (excludes jobs already claimed by workers).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.inner.lock().expect("queue lock poisoned").items.len()
+        recover(self.inner.lock()).items.len()
     }
 
     /// Closes the queue: future pushes fail, and once drained every blocked
     /// and future [`JobQueue::pop`] returns `None`.
     pub fn close(&self) {
-        self.inner.lock().expect("queue lock poisoned").closed = true;
+        recover(self.inner.lock()).closed = true;
         self.ready.notify_all();
     }
 }

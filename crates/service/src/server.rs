@@ -33,6 +33,7 @@ use crate::config::ServiceConfig;
 use crate::error::Result;
 use crate::http::{read_request, write_response, Reject, Request, Response};
 use crate::job::{AttackSummary, JobId, JobStore};
+use crate::lock::recover;
 use crate::metrics::Metrics;
 use crate::queue::{JobQueue, PushError};
 use crate::router::{route, Route, SubmitParams};
@@ -176,7 +177,7 @@ fn serve(listener: &TcpListener, state: &Arc<ServiceState>, stop: &AtomicBool) {
         for _ in 0..state.config.http_threads {
             let conn_rx = Arc::clone(&conn_rx);
             scope.spawn(move || loop {
-                let next = conn_rx.lock().expect("conn channel lock").recv();
+                let next = recover(conn_rx.lock()).recv();
                 match next {
                     Ok(stream) => handle_connection(state, &stream),
                     Err(_) => break,

@@ -46,6 +46,7 @@ use kanon_pipeline::delta::{DeltaConfig, DeltaStore};
 use kanon_pipeline::json::JsonObject;
 
 use crate::http::{Reject, Response};
+use crate::lock::recover;
 use crate::router::{TableOpsParams, TableParams};
 use crate::server::ServiceState;
 
@@ -95,10 +96,43 @@ impl TableEntry {
         release
             .write_csv(&mut bytes)
             .map_err(|e| kanon_pipeline::Error::Store(kanon_store::Error::Io(e)))?;
-        *self.release.write().expect("release cache lock") = Some(Arc::new(bytes));
+        *recover(self.release.write()) = Some(Arc::new(bytes));
         self.seq.store(store.seq(), Ordering::Relaxed);
         self.n_rows.store(store.n_rows() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The writer lock, taken blocking. A writer that panicked holding it
+    /// may have left the store half-applied, so a poisoned lock comes back
+    /// with the table quarantined (see [`crate::lock`]).
+    fn lock_state(&self, state: &ServiceState) -> MutexGuard<'_, TableState> {
+        let guard = recover(self.state.lock());
+        self.quarantine_if_poisoned(guard, state)
+    }
+
+    /// As [`Self::lock_state`], without blocking: `None` while another
+    /// writer holds the lock.
+    fn try_lock_state(&self, state: &ServiceState) -> Option<MutexGuard<'_, TableState>> {
+        let guard = match self.state.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => return None,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        };
+        Some(self.quarantine_if_poisoned(guard, state))
+    }
+
+    fn quarantine_if_poisoned<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, TableState>,
+        state: &ServiceState,
+    ) -> MutexGuard<'a, TableState> {
+        if self.state.is_poisoned() {
+            let reason =
+                "a writer panicked mid-operation; the table's in-memory state is untrusted";
+            self.quarantine(&mut guard, reason.to_string(), state);
+            self.state.clear_poison();
+        }
+        guard
     }
 
     fn quarantine(
@@ -109,7 +143,7 @@ impl TableEntry {
     ) {
         **guard = TableState::Quarantined(reason);
         self.quarantined.store(true, Ordering::Relaxed);
-        *self.release.write().expect("release cache lock") = None;
+        *recover(self.release.write()) = None;
         state.metrics.table(&self.name, |t| t.quarantined = true);
     }
 }
@@ -164,17 +198,11 @@ impl TableRegistry {
     /// not to a tenant lease: the work restores state tenants already
     /// paid to write.
     pub fn recover(&self, state: &ServiceState) {
-        let entries: Vec<Arc<TableEntry>> = self
-            .tables
-            .read()
-            .expect("tables lock")
-            .values()
-            .cloned()
-            .collect();
+        let entries: Vec<Arc<TableEntry>> = recover(self.tables.read()).values().cloned().collect();
         for entry in entries {
             let started = Instant::now();
             let opened = DeltaStore::open(self.table_dir(&entry.name), Budget::unlimited());
-            let mut guard = entry.state.lock().expect("table state lock");
+            let mut guard = entry.lock_state(state);
             match opened {
                 Ok(mut store) => match entry.publish(&mut store) {
                     Ok(()) => {
@@ -212,9 +240,7 @@ impl TableRegistry {
     /// Names of quarantined tables, for `/healthz` and `/readyz`.
     #[must_use]
     pub fn quarantined_names(&self) -> Vec<String> {
-        self.tables
-            .read()
-            .expect("tables lock")
+        recover(self.tables.read())
             .values()
             .filter(|e| e.quarantined.load(Ordering::Relaxed))
             .map(|e| e.name.clone())
@@ -224,7 +250,7 @@ impl TableRegistry {
     /// Registered table count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tables.read().expect("tables lock").len()
+        recover(self.tables.read()).len()
     }
 
     /// True when no tables are registered.
@@ -238,7 +264,7 @@ impl TableRegistry {
     }
 
     fn entry(&self, name: &str) -> Option<Arc<TableEntry>> {
-        self.tables.read().expect("tables lock").get(name).cloned()
+        recover(self.tables.read()).get(name).cloned()
     }
 }
 
@@ -344,7 +370,7 @@ pub fn handle_create(
     // Reserve the name atomically; a lost race is a hard conflict, not a
     // retry — the other creator's table now exists.
     let entry = {
-        let mut tables = registry.tables.write().expect("tables lock");
+        let mut tables = recover(registry.tables.write());
         if tables.contains_key(name) {
             return error_json(409, &format!("table {name:?} already exists"));
         }
@@ -352,10 +378,10 @@ pub fn handle_create(
         tables.insert(name.to_string(), Arc::clone(&entry));
         entry
     };
-    let mut guard = entry.state.lock().expect("table state lock");
+    let mut guard = entry.lock_state(state);
 
     let cleanup = |registry: &TableRegistry| {
-        registry.tables.write().expect("tables lock").remove(name);
+        recover(registry.tables.write()).remove(name);
         let _ = std::fs::remove_dir_all(registry.table_dir(name));
     };
     let lease = match lease_for(state, params.max_memory_mb, params.deadline_ms) {
@@ -423,15 +449,9 @@ pub fn handle_ops(
     let Some(entry) = registry.entry(name) else {
         return unknown_table(name);
     };
-    let mut guard = match entry.state.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::WouldBlock) => {
-            state.metrics.table(name, |t| t.write_conflicts += 1);
-            return retryable(409, &format!("table {name:?} has a writer in flight"));
-        }
-        Err(TryLockError::Poisoned(_)) => {
-            return error_json(500, "table state poisoned by a panicked writer")
-        }
+    let Some(mut guard) = entry.try_lock_state(state) else {
+        state.metrics.table(name, |t| t.write_conflicts += 1);
+        return retryable(409, &format!("table {name:?} has a writer in flight"));
     };
     match &mut *guard {
         TableState::Loading => retryable(503, &format!("table {name:?} is recovering")),
@@ -468,7 +488,7 @@ pub fn handle_ops(
                         // The batch is durable (the WAL append succeeded)
                         // but the merged release could not be built; drop
                         // the stale cache rather than serve old bytes.
-                        *entry.release.write().expect("release cache lock") = None;
+                        *recover(entry.release.write()) = None;
                         entry.seq.store(store.seq(), Ordering::Relaxed);
                         error_json(
                             500,
@@ -505,13 +525,13 @@ pub fn handle_release(state: &ServiceState, name: &str) -> Response {
     if entry.quarantined.load(Ordering::Relaxed) {
         // Never serve bytes whose durable backing failed its checksums,
         // even from cache.
-        let reason = match &*entry.state.lock().expect("table state lock") {
+        let reason = match &*entry.lock_state(state) {
             TableState::Quarantined(reason) => reason.clone(),
             _ => "quarantined".to_string(),
         };
         return quarantined_response(name, &reason);
     }
-    let cached = entry.release.read().expect("release cache lock").clone();
+    let cached = recover(entry.release.read()).clone();
     if let Some(bytes) = cached {
         return Response {
             status: 200,
@@ -522,17 +542,11 @@ pub fn handle_release(state: &ServiceState, name: &str) -> Response {
     }
     // No cache (recovery finished without a release, or a failed publish
     // invalidated it): compute one, but never behind a live writer.
-    let mut guard = match entry.state.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::WouldBlock) => {
-            return retryable(
-                503,
-                &format!("table {name:?} has no cached release yet and a writer is in flight"),
-            )
-        }
-        Err(TryLockError::Poisoned(_)) => {
-            return error_json(500, "table state poisoned by a panicked writer")
-        }
+    let Some(mut guard) = entry.try_lock_state(state) else {
+        return retryable(
+            503,
+            &format!("table {name:?} has no cached release yet and a writer is in flight"),
+        );
     };
     match &mut *guard {
         TableState::Loading => retryable(503, &format!("table {name:?} is recovering")),
@@ -547,10 +561,7 @@ pub fn handle_release(state: &ServiceState, name: &str) -> Response {
             store.set_budget(Budget::unlimited());
             match published {
                 Ok(()) => {
-                    let bytes = entry
-                        .release
-                        .read()
-                        .expect("release cache lock")
+                    let bytes = recover(entry.release.read())
                         .clone()
                         .expect("publish filled the cache");
                     Response {
@@ -580,8 +591,8 @@ pub fn handle_status(state: &ServiceState, name: &str) -> Response {
     let Some(entry) = registry.entry(name) else {
         return unknown_table(name);
     };
-    let response = match entry.state.try_lock() {
-        Ok(guard) => match &*guard {
+    let response = match entry.try_lock_state(state) {
+        Some(guard) => match &*guard {
             TableState::Loading => retryable(503, &format!("table {name:?} is recovering")),
             TableState::Quarantined(reason) => quarantined_response(name, reason),
             TableState::Ready(store) => {
@@ -592,16 +603,13 @@ pub fn handle_status(state: &ServiceState, name: &str) -> Response {
                 Response::json(200, obj.finish())
             }
         },
-        Err(TryLockError::WouldBlock) => {
+        None => {
             let mut obj = JsonObject::new();
             obj.string("table", name)
                 .string("state", "busy")
                 .number("seq", u128::from(entry.seq.load(Ordering::Relaxed)))
                 .number("n_rows", u128::from(entry.n_rows.load(Ordering::Relaxed)));
             Response::json(200, obj.finish())
-        }
-        Err(TryLockError::Poisoned(_)) => {
-            error_json(500, "table state poisoned by a panicked writer")
         }
     };
     response
@@ -616,15 +624,9 @@ pub fn handle_delete(state: &ServiceState, name: &str) -> Response {
     let Some(entry) = registry.entry(name) else {
         return unknown_table(name);
     };
-    let mut guard = match entry.state.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::WouldBlock) => {
-            state.metrics.table(name, |t| t.write_conflicts += 1);
-            return retryable(409, &format!("table {name:?} has a writer in flight"));
-        }
-        Err(TryLockError::Poisoned(_)) => {
-            return error_json(500, "table state poisoned by a panicked writer")
-        }
+    let Some(mut guard) = entry.try_lock_state(state) else {
+        state.metrics.table(name, |t| t.write_conflicts += 1);
+        return retryable(409, &format!("table {name:?} has a writer in flight"));
     };
     if matches!(&*guard, TableState::Loading) {
         return retryable(503, &format!("table {name:?} is recovering"));
@@ -633,7 +635,7 @@ pub fn handle_delete(state: &ServiceState, name: &str) -> Response {
     // directory goes away.
     let previous = std::mem::replace(&mut *guard, TableState::Quarantined("deleted".to_string()));
     drop(previous);
-    registry.tables.write().expect("tables lock").remove(name);
+    recover(registry.tables.write()).remove(name);
     state.metrics.remove_table(name);
     if let Err(e) = remove_table_dir(&registry.table_dir(name)) {
         return error_json(
@@ -656,6 +658,50 @@ fn remove_table_dir(dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceConfig;
+    use crate::job::JobStore;
+    use crate::metrics::Metrics;
+    use crate::queue::JobQueue;
+    use kanon_core::BudgetPool;
+
+    #[test]
+    fn a_writer_panic_quarantines_the_table_instead_of_poisoning_it() {
+        let state = ServiceState {
+            config: ServiceConfig::default(),
+            metrics: Metrics::new(),
+            jobs: JobStore::new(),
+            queue: JobQueue::new(1),
+            pool: BudgetPool::new(1 << 20),
+            tables: None,
+        };
+        let entry = Arc::new(TableEntry::new("t"));
+        *recover(entry.release.write()) = Some(Arc::new(b"stale".to_vec()));
+        let writer = Arc::clone(&entry);
+        let joined = std::thread::spawn(move || {
+            let _guard = writer.state.lock().unwrap();
+            panic!("injected panic in a table writer");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(entry.state.is_poisoned());
+
+        let guard = entry.try_lock_state(&state).expect("no live writer");
+        assert!(matches!(&*guard, TableState::Quarantined(r) if r.contains("panicked")));
+        drop(guard);
+        // Quarantine is reported and sticks; the lock itself is healthy
+        // again, so DELETE (the operator's exit) can take it.
+        assert!(!entry.state.is_poisoned());
+        assert!(entry.quarantined.load(Ordering::Relaxed));
+        assert!(recover(entry.release.read()).is_none());
+        assert!(state
+            .metrics
+            .table_stats("t")
+            .is_some_and(|t| t.quarantined));
+        assert!(matches!(
+            &*entry.lock_state(&state),
+            TableState::Quarantined(_)
+        ));
+    }
 
     #[test]
     fn table_names_are_strictly_validated() {
