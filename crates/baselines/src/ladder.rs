@@ -11,6 +11,13 @@
 //! of the remaining allowance, and falls one rung down whenever a rung's
 //! budget trips (or its static size guard rejects the instance).
 //!
+//! Every rung is a partitioner, and so is the ladder: it returns the
+//! winning rung's [`Partition`] as that rung produced it (the two greedy
+//! rungs inside the `(k, 2k − 1)` band, agglomerative blocks possibly
+//! larger) and prices each success with [`Partition::anonymization_cost`].
+//! Rounding the partition into a release is left to the caller, who
+//! does it once (`kanon_core::algo::anonymization_from_partition`).
+//!
 //! Budget slicing: at the moment a rung starts, the deadline actually
 //! remaining (recomputed from elapsed wall-clock time, never from a
 //! schedule drawn up before the run) is divided equally among the rungs
@@ -26,32 +33,17 @@
 
 use std::time::{Duration, Instant};
 
-use kanon_core::algo::{anonymization_from_partition, center_greedy, exhaustive_greedy};
+use kanon_core::algo::{center_greedy, exhaustive_greedy};
 use kanon_core::error::{Error, Result};
 use kanon_core::govern::Budget;
 use kanon_core::greedy::{CenterConfig, FullCoverConfig};
-use kanon_core::{Algorithm, Anonymization, Dataset};
+use kanon_core::{Dataset, Partition};
 
 use crate::agglomerative::agglomerative;
 
 /// One rung of the degradation ladder, in descending guarantee order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Rung {
-    /// Full-domain generalization via the lattice search in
-    /// `kanon-relation` — the ladder's top rung, sitting *above* the
-    /// suppression rungs: when hierarchies are available it finds the
-    /// exact minimum-total-generalization node, which typically loses far
-    /// less information than cell suppression.
-    ///
-    /// This rung is orchestrated at whole-table scope by the pipeline's
-    /// auto path (full-domain levels must be uniform across the table, so
-    /// it cannot run per shard) and needs hierarchies plus a codec that
-    /// this suppression-domain module does not carry. It is therefore
-    /// **not** a member of [`Rung::ALL`]: [`run_ladder`] asked to start
-    /// here runs the entire suppression ladder beneath it, which is
-    /// exactly the fall-through the pipeline performs when the lattice
-    /// trips its budget.
-    Generalization,
     /// Theorem 4.1 exhaustive greedy cover: `3k(1+ln k)`-approximate,
     /// exponential in `k`.
     #[default]
@@ -64,21 +56,25 @@ pub enum Rung {
 }
 
 impl Rung {
-    /// The three *suppression* rungs [`run_ladder`] drives, best guarantee
-    /// first. [`Rung::Generalization`] sits above them but is excluded: it
-    /// runs in a different output domain (a generalized table, not a
-    /// suppressor) and is dispatched by the pipeline layer.
+    /// Every rung, best guarantee first: the order [`run_ladder`] tries
+    /// them in.
     pub const ALL: [Rung; 3] = [
         Rung::FullGreedyCover,
         Rung::CenterGreedy,
         Rung::Agglomerative,
     ];
 
+    /// This rung's index in [`Rung::ALL`] (the variants are declared in
+    /// that order): how many rungs rank above it.
+    #[must_use]
+    pub fn position(self) -> usize {
+        self as usize
+    }
+
     /// Short stable name (used in CLI notes and bench CSVs).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Rung::Generalization => "generalization-lattice",
             Rung::FullGreedyCover => "full-greedy-cover",
             Rung::CenterGreedy => "center-greedy",
             Rung::Agglomerative => "agglomerative",
@@ -89,7 +85,6 @@ impl Rung {
     #[must_use]
     pub fn guarantee(self) -> &'static str {
         match self {
-            Rung::Generalization => "minimal full-domain generalization (exact)",
             Rung::FullGreedyCover => "3k(1+ln k)",
             Rung::CenterGreedy => "6k(1+ln m)",
             Rung::Agglomerative => "heuristic (no worst-case guarantee)",
@@ -108,7 +103,7 @@ impl std::fmt::Display for Rung {
 pub enum RungOutcome {
     /// The rung finished inside its budget slice with this suppression cost.
     Succeeded {
-        /// Suppressed-cell count of the rung's anonymization.
+        /// Suppression cost of the rung's partition (Corollary 4.1).
         cost: usize,
     },
     /// The rung could not answer (budget trip, size guard, overflow guard);
@@ -133,7 +128,7 @@ pub struct RungReport {
 /// Summary of a completed [`run_ladder`] call.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// The rung that produced the returned anonymization.
+    /// The rung that produced the returned partition.
     pub rung: Rung,
     /// The approximation guarantee that survives (the winning rung's).
     pub guarantee: &'static str,
@@ -170,60 +165,33 @@ pub struct LadderConfig {
     pub center: CenterConfig,
 }
 
-/// Whether a rung failure is *recoverable* — i.e. the ladder should fall to
-/// the next rung instead of aborting the whole run. Budget trips, static
-/// size guards, and overflow guards are exactly the "this algorithm cannot
-/// afford this instance" signals the ladder exists to absorb; anything else
-/// (bad `k`, internal invariants) would fail on every rung and propagates.
-fn recoverable(err: &Error) -> bool {
-    matches!(
-        err,
-        Error::BudgetExceeded { .. } | Error::InstanceTooLarge { .. } | Error::Overflow { .. }
-    )
-}
-
 fn attempt(
     ds: &Dataset,
     k: usize,
     config: &LadderConfig,
     rung: Rung,
     budget: &Budget,
-) -> Result<Anonymization> {
+) -> Result<Partition> {
     match rung {
-        // The generalization rung needs hierarchies and a codec this
-        // suppression-domain runner does not carry; it is dispatched by the
-        // pipeline's auto path. Here it fails *recoverably*, so a ladder
-        // reaching it falls straight through to the suppression rungs.
-        Rung::Generalization => Err(Error::InstanceTooLarge {
-            solver: "generalization-lattice",
-            limit: "requires hierarchies; driven by the pipeline auto path".to_string(),
-        }),
         Rung::FullGreedyCover => exhaustive_greedy(ds, k, &config.full, budget),
         Rung::CenterGreedy => center_greedy(ds, k, &config.center, budget),
-        Rung::Agglomerative => {
-            let partition = agglomerative(ds, k, budget)?;
-            anonymization_from_partition(ds, partition, k, Algorithm::External("agglomerative"))
-        }
+        Rung::Agglomerative => agglomerative(ds, k, budget),
     }
 }
 
 /// Runs the degradation ladder: best-guarantee algorithm first, falling one
 /// rung per recoverable failure, inside `config.budget`.
 ///
-/// Returns the first rung's anonymization that finishes, together with a
+/// Returns the partition of the first rung that finishes, together with a
 /// [`RunReport`] naming the winning rung, its surviving guarantee, and
 /// every attempt's cost/time.
 ///
 /// # Errors
 /// Standard `k` validation errors up front. [`Error::BudgetExceeded`] when
 /// no rung could finish (the last rung's error is returned); cancellation
-/// surfaces the same way. Non-recoverable rung errors propagate
-/// immediately.
-pub fn run_ladder(
-    ds: &Dataset,
-    k: usize,
-    config: &LadderConfig,
-) -> Result<(Anonymization, RunReport)> {
+/// surfaces the same way. Errors that are not
+/// [recoverable](Error::is_recoverable) propagate immediately.
+pub fn run_ladder(ds: &Dataset, k: usize, config: &LadderConfig) -> Result<(Partition, RunReport)> {
     run_ladder_with(ds, k, config, attempt)
 }
 
@@ -234,17 +202,10 @@ fn run_ladder_with(
     ds: &Dataset,
     k: usize,
     config: &LadderConfig,
-    mut run_rung: impl FnMut(&Dataset, usize, &LadderConfig, Rung, &Budget) -> Result<Anonymization>,
-) -> Result<(Anonymization, RunReport)> {
+    mut run_rung: impl FnMut(&Dataset, usize, &LadderConfig, Rung, &Budget) -> Result<Partition>,
+) -> Result<(Partition, RunReport)> {
     ds.check_k(k)?;
-    // `Rung::Generalization` is not in `ALL` (it lives above the
-    // suppression ladder, dispatched by the pipeline); starting there
-    // means "the whole suppression ladder beneath it".
-    let start = Rung::ALL
-        .iter()
-        .position(|&r| r == config.start)
-        .unwrap_or(0);
-    let rungs = &Rung::ALL[start..];
+    let rungs = &Rung::ALL[config.start.position()..];
     let mut attempts = Vec::with_capacity(rungs.len());
     let mut last_err: Option<Error> = None;
 
@@ -268,20 +229,21 @@ fn run_ladder_with(
         };
         let started = Instant::now();
         match run_rung(ds, k, config, rung, &slice) {
-            Ok(anon) => {
+            Ok(partition) => {
+                let cost = partition.anonymization_cost(ds);
                 attempts.push(RungReport {
                     rung,
                     elapsed: started.elapsed(),
-                    outcome: RungOutcome::Succeeded { cost: anon.cost },
+                    outcome: RungOutcome::Succeeded { cost },
                 });
                 let report = RunReport {
                     rung,
                     guarantee: rung.guarantee(),
                     attempts,
                 };
-                return Ok((anon, report));
+                return Ok((partition, report));
             }
-            Err(err) if recoverable(&err) => {
+            Err(err) if err.is_recoverable() => {
                 attempts.push(RungReport {
                     rung,
                     elapsed: started.elapsed(),
@@ -300,26 +262,36 @@ fn run_ladder_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kanon_core::algo::exhaustive_greedy;
+    use kanon_core::rounding::suppressor_for_partition;
 
     fn dataset() -> Dataset {
         Dataset::from_fn(18, 3, |i, j| ((i * 7 + j * 3) % 5) as u32)
     }
 
+    /// Whether `partition` rounds (Corollary 4.1) to a k-anonymous release
+    /// of `ds`.
+    fn k_anonymous(ds: &Dataset, partition: &Partition, k: usize) -> bool {
+        let stars = suppressor_for_partition(ds, partition).unwrap();
+        stars.apply(ds).unwrap().is_k_anonymous(k)
+    }
+
     #[test]
     fn unlimited_budget_uses_top_rung_and_matches_pipeline() {
         let ds = dataset();
-        let (anon, report) = run_ladder(&ds, 3, &LadderConfig::default()).unwrap();
+        let (partition, report) = run_ladder(&ds, 3, &LadderConfig::default()).unwrap();
         assert_eq!(report.rung, Rung::FullGreedyCover);
         assert!(!report.degraded());
         assert_eq!(report.guarantee, "3k(1+ln k)");
         assert_eq!(report.attempts.len(), 1);
-        // Byte-identical to the Theorem 4.1 pipeline run directly.
+        // Byte-identical to the Theorem 4.1 solver run directly.
         let direct =
             exhaustive_greedy(&ds, 3, &FullCoverConfig::default(), &Budget::unlimited()).unwrap();
-        assert_eq!(anon.partition, direct.partition);
-        assert_eq!(anon.cost, direct.cost);
-        assert!(anon.table.is_k_anonymous(3));
+        assert_eq!(partition, direct);
+        assert!(matches!(
+            report.attempts[0].outcome,
+            RungOutcome::Succeeded { cost } if cost == direct.anonymization_cost(&ds)
+        ));
+        assert!(k_anonymous(&ds, &partition, 3));
     }
 
     #[test]
@@ -330,7 +302,7 @@ mod tests {
             budget: Budget::builder().max_candidates(10).build(),
             ..Default::default()
         };
-        let (anon, report) = run_ladder(&ds, 3, &config).unwrap();
+        let (partition, report) = run_ladder(&ds, 3, &config).unwrap();
         assert_eq!(report.rung, Rung::CenterGreedy);
         assert!(report.degraded());
         assert_eq!(report.guarantee, "6k(1+ln m)");
@@ -339,7 +311,7 @@ mod tests {
             report.attempts[0].outcome,
             RungOutcome::Failed { .. }
         ));
-        assert!(anon.table.is_k_anonymous(3));
+        assert!(k_anonymous(&ds, &partition, 3));
     }
 
     #[test]
@@ -349,12 +321,12 @@ mod tests {
             start: Rung::CenterGreedy,
             ..Default::default()
         };
-        let (anon, report) = run_ladder(&ds, 3, &config).unwrap();
+        let (partition, report) = run_ladder(&ds, 3, &config).unwrap();
         assert_eq!(report.rung, Rung::CenterGreedy);
         // The skipped top rung is not an attempt, so nothing "degraded".
         assert_eq!(report.attempts.len(), 1);
         assert!(!report.degraded());
-        assert!(anon.table.is_k_anonymous(3));
+        assert!(k_anonymous(&ds, &partition, 3));
         // Byte-identical to a ladder that fell to the same rung.
         let fell = run_ladder(
             &ds,
@@ -365,15 +337,15 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(anon.partition, fell.0.partition);
+        assert_eq!(partition, fell.0);
         // Starting on the last rung leaves exactly one attempt possible.
         let last = LadderConfig {
             start: Rung::Agglomerative,
             ..Default::default()
         };
-        let (anon, report) = run_ladder(&ds, 3, &last).unwrap();
+        let (partition, report) = run_ladder(&ds, 3, &last).unwrap();
         assert_eq!(report.rung, Rung::Agglomerative);
-        assert!(anon.table.is_k_anonymous(3));
+        assert!(k_anonymous(&ds, &partition, 3));
     }
 
     #[test]
@@ -428,7 +400,7 @@ mod tests {
             ..Default::default()
         };
         let mut observed: Vec<(Rung, Duration)> = Vec::new();
-        let (anon, report) = run_ladder_with(&ds, 3, &config, |ds, k, config, rung, slice| {
+        let (partition, report) = run_ladder_with(&ds, 3, &config, |ds, k, config, rung, slice| {
             observed.push((rung, slice.remaining().expect("deadline set")));
             match rung {
                 Rung::FullGreedyCover => Err(budget_trip()),
@@ -437,7 +409,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(report.rung, Rung::CenterGreedy);
-        assert!(anon.table.is_k_anonymous(3));
+        assert!(k_anonymous(&ds, &partition, 3));
         let first = observed[0].1;
         let second = observed[1].1;
         // First slice: an equal third of the deadline, not half.
@@ -470,7 +442,7 @@ mod tests {
             ..Default::default()
         };
         let mut observed: Vec<(Rung, Duration)> = Vec::new();
-        let (anon, report) = run_ladder_with(&ds, 3, &config, |ds, k, config, rung, slice| {
+        let (partition, report) = run_ladder_with(&ds, 3, &config, |ds, k, config, rung, slice| {
             observed.push((rung, slice.remaining().expect("deadline set")));
             match rung {
                 // Mock-slow: burn the whole slice, then trip.
@@ -480,12 +452,12 @@ mod tests {
                 },
                 // Fail instantly so the *last* rung's slice is observable.
                 Rung::CenterGreedy => Err(budget_trip()),
-                Rung::Agglomerative | Rung::Generalization => attempt(ds, k, config, rung, slice),
+                Rung::Agglomerative => attempt(ds, k, config, rung, slice),
             }
         })
         .unwrap();
         assert_eq!(report.rung, Rung::Agglomerative);
-        assert!(anon.table.is_k_anonymous(3));
+        assert!(k_anonymous(&ds, &partition, 3));
         assert!(
             started.elapsed() < deadline + Duration::from_millis(100),
             "ladder overran the deadline: {:.2?}",
@@ -507,23 +479,8 @@ mod tests {
         assert_eq!(Rung::FullGreedyCover.to_string(), "full-greedy-cover");
         assert_eq!(Rung::CenterGreedy.name(), "center-greedy");
         assert!(Rung::Agglomerative.guarantee().contains("heuristic"));
-        assert_eq!(Rung::Generalization.name(), "generalization-lattice");
-        assert!(Rung::Generalization.guarantee().contains("generalization"));
-        assert!(!Rung::ALL.contains(&Rung::Generalization));
-    }
-
-    /// Starting at the (pipeline-dispatched) generalization rung must not
-    /// panic: the suppression ladder runs in full beneath it — the exact
-    /// fall-through the pipeline performs when the lattice trips.
-    #[test]
-    fn generalization_start_falls_through_to_the_suppression_ladder() {
-        let ds = dataset();
-        let config = LadderConfig {
-            start: Rung::Generalization,
-            ..Default::default()
-        };
-        let (anon, report) = run_ladder(&ds, 3, &config).unwrap();
-        assert_eq!(report.rung, Rung::FullGreedyCover);
-        assert!(anon.table.is_k_anonymous(3));
+        for (i, rung) in Rung::ALL.into_iter().enumerate() {
+            assert_eq!(rung.position(), i);
+        }
     }
 }

@@ -28,7 +28,7 @@ fn bench_partitioners(c: &mut Criterion) {
         b.iter(|| {
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .unwrap()
-                .cost
+                .anonymization_cost(&ds)
         });
     });
     group.bench_function(BenchmarkId::from_parameter("knn_greedy"), |b| {

@@ -18,7 +18,7 @@ fn bench_n_sweep(c: &mut Criterion) {
             b.iter(|| {
                 algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
-                    .cost
+                    .anonymization_cost(ds)
             });
         });
     }
@@ -35,7 +35,7 @@ fn bench_m_sweep(c: &mut Criterion) {
             b.iter(|| {
                 algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
-                    .cost
+                    .anonymization_cost(ds)
             });
         });
     }
@@ -63,7 +63,7 @@ fn bench_workload_shapes(c: &mut Criterion) {
             b.iter(|| {
                 algo::center_greedy(ds, 5, &Default::default(), &Budget::unlimited())
                     .unwrap()
-                    .cost
+                    .anonymization_cost(ds)
             });
         });
     }

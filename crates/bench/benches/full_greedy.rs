@@ -19,7 +19,7 @@ fn bench_n_sweep_k2(c: &mut Criterion) {
             b.iter(|| {
                 algo::exhaustive_greedy(ds, 2, &Default::default(), &Budget::unlimited())
                     .unwrap()
-                    .cost
+                    .anonymization_cost(ds)
             });
         });
     }
@@ -38,7 +38,7 @@ fn bench_k_sweep(c: &mut Criterion) {
             b.iter(|| {
                 algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                     .unwrap()
-                    .cost
+                    .anonymization_cost(&ds)
             });
         });
     }

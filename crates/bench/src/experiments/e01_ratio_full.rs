@@ -104,7 +104,7 @@ pub fn run(ctx: &Ctx) -> String {
                             &Budget::unlimited(),
                         )
                         .expect("grid sized for the exhaustive greedy");
-                        pairs.push((greedy.cost, opt.cost));
+                        pairs.push((greedy.anonymization_cost(&ds), opt.cost));
                     }
                     let stats = ratio_stats(&pairs);
                     let bound = bound_thm41(k);

@@ -74,7 +74,7 @@ pub fn run(ctx: &Ctx) -> String {
                         let greedy =
                             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                                 .expect("within guards");
-                        pairs.push((greedy.cost, opt.cost));
+                        pairs.push((greedy.anonymization_cost(&ds), opt.cost));
                     }
                     let stats = ratio_stats(&pairs);
                     let bound = bound_thm42(k, m);
@@ -118,15 +118,16 @@ pub fn run(ctx: &Ctx) -> String {
         let inst = clustered(&mut rng, &params);
         let greedy =
             algo::center_greedy(&inst.dataset, k, &Default::default(), &Budget::unlimited())
-                .expect("within guards");
+                .expect("within guards")
+                .anonymization_cost(&inst.dataset);
         let lb = knn_lower_bound(&inst.dataset, k);
         let vs_planted = if inst.planted_cost > 0 {
-            greedy.cost as f64 / inst.planted_cost as f64
+            greedy as f64 / inst.planted_cost as f64
         } else {
             0.0
         };
         let vs_lb = if lb > 0 {
-            greedy.cost as f64 / lb as f64
+            greedy as f64 / lb as f64
         } else {
             0.0
         };

@@ -34,9 +34,10 @@ pub fn run(ctx: &Ctx) -> String {
     for &n in ns {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE3 + n as u64));
         let ds = uniform(&mut rng, n, m_fixed, 4);
-        let (res, elapsed) = report::time(|| {
+        let (cost, elapsed) = report::time(|| {
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
+                .anonymization_cost(&ds)
         });
         n_points.push((n as f64, elapsed.as_secs_f64()));
         table.row(vec![
@@ -44,7 +45,7 @@ pub fn run(ctx: &Ctx) -> String {
             n.to_string(),
             m_fixed.to_string(),
             report::dur(elapsed),
-            res.cost.to_string(),
+            cost.to_string(),
         ]);
     }
 
@@ -59,9 +60,10 @@ pub fn run(ctx: &Ctx) -> String {
     for &m in ms {
         let mut rng = StdRng::seed_from_u64(ctx.seed ^ (0xE3E3 + m as u64));
         let ds = uniform(&mut rng, n_fixed, m, 4);
-        let (res, elapsed) = report::time(|| {
+        let (cost, elapsed) = report::time(|| {
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
+                .anonymization_cost(&ds)
         });
         m_points.push((m as f64, elapsed.as_secs_f64()));
         table.row(vec![
@@ -69,7 +71,7 @@ pub fn run(ctx: &Ctx) -> String {
             n_fixed.to_string(),
             m.to_string(),
             report::dur(elapsed),
-            res.cost.to_string(),
+            cost.to_string(),
         ]);
     }
 
@@ -86,12 +88,14 @@ pub fn run(ctx: &Ctx) -> String {
             threads,
             ..Default::default()
         };
-        let (res, elapsed) = report::time(|| {
-            algo::center_greedy(&ds, k, &config, &Budget::unlimited()).expect("within guards")
+        let (cost, elapsed) = report::time(|| {
+            algo::center_greedy(&ds, k, &config, &Budget::unlimited())
+                .expect("within guards")
+                .anonymization_cost(&ds)
         });
         assert_eq!(
-            *thread_cost.get_or_insert(res.cost),
-            res.cost,
+            *thread_cost.get_or_insert(cost),
+            cost,
             "thread count changed the result"
         );
         table.row(vec![
@@ -99,7 +103,7 @@ pub fn run(ctx: &Ctx) -> String {
             n_threads_sweep.to_string(),
             m_fixed.to_string(),
             report::dur(elapsed),
-            res.cost.to_string(),
+            cost.to_string(),
         ]);
     }
 

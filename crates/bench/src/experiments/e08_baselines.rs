@@ -80,7 +80,7 @@ pub fn run(ctx: &Ctx) -> String {
             let lb = knn_lower_bound(&ds, k);
             let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
-                .cost;
+                .anonymization_cost(&ds);
             let knn = knn_greedy(&ds, k, &Budget::unlimited())
                 .expect("valid k")
                 .anonymization_cost(&ds);

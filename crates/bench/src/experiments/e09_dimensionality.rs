@@ -55,6 +55,7 @@ pub fn run(ctx: &Ctx) -> String {
         let (center, center_time) = report::time(|| {
             algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
+                .anonymization_cost(ds)
         });
         let knn = knn_greedy(ds, k, &Budget::unlimited())
             .expect("valid k")
@@ -80,7 +81,7 @@ pub fn run(ctx: &Ctx) -> String {
         };
         table.row(vec![
             m.to_string(),
-            report::f(center.cost as f64 / cells, 4),
+            report::f(center as f64 / cells, 4),
             report::dur(center_time),
             report::f(knn as f64 / cells, 4),
             report::f(mon as f64 / cells, 4),

@@ -61,10 +61,11 @@ pub fn run(ctx: &Ctx) -> String {
             nodes.push(bb.nodes as f64);
             opts.push(opt as f64);
             let greedy = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
-                .expect("within guards");
+                .expect("within guards")
+                .anonymization_cost(&ds);
             if opt > 0 {
-                worst_ratio = worst_ratio.max(greedy.cost as f64 / opt as f64);
-            } else if greedy.cost > 0 {
+                worst_ratio = worst_ratio.max(greedy as f64 / opt as f64);
+            } else if greedy > 0 {
                 worst_ratio = f64::INFINITY;
             }
         }

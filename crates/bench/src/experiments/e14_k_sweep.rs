@@ -66,7 +66,7 @@ pub fn run(ctx: &Ctx) -> String {
     for &k in ks {
         let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
             .expect("within guards");
-        describe(&mut table, &ds, "center(4.2)", k, &center.partition);
+        describe(&mut table, &ds, "center(4.2)", k, &center);
         let knn = knn_greedy(&ds, k, &Budget::unlimited()).expect("valid k");
         describe(&mut table, &ds, "knn", k, &knn);
     }

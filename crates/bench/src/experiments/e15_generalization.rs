@@ -73,8 +73,9 @@ pub fn run(ctx: &Ctx) -> String {
         // Suppression model: star fraction.
         let (ds, _) = table.encode();
         let suppressed = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
-            .expect("within guards");
-        let supp_loss = suppressed.suppression_rate();
+            .expect("within guards")
+            .anonymization_cost(&ds);
+        let supp_loss = suppressed as f64 / ds.n_cells() as f64;
 
         // Full-domain lattice minimum.
         let lattice = GeneralizationLattice::new(&table, hs.clone()).expect("arity matches");

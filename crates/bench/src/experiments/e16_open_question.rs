@@ -52,11 +52,11 @@ pub fn run(ctx: &Ctx) -> String {
                 .cost;
             let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("within guards")
-                .cost;
+                .anonymization_cost(&ds);
             center_pairs.push((center, opt));
             let full = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .expect("small instance")
-                .cost;
+                .anonymization_cost(&ds);
             full_pairs.push((full, opt));
             let fr = forest(&ds, k, &ForestConfig::default())
                 .expect("within guards")

@@ -13,8 +13,7 @@
 
 use crate::report::{self, Table as Report};
 use crate::Ctx;
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, Algorithm, Budget};
 use kanon_relation::{linkage_attack, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
@@ -72,8 +71,10 @@ pub fn run(ctx: &Ctx) -> String {
     let mut guarantee_violated = false;
     for &k in ks {
         let (ds, codec) = external.encode();
-        let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+        let partition = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
             .expect("within guards");
+        let result = algo::anonymization_from_partition(&ds, partition, k, Algorithm::CenterGreedy)
+            .expect("a solver's partition rounds");
         let released_csv = codec.decode(&result.table).expect("same codec");
         let released = kanon_relation::csv::parse(&released_csv).expect("own output");
         let attacked = linkage_attack(&released, &external, &pairs).expect("columns exist");

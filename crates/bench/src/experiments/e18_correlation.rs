@@ -42,17 +42,19 @@ pub fn run(ctx: &Ctx) -> String {
                 rho,
             },
         );
-        let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
-            .expect("within guards");
+        let cost = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+            .expect("within guards")
+            .anonymization_cost(&ds);
+        let rate = cost as f64 / ds.n_cells() as f64;
         let lb = knn_lower_bound(&ds, k);
-        rates.push(result.suppression_rate());
+        rates.push(rate);
         table.row(vec![
             report::f(rho, 1),
-            format!("{:.1}%", 100.0 * result.suppression_rate()),
-            result.cost.to_string(),
+            format!("{:.1}%", 100.0 * rate),
+            cost.to_string(),
             lb.to_string(),
             if lb > 0 {
-                report::f(result.cost as f64 / lb as f64, 2)
+                report::f(cost as f64 / lb as f64, 2)
             } else {
                 "-".into()
             },

@@ -27,6 +27,7 @@ use crate::report::Table;
 use crate::Ctx;
 use kanon_baselines::ladder::{run_ladder, LadderConfig, Rung, RungOutcome};
 use kanon_core::govern::Budget;
+use kanon_core::{algo, Algorithm};
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,7 +88,14 @@ pub fn run(ctx: &Ctx) -> String {
             ..Default::default()
         };
         match run_ladder(&ds, k, &config) {
-            Ok((anon, report)) => {
+            Ok((partition, report)) => {
+                let anon = algo::anonymization_from_partition(
+                    &ds,
+                    partition,
+                    k,
+                    Algorithm::External("ladder"),
+                )
+                .expect("a rung's partition rounds");
                 let attempts: Vec<String> = report
                     .attempts
                     .iter()

@@ -337,7 +337,7 @@ fn anonymize(text: &str, args: &Anonymize) -> Result<Outcome, CliError> {
     };
     let budget = build_budget(args.deadline_ms, args.max_memory_mb);
     let mut ladder_report: Option<kanon_baselines::RunReport> = None;
-    let result = match args.algorithm {
+    let partition = match args.algorithm {
         Algorithm::Center => algo::center_greedy(&ds, k, &center_config, &budget),
         Algorithm::Exhaustive => algo::exhaustive_greedy(&ds, k, &Default::default(), &budget),
         Algorithm::Ladder => {
@@ -346,29 +346,23 @@ fn anonymize(text: &str, args: &Anonymize) -> Result<Outcome, CliError> {
                 center: center_config.clone(),
                 ..Default::default()
             };
-            kanon_baselines::run_ladder(&ds, k, &config).map(|(anon, report)| {
+            kanon_baselines::run_ladder(&ds, k, &config).map(|(partition, report)| {
                 ladder_report = Some(report);
-                anon
+                partition
             })
         }
-        Algorithm::Forest => {
-            kanon_baselines::forest::forest(&ds, k, &Default::default()).and_then(|partition| {
-                algo::anonymization_from_partition(
-                    &ds,
-                    partition,
-                    k,
-                    kanon_core::Algorithm::External("k-forest"),
-                )
-            })
-        }
-        Algorithm::Exact => algo::exact_optimal(&ds, k),
-    }
-    .map_err(|e| {
-        CliError::Failed(format!(
-            "anonymization failed: {e}\nhint: `center` handles the largest instances; \
-             --deadline-ms runs the degradation ladder"
-        ))
-    })?;
+        Algorithm::Forest => kanon_baselines::forest::forest(&ds, k, &Default::default()),
+        Algorithm::Exact => kanon_core::exact::optimal(&ds, k).map(|opt| opt.partition),
+    };
+    let tag = kanon_core::Algorithm::External(args.algorithm.name());
+    let result = partition
+        .and_then(|partition| algo::anonymization_from_partition(&ds, partition, k, tag))
+        .map_err(|e| {
+            CliError::Failed(format!(
+                "anonymization failed: {e}\nhint: `center` handles the largest instances; \
+                 --deadline-ms runs the degradation ladder"
+            ))
+        })?;
     let elapsed = started.elapsed();
 
     let algo_name = match args.algorithm {

@@ -1,21 +1,26 @@
-//! High-level anonymization pipelines: one call from dataset to released
-//! table.
+//! The paper's solvers as one call each, and the finisher every release
+//! shares.
 //!
-//! Each pipeline runs a partitioning strategy, rounds the partition with
-//! Corollary 4.1 ([`crate::rounding`]), verifies k-anonymity, and returns an
-//! [`Anonymization`] bundling the partition, the suppressor, the released
-//! table, and summary statistics.
+//! A solver is a partitioner: [`exhaustive_greedy`] and [`center_greedy`]
+//! return a [`Partition`] whose blocks hold between `k` and `2k − 1` rows,
+//! and [`crate::exact::optimal`] and the baselines crate's partitioners
+//! return partitions too. Corollary 4.1 turns any such partition into a suppressor
+//! costing `Σ ANON(S)`, so a caller that only wants the cost reads
+//! [`Partition::anonymization_cost`]. A caller that releases a table calls
+//! [`anonymization_from_partition`] (or [`anonymization_of_codes`]) once:
+//! it rounds the partition ([`crate::rounding`]), verifies k-anonymity,
+//! and returns an [`Anonymization`] bundling the partition, the
+//! suppressor, the released table, and its cost.
 
 use crate::dataset::Dataset;
-use crate::error::Result;
-use crate::exact;
+use crate::error::{Error, Result};
 use crate::govern::Budget;
 use crate::greedy::{
     center_greedy_cover, full_greedy_cover, reduce, CenterConfig, FullCoverConfig,
 };
 use crate::partition::Partition;
 use crate::rounding::suppressor_for_partition;
-use crate::suppression::{verified_cost, AnonymizedTable, Suppressor};
+use crate::suppression::{AnonymizedTable, Suppressor};
 
 /// Which solver produced an anonymization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,15 +66,13 @@ impl Anonymization {
     }
 }
 
-/// Rounds an externally produced partition with Corollary 4.1 and verifies
-/// k-anonymity, tagging the result with `algorithm`. This is the finishing
-/// step every pipeline here shares, exposed so out-of-crate runners (the
-/// baselines crate's degradation ladder, the CLI's forest branch) can turn
-/// their partitions into a complete [`Anonymization`].
+/// Rounds a solver's partition with Corollary 4.1 and verifies
+/// k-anonymity, tagging the result with `algorithm`: the one finisher
+/// every release goes through.
 ///
 /// # Errors
-/// [`crate::Error::InvalidPartition`] when `partition` does not cover `ds`
-/// with blocks of at least `k` rows.
+/// [`Error::InvalidPartition`] when `partition` does not cover `ds` with
+/// blocks of at least `k` rows.
 pub fn anonymization_from_partition(
     ds: &Dataset,
     partition: Partition,
@@ -93,7 +96,13 @@ pub fn anonymization_of_codes(
 ) -> Result<Anonymization> {
     let suppressor = suppressor_for_partition(&codes, &partition)?;
     let table = AnonymizedTable::new(codes, suppressor.clone())?;
-    let cost = verified_cost(&table, k)?;
+    if !table.is_k_anonymous(k) {
+        let worst = table.anonymity_level().unwrap_or(0);
+        return Err(Error::InvalidPartition(format!(
+            "released table is only {worst}-anonymous, needed {k}"
+        )));
+    }
+    let cost = table.suppressed_cells();
     Ok(Anonymization {
         partition,
         suppressor,
@@ -103,7 +112,7 @@ pub fn anonymization_of_codes(
     })
 }
 
-/// The Theorem 4.1 pipeline: exhaustive greedy cover → Reduce → round.
+/// The Theorem 4.1 solver: exhaustive greedy cover → Reduce → split.
 ///
 /// Only feasible for small `n` and `k` (the candidate family has
 /// `Σ C(n, k..2k−1)` sets); see [`FullCoverConfig::max_candidates`]. The
@@ -118,14 +127,13 @@ pub fn exhaustive_greedy(
     k: usize,
     config: &FullCoverConfig,
     budget: &Budget,
-) -> Result<Anonymization> {
+) -> Result<Partition> {
     let cover = full_greedy_cover(ds, k, config, None, budget)?;
-    let partition = reduce(&cover, k)?.split_large(k);
-    anonymization_from_partition(ds, partition, k, Algorithm::ExhaustiveGreedy)
+    Ok(reduce(&cover, k)?.split_large(k))
 }
 
-/// The Theorem 4.2 pipeline: center-ball greedy cover → Reduce → split →
-/// round. Strongly polynomial: `O(m·n² + n³)`. The distance-cache build
+/// The Theorem 4.2 solver: center-ball greedy cover → Reduce → split.
+/// Strongly polynomial: `O(m·n² + n³)`. The distance-cache build
 /// and the center scans poll `budget` at bounded intervals.
 ///
 /// # Errors
@@ -136,26 +144,32 @@ pub fn center_greedy(
     k: usize,
     config: &CenterConfig,
     budget: &Budget,
-) -> Result<Anonymization> {
+) -> Result<Partition> {
     let cover = center_greedy_cover(ds, k, config, None, budget)?;
-    let partition = reduce(&cover, k)?.split_large(k);
-    anonymization_from_partition(ds, partition, k, Algorithm::CenterGreedy)
-}
-
-/// The exact pipeline: optimal partition (engine chosen by instance size) →
-/// round. Exponential; use only to measure approximation ratios.
-///
-/// # Errors
-/// Bad `k` or an instance beyond every exact engine's reach.
-pub fn exact_optimal(ds: &Dataset, k: usize) -> Result<Anonymization> {
-    let opt = exact::optimal(ds, k)?;
-    anonymization_from_partition(ds, opt.partition, k, Algorithm::Exact)
+    Ok(reduce(&cover, k)?.split_large(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact;
     use proptest::prelude::*;
+
+    /// Each solver's partition, rounded once into its release.
+    fn exhaustive(ds: &Dataset, k: usize) -> Anonymization {
+        let p = exhaustive_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+        anonymization_from_partition(ds, p, k, Algorithm::ExhaustiveGreedy).unwrap()
+    }
+
+    fn centered(ds: &Dataset, k: usize) -> Anonymization {
+        let p = center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+        anonymization_from_partition(ds, p, k, Algorithm::CenterGreedy).unwrap()
+    }
+
+    fn optimal(ds: &Dataset, k: usize) -> Anonymization {
+        let p = exact::optimal(ds, k).unwrap().partition;
+        anonymization_from_partition(ds, p, k, Algorithm::Exact).unwrap()
+    }
 
     fn hospital() -> Dataset {
         Dataset::from_rows(vec![
@@ -171,9 +185,9 @@ mod tests {
     fn all_three_pipelines_agree_on_feasibility() {
         let ds = hospital();
         for k in 1..=4 {
-            let a = exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-            let b = center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-            let c = exact_optimal(&ds, k).unwrap();
+            let a = exhaustive(&ds, k);
+            let b = centered(&ds, k);
+            let c = optimal(&ds, k);
             for r in [&a, &b, &c] {
                 assert!(r.table.is_k_anonymous(k), "k = {k}");
                 assert_eq!(r.cost, r.suppressor.cost());
@@ -189,7 +203,7 @@ mod tests {
         // (last=Stone, race=Afr-Am) for rows {0,2} and (first=John) for
         // rows {1,3}: 10 stars total. The optimum can be no worse.
         let ds = hospital();
-        let opt = exact_optimal(&ds, 2).unwrap();
+        let opt = optimal(&ds, 2);
         assert!(opt.cost <= 10);
         assert!(opt.table.is_k_anonymous(2));
     }
@@ -197,26 +211,16 @@ mod tests {
     #[test]
     fn suppression_rate_bounds() {
         let ds = hospital();
-        let a = center_greedy(&ds, 4, &Default::default(), &Budget::unlimited()).unwrap();
+        let a = centered(&ds, 4);
         assert!(a.suppression_rate() > 0.0 && a.suppression_rate() <= 1.0);
     }
 
     #[test]
     fn algorithm_tags() {
         let ds = hospital();
-        assert_eq!(
-            exhaustive_greedy(&ds, 2, &Default::default(), &Budget::unlimited())
-                .unwrap()
-                .algorithm,
-            Algorithm::ExhaustiveGreedy
-        );
-        assert_eq!(
-            center_greedy(&ds, 2, &Default::default(), &Budget::unlimited())
-                .unwrap()
-                .algorithm,
-            Algorithm::CenterGreedy
-        );
-        assert_eq!(exact_optimal(&ds, 2).unwrap().algorithm, Algorithm::Exact);
+        assert_eq!(exhaustive(&ds, 2).algorithm, Algorithm::ExhaustiveGreedy);
+        assert_eq!(centered(&ds, 2).algorithm, Algorithm::CenterGreedy);
+        assert_eq!(optimal(&ds, 2).algorithm, Algorithm::Exact);
     }
 
     proptest! {
@@ -232,11 +236,9 @@ mod tests {
             k in 1usize..4,
         ) {
             let ds = Dataset::from_flat(8, 3, flat).unwrap();
-            let greedy =
-                exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-            let centered =
-                center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-            let opt = exact_optimal(&ds, k).unwrap();
+            let greedy = exhaustive(&ds, k);
+            let centered = centered(&ds, k);
+            let opt = optimal(&ds, k);
             prop_assert!(greedy.table.is_k_anonymous(k));
             prop_assert!(centered.table.is_k_anonymous(k));
             prop_assert!(opt.cost <= greedy.cost);

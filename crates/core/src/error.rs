@@ -120,6 +120,22 @@ impl fmt::Display for Error {
     }
 }
 
+impl Error {
+    /// Whether this error says only "this solver cannot afford this
+    /// instance": a budget trip, a static size guard, or an overflow guard.
+    /// A weaker solver may still answer, so the degradation ladder falls a
+    /// rung on these and the pipeline falls back to suppress-and-split;
+    /// anything else (bad `k`, internal invariants) would fail every
+    /// solver alike and propagates.
+    #[must_use]
+    pub fn is_recoverable(&self) -> bool {
+        matches!(
+            self,
+            Error::BudgetExceeded { .. } | Error::InstanceTooLarge { .. } | Error::Overflow { .. }
+        )
+    }
+}
+
 impl std::error::Error for Error {}
 
 #[cfg(test)]

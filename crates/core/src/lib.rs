@@ -16,12 +16,15 @@
 //!
 //! * [`algo::exhaustive_greedy`] — the Theorem 4.1 algorithm: greedy weighted
 //!   set cover over **all** subsets of cardinality `k..=2k−1`, followed by the
-//!   `Reduce` cover-to-partition conversion and per-group suppression. It is a
+//!   `Reduce` cover-to-partition conversion. It is a
 //!   `3k(1 + ln k)`-approximation but runs in time exponential in `k`
 //!   (`O(n^{2k})`), so it is only usable for small instances.
 //! * [`algo::center_greedy`] — the Theorem 4.2 algorithm: greedy set cover
 //!   restricted to the center/radius family `S_{c,i} = {v : d(c,v) ≤ i}`.
 //!   Strongly polynomial (`O(m·n² + n³)`) and a `6k(1 + ln m)`-approximation.
+//!
+//! Both return a partition; [`algo::anonymization_from_partition`] rounds it
+//! into per-group suppression (Corollary 4.1) and verifies the release.
 //!
 //! To *measure* those approximation ratios the crate also ships exact optimal
 //! solvers ([`exact`]): a subset dynamic program over row masks, a
@@ -32,7 +35,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use kanon_core::{Budget, Dataset, algo};
+//! use kanon_core::{algo, Algorithm, Budget, Dataset};
 //!
 //! // Four 3-attribute records (dictionary-coded values).
 //! let ds = Dataset::from_rows(vec![
@@ -42,7 +45,10 @@
 //!     vec![1, 20, 2],
 //! ]).unwrap();
 //!
-//! let result = algo::center_greedy(&ds, 2, &Default::default(), &Budget::unlimited()).unwrap();
+//! // A solver groups the rows; every group holds at least k of them.
+//! let groups = algo::center_greedy(&ds, 2, &Default::default(), &Budget::unlimited()).unwrap();
+//! // Corollary 4.1 rounds the groups into a released, verified table.
+//! let result = algo::anonymization_from_partition(&ds, groups, 2, Algorithm::CenterGreedy).unwrap();
 //! assert!(result.table.is_k_anonymous(2));
 //! // Cost = number of suppressed cells.
 //! assert_eq!(result.cost, result.table.suppressed_cells());

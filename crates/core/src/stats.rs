@@ -41,11 +41,14 @@ pub struct ReleaseStats {
 /// `k` (used only for the normalized average group size).
 ///
 /// ```
-/// use kanon_core::{Dataset, algo, stats::release_stats};
+/// use kanon_core::{algo, exact, stats::release_stats, Algorithm, Dataset};
 /// let ds = Dataset::from_rows(vec![
 ///     vec![0, 0], vec![0, 1], vec![5, 5], vec![5, 5],
 /// ]).unwrap();
-/// let released = algo::exact_optimal(&ds, 2).unwrap().table;
+/// let optimum = exact::optimal(&ds, 2).unwrap().partition;
+/// let released = algo::anonymization_from_partition(&ds, optimum, 2, Algorithm::Exact)
+///     .unwrap()
+///     .table;
 /// let stats = release_stats(&released, 2);
 /// assert_eq!(stats.n_groups, 2);
 /// assert_eq!(stats.discernibility, 8); // 2^2 + 2^2
@@ -142,7 +145,9 @@ mod tests {
     #[test]
     fn stats_of_a_clean_release() {
         let ds = sample();
-        let result = algo::exact_optimal(&ds, 2).unwrap();
+        let optimum = crate::exact::optimal(&ds, 2).unwrap().partition;
+        let result =
+            algo::anonymization_from_partition(&ds, optimum, 2, algo::Algorithm::Exact).unwrap();
         let stats = release_stats(&result.table, 2);
         assert_eq!(stats.n_rows, 4);
         assert_eq!(stats.stars, result.cost);

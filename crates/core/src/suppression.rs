@@ -256,6 +256,12 @@ impl AnonymizedTable {
         &self.codes
     }
 
+    /// The codes under the release, taken back by value.
+    #[must_use]
+    pub fn into_codes(self) -> Dataset {
+        self.codes
+    }
+
     /// Borrow row `i`.
     ///
     /// # Panics
@@ -359,38 +365,12 @@ impl AnonymizedTable {
     }
 }
 
-/// Checks that `suppressor` applied to `ds` is k-anonymous and returns the
-/// released table along with its cost.
-///
-/// # Errors
-/// Propagates shape mismatches; returns [`Error::InvalidPartition`] if the
-/// result is not k-anonymous (the message names the smallest group).
-pub fn verify_k_anonymity(
-    ds: &Dataset,
-    suppressor: &Suppressor,
-    k: usize,
-) -> Result<(AnonymizedTable, usize)> {
-    let table = suppressor.apply(ds)?;
-    let cost = verified_cost(&table, k)?;
-    Ok((table, cost))
-}
-
-/// The star count of `table`, or [`Error::InvalidPartition`] naming its
-/// smallest group when it is not k-anonymous.
-pub(crate) fn verified_cost(table: &AnonymizedTable, k: usize) -> Result<usize> {
-    if !table.is_k_anonymous(k) {
-        let worst = table.anonymity_level().unwrap_or(0);
-        return Err(Error::InvalidPartition(format!(
-            "released table is only {worst}-anonymous, needed {k}"
-        )));
-    }
-    Ok(table.suppressed_cells())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::{anonymization_from_partition, Algorithm};
     use crate::bitset::BitSet;
+    use crate::partition::Partition;
     use proptest::prelude::*;
 
     /// The §1 hospital example, dictionary coded:
@@ -432,7 +412,8 @@ mod tests {
             s.suppress(row, 2); // age
             s.suppress(row, 3); // race
         }
-        let (table, cost) = verify_k_anonymity(&ds, &s, 2).unwrap();
+        let table = s.apply(&ds).unwrap();
+        let cost = table.suppressed_cells();
         assert_eq!(cost, 2 * 2 + 2 * 3);
         assert!(table.is_k_anonymous(2));
         assert!(!table.is_k_anonymous(3));
@@ -443,9 +424,11 @@ mod tests {
 
     #[test]
     fn verify_rejects_insufficient_anonymity() {
+        // Singleton blocks round to the identity suppressor, which the
+        // finisher's k-check rejects.
         let ds = hospital();
-        let s = Suppressor::identity(4, 4);
-        let err = verify_k_anonymity(&ds, &s, 2).unwrap_err();
+        let singletons = Partition::new_unchecked((0..4).map(|r| vec![r]).collect(), 4);
+        let err = anonymization_from_partition(&ds, singletons, 2, Algorithm::Exact).unwrap_err();
         assert!(err.to_string().contains("1-anonymous"));
     }
 

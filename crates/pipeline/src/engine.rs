@@ -103,17 +103,6 @@ pub(crate) fn choose_start(s: usize, k: usize, config: &PipelineConfig) -> Rung 
     }
 }
 
-/// Whether a ladder failure should drop to the suppress-and-split fallback
-/// (same recoverable set as the ladder itself uses between rungs).
-fn recoverable(err: &kanon_core::Error) -> bool {
-    matches!(
-        err,
-        kanon_core::Error::BudgetExceeded { .. }
-            | kanon_core::Error::InstanceTooLarge { .. }
-            | kanon_core::Error::Overflow { .. }
-    )
-}
-
 pub(crate) fn solve_shard(
     id: usize,
     sub: &Dataset,
@@ -130,11 +119,12 @@ pub(crate) fn solve_shard(
         center: config.center.clone(),
     };
     match run_ladder(sub, k, &ladder) {
-        Ok((anon, run)) => {
+        Ok((partition, run)) => {
             // Normalize into the (k, 2k-1) band so the merged partition
-            // passes the whole-table validator. `split_large` never
-            // increases per-block suppression, so recompute the cost.
-            let partition = anon.partition.split_large(k);
+            // passes the whole-table validator: agglomerative blocks may
+            // be larger. `split_large` can only lower a block's
+            // suppression, so the shard is priced after the split.
+            let partition = partition.split_large(k);
             let cost = partition.anonymization_cost(sub);
             Ok(Solved {
                 partition,
@@ -150,16 +140,11 @@ pub(crate) fn solve_shard(
                 },
             })
         }
-        Err(err) if recoverable(&err) => {
+        Err(err) if err.is_recoverable() => {
             let s = sub.n_rows();
             let partition =
                 Partition::new_unchecked(vec![(0..s as u32).collect()], s).split_large(k);
             let cost = partition.anonymization_cost(sub);
-            let attempted = Rung::ALL.len()
-                - Rung::ALL
-                    .iter()
-                    .position(|&r| r == start)
-                    .expect("Rung::ALL contains every rung");
             Ok(Solved {
                 partition,
                 report: ShardReport {
@@ -167,7 +152,7 @@ pub(crate) fn solve_shard(
                     rows: s,
                     solved_by: SolvedBy::Fallback,
                     degraded: true,
-                    attempts: attempted,
+                    attempts: Rung::ALL.len() - start.position(),
                     cost,
                     elapsed: started.elapsed(),
                     note: Some(err.to_string()),
@@ -291,10 +276,7 @@ pub(crate) fn solve_residue(
 fn weaker_solver(a: SolvedBy, b: SolvedBy) -> SolvedBy {
     let rank = |s: &SolvedBy| match s {
         // Rungs are ordered strongest-first in `Rung::ALL`.
-        SolvedBy::Rung(r) => Rung::ALL
-            .iter()
-            .position(|x| x == r)
-            .expect("Rung::ALL contains every rung"),
+        SolvedBy::Rung(r) => r.position(),
         SolvedBy::Fallback => Rung::ALL.len(),
     };
     if rank(&b) > rank(&a) {
@@ -787,6 +769,32 @@ mod tests {
         assert!(anon.table.is_k_anonymous(3));
         for shard in &report.shards {
             assert_eq!(shard.solved_by, SolvedBy::Rung(Rung::Agglomerative));
+        }
+    }
+
+    /// Every start rung under a spent deadline falls back on every unit,
+    /// having attempted exactly the rungs from the start down.
+    #[test]
+    fn every_start_rung_falls_back_under_a_spent_deadline() {
+        let ds = Dataset::from_fn(60, 3, |i, j| ((i * 13 + j * 7) % 6) as u32);
+        for start in Rung::ALL {
+            let config = PipelineConfig {
+                shard_size: 12,
+                start: Some(start),
+                budget: Budget::builder().deadline(Duration::ZERO).build(),
+                ..PipelineConfig::default()
+            };
+            let (anon, report) = run_pipeline(&ds, 3, &config).unwrap();
+            assert!(anon.table.is_k_anonymous(3), "{start}");
+            assert!(!report.shards.is_empty());
+            for shard in &report.shards {
+                assert_eq!(shard.solved_by, SolvedBy::Fallback, "{start}");
+                assert_eq!(
+                    shard.attempts,
+                    Rung::ALL.len() - start.position(),
+                    "{start}"
+                );
+            }
         }
     }
 }

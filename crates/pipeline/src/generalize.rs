@@ -7,8 +7,10 @@
 //! [`kanon_relation::Hierarchy`] per column, and attempts **full-domain
 //! generalization** ([`GeneralizationLattice::search_minimal`])
 //! on the quasi projection under half the remaining budget. Generalization
-//! is the top rung of the ladder ([`kanon_baselines::ladder::Rung::Generalization`]):
-//! it coarsens *every* row the same way instead of suppressing cells, so
+//! sits above the suppression ladder ([`kanon_baselines::ladder::Rung`]),
+//! run here rather than per shard because full-domain levels must be
+//! uniform across the table: it coarsens *every* row the same way instead
+//! of suppressing cells, so
 //! when it reaches `k` its information loss (Samarati precision) is
 //! usually far below the suppression fraction. When the lattice has no
 //! `k`-anonymous node, or the budget slice trips first, the run falls

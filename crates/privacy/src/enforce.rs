@@ -360,11 +360,11 @@ mod tests {
         // Census-flavoured: anonymize QI, then enforce diversity on a
         // synthetic sensitive column engineered to violate it.
         let ds = Dataset::from_fn(12, 3, |i, j| ((i / 3) * 10 + j) as u32);
-        let result =
+        let partition =
             algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
         // Sensitive: constant within each natural cluster of 3.
         let sensitive: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
-        let repaired = enforce_l_diversity(&ds, &result.partition, &sensitive, 2).unwrap();
+        let repaired = enforce_l_diversity(&ds, &partition, &sensitive, 2).unwrap();
         assert!(is_l_diverse(&repaired.partition, &sensitive, 2).unwrap());
         assert!(repaired.partition.min_block_size().unwrap() >= 3);
     }

@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use kanon_relation::{Table, Schema};
-//! use kanon_core::{algo, Budget};
+//! use kanon_core::{algo, Algorithm, Budget};
 //!
 //! let schema = Schema::new(vec!["first", "last", "age", "race"]).unwrap();
 //! let mut table = Table::new(schema);
@@ -21,8 +21,11 @@
 //! table.push_str_row(&["John", "Ramos", "22", "Hisp"]).unwrap();
 //!
 //! let (dataset, codec) = table.encode();
-//! let result =
+//! let partition =
 //!     algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()).unwrap();
+//! let result =
+//!     algo::anonymization_from_partition(&dataset, partition, 2, Algorithm::CenterGreedy)
+//!         .unwrap();
 //! let released = codec.decode(&result.table).unwrap();
 //! assert!(released.contains('*'));
 //! ```

@@ -218,13 +218,33 @@ fn handle_connection(state: &ServiceState, stream: &TcpStream) {
         // answer, nothing to record.
         Err(_) => return,
         Ok(Err(reject)) => reject_response(&reject),
-        Ok(Ok(request)) => dispatch(state, request),
+        // A panicking handler answers 500 and keeps its thread. A table
+        // writer that panicked leaves its lock poisoned, which quarantines
+        // the table on its next use.
+        Ok(Ok(request)) => catch_unwind(AssertUnwindSafe(|| dispatch(state, request)))
+            .unwrap_or_else(|payload| {
+                let mut obj = JsonObject::new();
+                obj.string(
+                    "error",
+                    &format!("request handler panicked: {}", panic_message(&*payload)),
+                );
+                Response::json(500, obj.finish())
+            }),
     };
     let mut writer = stream;
     let _ = write_response(&mut writer, &response);
     state
         .metrics
         .record_response(response.status, started.elapsed());
+}
+
+/// The message a panic was raised with, or `""` for a non-string payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default()
 }
 
 fn reject_response(reject: &Reject) -> Response {
@@ -451,14 +471,7 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
             },
         }
     }))
-    .map_err(|payload| {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|m| (*m).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        format!("job panicked: {message}")
-    })
+    .map_err(|payload| format!("job panicked: {}", panic_message(&*payload)))
     .and_then(|solved| solved.map_err(|e| e.to_string()));
     // Return the job's memory to the pool before its outcome is published,
     // so a client that resubmits as soon as it sees `completed` or `failed`
@@ -635,5 +648,52 @@ mod tests {
         assert_eq!(counter("kanon_jobs_accepted_total"), Some(3));
         assert_eq!(counter("kanon_jobs_completed_total"), Some(2));
         assert_eq!(counter("kanon_jobs_failed_total"), Some(1));
+    }
+
+    /// A panic inside a request handler (here a table batch's apply)
+    /// answers a structured 500 and leaves the one handler thread serving;
+    /// the writer's poisoned lock then quarantines the table.
+    #[test]
+    fn a_panicking_handler_answers_500_and_keeps_its_thread() {
+        let dir = std::env::temp_dir().join(format!("kanon-handler-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            http_threads: 1,
+            data_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .expect("server starts");
+        let addr = server.addr();
+        // The table name is the injection point's key.
+        let table = "/v1/tables/panic_in_apply";
+        let seed = "age,zip\n1,a\n1,a\n2,b\n2,b\n";
+        let (status, _, body) = http(addr, "PUT", &format!("{table}?k=2"), seed.as_bytes());
+        assert_eq!(status, 201, "{body}");
+
+        let ops = format!("{table}/ops");
+        let batch = b"op,id,age,zip\ninsert,,3,c\n";
+        let (status, _, body) = http(addr, "POST", &ops, batch);
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(
+            body,
+            "{\"error\":\"request handler panicked: injected panic in panic_in_apply\"}"
+        );
+        let (status, _, body) = http(addr, "POST", &ops, batch);
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("\"error\":\"table quarantined\""), "{body}");
+        let (_, _, health) = http(addr, "GET", "/healthz", &[]);
+        assert!(
+            health.contains("\"quarantined\":[\"panic_in_apply\"]"),
+            "{health}"
+        );
+        let (status, _, body) = http(addr, "DELETE", table, &[]);
+        assert_eq!(status, 200, "{body}");
+
+        let (_, _, page) = http(addr, "GET", "/metrics", &[]);
+        let count = extract_number(&page, "kanon_http_responses_total{code=\"500\"} ");
+        assert_eq!(count, Some(1), "{page}");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

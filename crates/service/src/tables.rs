@@ -471,6 +471,8 @@ pub fn handle_ops(
                     return error_json(400, &e.to_string());
                 }
             };
+            #[cfg(test)]
+            tests::inject_panic(name);
             let applied = store.apply(&ops);
             let response = match applied {
                 Ok(report) => match entry.publish(store) {
@@ -663,6 +665,18 @@ mod tests {
     use crate::metrics::Metrics;
     use crate::queue::JobQueue;
     use kanon_core::BudgetPool;
+
+    /// A batch applied to the table of this name panics mid-apply.
+    const PANIC_IN_APPLY: &str = "panic_in_apply";
+
+    /// The fault injection point `handle_ops` calls before it applies a
+    /// batch. It exists in test builds only; no request can reach it
+    /// otherwise.
+    pub(super) fn inject_panic(table: &str) {
+        if table == PANIC_IN_APPLY {
+            panic!("injected panic in {table}");
+        }
+    }
 
     #[test]
     fn a_writer_panic_quarantines_the_table_instead_of_poisoning_it() {

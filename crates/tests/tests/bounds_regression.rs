@@ -20,7 +20,6 @@ use kanon_core::diameter::{anon_cost, diameter};
 use kanon_core::exact::{min_diameter_sum, subset_dp, SubsetDpConfig};
 use kanon_core::greedy::{full_greedy_cover, FullCoverConfig};
 use kanon_core::rounding::suppressor_for_partition;
-use kanon_core::suppression::verify_k_anonymity;
 use kanon_core::Budget;
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
@@ -89,7 +88,8 @@ fn corollary_4_1_rounding_guarantee() {
         let suppressor = suppressor_for_partition(&ds, &partition).unwrap();
 
         // The rounded table is k-anonymous and costs exactly Σ ANON(S).
-        let (table, cost) = verify_k_anonymity(&ds, &suppressor, k).unwrap();
+        let table = suppressor.apply(&ds).unwrap();
+        let cost = table.suppressed_cells();
         assert!(table.is_k_anonymous(k), "k = {k}");
         assert_eq!(cost, partition.anonymization_cost(&ds), "k = {k}");
 

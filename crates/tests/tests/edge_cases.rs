@@ -5,30 +5,42 @@
 
 use kanon_baselines::forest::{forest, ForestConfig};
 use kanon_baselines::{agglomerative, knn_greedy, mondrian};
-use kanon_core::exact::{subset_dp, SubsetDpConfig};
-use kanon_core::Budget;
-use kanon_core::{algo, Dataset};
+use kanon_core::exact::{self, subset_dp, SubsetDpConfig};
+use kanon_core::{algo, Algorithm, Anonymization, Budget, Dataset, Partition};
+
+/// Rounds a solver's partition into its release (Corollary 4.1).
+fn release(ds: &Dataset, partition: Partition, k: usize) -> Anonymization {
+    algo::anonymization_from_partition(ds, partition, k, Algorithm::External("test")).unwrap()
+}
+
+fn center(ds: &Dataset, k: usize) -> Anonymization {
+    let p = algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+    release(ds, p, k)
+}
+
+fn optimal(ds: &Dataset, k: usize) -> Anonymization {
+    release(ds, exact::optimal(ds, k).unwrap().partition, k)
+}
 
 #[test]
 fn zero_column_table_is_trivially_anonymous() {
     let ds = Dataset::from_rows(vec![vec![], vec![], vec![]]).unwrap();
     assert_eq!(ds.n_cols(), 0);
     for k in 1..=3 {
-        let a = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+        let a = center(&ds, k);
         assert_eq!(a.cost, 0, "k = {k}");
         assert!(a.table.is_k_anonymous(k));
-        let b = algo::exact_optimal(&ds, k).unwrap();
+        let b = optimal(&ds, k);
         assert_eq!(b.cost, 0);
         let c = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-        assert_eq!(c.cost, 0);
+        assert_eq!(release(&ds, c, k).cost, 0);
     }
 }
 
 #[test]
 fn single_row_table() {
     let ds = Dataset::from_rows(vec![vec![1, 2, 3]]).unwrap();
-    let a = algo::center_greedy(&ds, 1, &Default::default(), &Budget::unlimited()).unwrap();
-    assert_eq!(a.cost, 0);
+    assert_eq!(center(&ds, 1).cost, 0);
     assert!(algo::center_greedy(&ds, 2, &Default::default(), &Budget::unlimited()).is_err());
 }
 
@@ -39,7 +51,7 @@ fn all_identical_rows_cost_zero_everywhere() {
         assert_eq!(
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
                 .unwrap()
-                .cost,
+                .anonymization_cost(&ds),
             0
         );
         assert_eq!(
@@ -79,9 +91,9 @@ fn all_identical_rows_cost_zero_everywhere() {
 fn maximum_distinctness_forces_full_suppression_at_k_equals_n() {
     // Every row distinct in every column: k = n must suppress everything.
     let ds = Dataset::from_fn(5, 3, |i, j| (i * 3 + j) as u32 * 100);
-    let a = algo::center_greedy(&ds, 5, &Default::default(), &Budget::unlimited()).unwrap();
+    let a = center(&ds, 5);
     assert_eq!(a.cost, 15);
-    let opt = algo::exact_optimal(&ds, 5).unwrap();
+    let opt = optimal(&ds, 5);
     assert_eq!(opt.cost, 15);
 }
 
@@ -96,7 +108,7 @@ fn every_solver_rejects_bad_k_identically() {
         assert!(
             algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited()).is_err()
         );
-        assert!(algo::exact_optimal(&ds, k).is_err());
+        assert!(exact::optimal(&ds, k).is_err());
         assert!(knn_greedy(&ds, k, &Budget::unlimited()).is_err());
         assert!(mondrian(&ds, k, &Budget::unlimited()).is_err());
         assert!(agglomerative(&ds, k, &Budget::unlimited()).is_err());
@@ -108,9 +120,9 @@ fn every_solver_rejects_bad_k_identically() {
 fn binary_single_column_table() {
     // m = 1 over {0, 1}: groups must be value classes or merged.
     let ds = Dataset::from_rows(vec![vec![0], vec![0], vec![0], vec![1], vec![1]]).unwrap();
-    let opt = algo::exact_optimal(&ds, 2).unwrap();
+    let opt = optimal(&ds, 2);
     assert_eq!(opt.cost, 0); // classes have sizes 3 and 2
-    let opt3 = algo::exact_optimal(&ds, 3).unwrap();
+    let opt3 = optimal(&ds, 3);
     // For k = 3 the pair of 1s must merge across values: one option is one
     // block of 5 suppressing everything (cost 5); better is {0,0,0} free +
     // impossible 2-block... the 2-block {1,1} is infeasible, so OPT merges:
@@ -118,7 +130,7 @@ fn binary_single_column_table() {
     // of 2 < k. Best: all five in one block = 5 stars, or {0,0,0,1,1}...
     // the DP decides; sanity: cost is 5 (single suppressed column for all).
     assert_eq!(opt3.cost, 5);
-    let greedy = algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
+    let greedy = center(&ds, 3);
     assert!(greedy.cost >= opt3.cost);
     assert!(greedy.table.is_k_anonymous(3));
 }
@@ -146,7 +158,7 @@ fn huge_alphabet_codes_are_fine() {
         vec![big - 2, big - 1],
     ])
     .unwrap();
-    let a = algo::exact_optimal(&ds, 2).unwrap();
+    let a = optimal(&ds, 2);
     assert_eq!(a.cost, 4);
     assert!(a.table.is_k_anonymous(2));
 }

@@ -34,7 +34,7 @@ use kanon_core::greedy::{
     center_greedy_cover, full_greedy_cover, reduce, CenterConfig, FullCoverConfig,
 };
 use kanon_core::local_search::{improve, LocalSearchConfig};
-use kanon_core::{algo, Dataset, Error};
+use kanon_core::{algo, Algorithm, Anonymization, Dataset, Error, Partition};
 use kanon_relation::{GeneralizationLattice, Hierarchy};
 use proptest::prelude::*;
 
@@ -66,6 +66,11 @@ fn sequential() -> FullCoverConfig {
         parallel: false,
         ..Default::default()
     }
+}
+
+/// Rounds the ladder's partition into its release.
+fn release(ds: &Dataset, partition: Partition, k: usize) -> Anonymization {
+    algo::anonymization_from_partition(ds, partition, k, Algorithm::External("ladder")).unwrap()
 }
 
 /// A budget with room to spare on every instance in this suite: it is live
@@ -296,7 +301,8 @@ proptest! {
             full: sequential(),
             ..Default::default()
         };
-        let (anon, report) = run_ladder(&ds, k, &config).unwrap();
+        let (partition, report) = run_ladder(&ds, k, &config).unwrap();
+        let anon = release(&ds, partition, k);
         prop_assert!(anon.table.is_k_anonymous(k), "rung {} not k-anonymous", report.rung);
         // The winning rung is the last attempt, and it succeeded.
         let last = report.attempts.last().unwrap();
@@ -327,18 +333,13 @@ fn acceptance_unlimited_ladder_matches_ungoverned_cover() {
         full: sequential(),
         ..Default::default()
     };
-    let (anon, report) = run_ladder(&ds, k, &config).unwrap();
+    let (partition, report) = run_ladder(&ds, k, &config).unwrap();
+    let anon = release(&ds, partition, k);
     assert_eq!(report.rung, Rung::FullGreedyCover);
 
     let cover = full_greedy_cover(&ds, k, &sequential(), None, &Budget::unlimited()).unwrap();
     let partition = reduce(&cover, k).unwrap().split_large(k);
-    let reference = algo::anonymization_from_partition(
-        &ds,
-        partition,
-        k,
-        kanon_core::Algorithm::ExhaustiveGreedy,
-    )
-    .unwrap();
+    let reference = release(&ds, partition, k);
     assert_eq!(anon.cost, reference.cost);
     assert_eq!(anon.table, reference.table);
 }
@@ -358,8 +359,9 @@ fn acceptance_deadline_degrades_within_twice_the_deadline() {
         ..Default::default()
     };
     let started = Instant::now();
-    let (anon, report) = run_ladder(&ds, k, &config).unwrap();
+    let (partition, report) = run_ladder(&ds, k, &config).unwrap();
     let elapsed = started.elapsed();
+    let anon = release(&ds, partition, k);
 
     assert!(
         elapsed <= deadline * 2,

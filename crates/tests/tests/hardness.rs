@@ -106,11 +106,18 @@ fn greedy_on_reduction_instances_is_feasible_but_not_exact() {
     let mut rng = StdRng::seed_from_u64(77);
     let (h, _) = planted_matching(&mut rng, 12, 3, 6).unwrap();
     let red = EntryReduction::new(&h, 3).unwrap();
-    let greedy = kanon_core::algo::center_greedy(
+    let partition = kanon_core::algo::center_greedy(
         red.dataset(),
         3,
         &Default::default(),
         &Budget::unlimited(),
+    )
+    .unwrap();
+    let greedy = kanon_core::algo::anonymization_from_partition(
+        red.dataset(),
+        partition,
+        3,
+        kanon_core::Algorithm::CenterGreedy,
     )
     .unwrap();
     assert!(greedy.table.is_k_anonymous(3));

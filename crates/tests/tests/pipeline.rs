@@ -4,12 +4,17 @@
 use kanon_baselines::{agglomerative, knn_greedy, mondrian};
 use kanon_cli::args::{Algorithm, Anonymize, Verify};
 use kanon_cli::Command;
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, Anonymization, Budget, Dataset};
 use kanon_relation::csv;
 use kanon_workloads::{census_table, knn_lower_bound, CensusParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The center greedy's partition, rounded into its release.
+fn center(ds: &Dataset, k: usize) -> Anonymization {
+    let p = algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+    algo::anonymization_from_partition(ds, p, k, kanon_core::Algorithm::CenterGreedy).unwrap()
+}
 
 #[test]
 fn census_to_released_csv_and_back() {
@@ -18,7 +23,7 @@ fn census_to_released_csv_and_back() {
     let (ds, codec) = table.encode();
     let k = 4;
 
-    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+    let result = center(&ds, k);
     assert!(result.table.is_k_anonymous(k));
 
     // Decode to CSV and re-parse: shape and stars must survive.
@@ -48,13 +53,11 @@ fn all_solvers_dominate_the_lower_bound_and_exact_dominates_all() {
     let (ds, _) = table.encode();
     let k = 3;
 
-    let exact = algo::exact_optimal(&ds, k).unwrap().cost;
-    let center = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
-        .unwrap()
-        .cost;
+    let exact = kanon_core::exact::optimal(&ds, k).unwrap().cost;
+    let center = center(&ds, k).cost;
     let exhaustive = algo::exhaustive_greedy(&ds, k, &Default::default(), &Budget::unlimited())
         .unwrap()
-        .cost;
+        .anonymization_cost(&ds);
     let knn = knn_greedy(&ds, k, &Budget::unlimited())
         .unwrap()
         .anonymization_cost(&ds);
@@ -123,18 +126,13 @@ fn duplicate_rows_survive_every_solver_for_free() {
     let rows: Vec<Vec<u32>> = (0..4)
         .flat_map(|g: u32| std::iter::repeat_n(vec![g, g * 2, g * 3], 3))
         .collect();
-    let ds = kanon_core::Dataset::from_rows(rows).unwrap();
-    assert_eq!(algo::exact_optimal(&ds, 3).unwrap().cost, 0);
-    assert_eq!(
-        algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited())
-            .unwrap()
-            .cost,
-        0
-    );
+    let ds = Dataset::from_rows(rows).unwrap();
+    assert_eq!(kanon_core::exact::optimal(&ds, 3).unwrap().cost, 0);
+    assert_eq!(center(&ds, 3).cost, 0);
     assert_eq!(
         algo::exhaustive_greedy(&ds, 3, &Default::default(), &Budget::unlimited())
             .unwrap()
-            .cost,
+            .anonymization_cost(&ds),
         0
     );
     assert_eq!(
@@ -175,7 +173,6 @@ fn generalization_and_suppression_agree_on_anonymity() {
     assert!(lattice.is_k_anonymous(&node, 3).unwrap());
 
     let (ds, _) = t.encode();
-    let suppressed =
-        algo::center_greedy(&ds, 3, &Default::default(), &Budget::unlimited()).unwrap();
+    let suppressed = center(&ds, 3);
     assert!(suppressed.table.is_k_anonymous(3));
 }

@@ -4,8 +4,7 @@
 //! candidate set smaller than `k` to an attacker joining on the released
 //! attributes.
 
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, Algorithm, Anonymization, Budget, Dataset};
 use kanon_relation::cellgen::{anonymize_cells, is_table_k_anonymous};
 use kanon_relation::{csv, linkage_attack, Hierarchy, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
@@ -13,6 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const QI: [&str; 3] = ["age", "sex", "zip"];
+
+/// The center greedy's partition, rounded into its release.
+fn center(ds: &Dataset, k: usize) -> Anonymization {
+    let p = algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+    algo::anonymization_from_partition(ds, p, k, Algorithm::CenterGreedy).unwrap()
+}
 
 fn qi_projection(census: &Table) -> Table {
     let mut t = Table::new(Schema::new(QI.to_vec()).unwrap());
@@ -44,7 +49,7 @@ fn raw_census_is_linkable_suppressed_census_is_not() {
     // Suppressed at k = 4: no unique matches, min candidates >= 4.
     let k = 4;
     let (ds, codec) = external.encode();
-    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+    let result = center(&ds, k);
     let released = csv::parse(&codec.decode(&result.table).unwrap()).unwrap();
     let attacked = linkage_attack(&released, &external, &pairs).unwrap();
     assert_eq!(attacked.unique_matches, 0);
@@ -88,8 +93,7 @@ fn anonymity_level_matches_linkage_floor() {
     let external = qi_projection(&census);
     let (ds, codec) = external.encode();
     for k in [2usize, 5] {
-        let result =
-            algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+        let result = center(&ds, k);
         let level = result.table.anonymity_level().unwrap();
         let released = csv::parse(&codec.decode(&result.table).unwrap()).unwrap();
         let pairs: Vec<(&str, &str)> = QI.iter().map(|&q| (q, q)).collect();

@@ -5,7 +5,7 @@
 use kanon_baselines::{knn_greedy, mondrian, random_partition};
 use kanon_core::exact::{subset_dp, SubsetDpConfig};
 use kanon_core::Budget;
-use kanon_core::{algo, Dataset};
+use kanon_core::{algo, Algorithm, Dataset};
 use kanon_workloads::{clustered, knn_lower_bound, uniform, zipf, ClusteredParams, ZipfParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,6 +40,8 @@ proptest! {
 
         let center =
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
+        let center = algo::anonymization_from_partition(&ds, center, k, Algorithm::CenterGreedy)
+            .unwrap();
         prop_assert!(center.table.is_k_anonymous(k));
         prop_assert!(center.cost >= opt.cost);
 
@@ -77,7 +79,9 @@ proptest! {
         let ds = &inst.dataset;
         let k = 3;
         let best_heuristic = [
-            algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited()).unwrap().cost,
+            algo::center_greedy(ds, k, &Default::default(), &Budget::unlimited())
+                .unwrap()
+                .anonymization_cost(ds),
             knn_greedy(ds, k, &Budget::unlimited()).unwrap().anonymization_cost(ds),
         ]
         .into_iter()
@@ -101,7 +105,7 @@ proptest! {
         let trivial = kanon_core::diameter::anon_cost(&ds, &(0..20).collect::<Vec<_>>());
         let center =
             algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited()).unwrap();
-        prop_assert!(center.cost <= trivial);
+        prop_assert!(center.anonymization_cost(&ds) <= trivial);
     }
 
     /// Encoding a relation and anonymizing is equivalent to anonymizing any

@@ -179,9 +179,16 @@ mod tests {
             values_per_cluster: 5,
         };
         let inst = clustered(&mut rng, &params);
-        let result =
+        let partition =
             algo::center_greedy(&inst.dataset, 3, &Default::default(), &Budget::unlimited())
                 .unwrap();
+        let result = algo::anonymization_from_partition(
+            &inst.dataset,
+            partition,
+            3,
+            kanon_core::Algorithm::CenterGreedy,
+        )
+        .unwrap();
         // Never worse than grouping whole clusters pessimally, and the
         // planted partition itself is available, so the greedy should land
         // at or below ~the planted cost times the paper's guarantee. Sanity:

@@ -8,8 +8,7 @@
 //! ```
 
 use kanon_baselines::{knn_greedy, mondrian, random_partition};
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, Algorithm, Budget};
 use kanon_relation::{Schema, Table};
 use kanon_workloads::{census_table, knn_lower_bound, CensusParams};
 use rand::rngs::StdRng;
@@ -37,8 +36,11 @@ fn main() {
     let (dataset, codec) = qi_table.encode();
     let k = 5;
 
-    let result = algo::center_greedy(&dataset, k, &Default::default(), &Budget::unlimited())
+    let partition = algo::center_greedy(&dataset, k, &Default::default(), &Budget::unlimited())
         .expect("within guards");
+    let result =
+        algo::anonymization_from_partition(&dataset, partition, k, Algorithm::CenterGreedy)
+            .expect("a solver's groups have at least k rows");
     assert!(result.table.is_k_anonymous(k));
 
     println!(

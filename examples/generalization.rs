@@ -8,8 +8,7 @@
 //! cargo run --example generalization
 //! ```
 
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, exact, Algorithm, Budget};
 use kanon_relation::{csv, GeneralizationLattice, Hierarchy, Schema, Table};
 
 fn main() {
@@ -80,7 +79,9 @@ fn main() {
 
     // Contrast: pure suppression on the same table.
     let (dataset, codec) = table.encode();
-    let suppressed = algo::exact_optimal(&dataset, 2).expect("4 rows fits");
+    let optimum = exact::optimal(&dataset, 2).expect("4 rows fits").partition;
+    let suppressed = algo::anonymization_from_partition(&dataset, optimum, 2, Algorithm::Exact)
+        .expect("the optimum's groups have at least k rows");
     println!(
         "pure suppression (paper's model) needs {} stars:",
         suppressed.cost

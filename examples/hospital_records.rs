@@ -10,8 +10,7 @@
 //! cargo run --example hospital_records
 //! ```
 
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, exact, Algorithm, Budget};
 use kanon_relation::{Schema, Table};
 
 fn main() {
@@ -30,18 +29,23 @@ fn main() {
     println!("original table:");
     println!("{}", kanon_relation::csv::to_string(&table));
 
-    for (name, run) in [
+    let optimum = exact::optimal(&dataset, 2).map(|opt| opt.partition);
+    for (name, run, tag) in [
         (
             "exhaustive greedy (Thm 4.1)",
             algo::exhaustive_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()),
+            Algorithm::ExhaustiveGreedy,
         ),
         (
             "center greedy (Thm 4.2)",
             algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited()),
+            Algorithm::CenterGreedy,
         ),
-        ("exact optimum", algo::exact_optimal(&dataset, 2)),
+        ("exact optimum", optimum, Algorithm::Exact),
     ] {
-        let result = run.expect("4-row instance is within every guard");
+        let partition = run.expect("4-row instance is within every guard");
+        let result = algo::anonymization_from_partition(&dataset, partition, 2, tag)
+            .expect("a solver's groups have at least k rows");
         println!("--- {name}: {} stars ---", result.cost);
         print!("{}", codec.decode(&result.table).expect("same codec"));
         assert!(result.table.is_k_anonymous(2));
@@ -50,7 +54,7 @@ fn main() {
 
     // The paper's hand-built solution uses 10 stars; the optimum can only
     // be at most that.
-    let optimum = algo::exact_optimal(&dataset, 2).expect("fits");
+    let optimum = exact::optimal(&dataset, 2).expect("fits");
     assert!(optimum.cost <= 10);
     println!(
         "paper's hand-built 2-anonymization: 10 stars; computed optimum: {} stars",

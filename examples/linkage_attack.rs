@@ -7,8 +7,7 @@
 //! cargo run --release --example linkage_attack
 //! ```
 
-use kanon_core::algo;
-use kanon_core::Budget;
+use kanon_core::{algo, Algorithm, Budget};
 use kanon_relation::{csv, linkage_attack, Schema, Table};
 use kanon_workloads::{census_table, CensusParams};
 use rand::rngs::StdRng;
@@ -44,8 +43,10 @@ fn main() {
     // Anonymize at k = 5 and attack again.
     let (ds, codec) = public.encode();
     let k = 5;
-    let result = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
+    let partition = algo::center_greedy(&ds, k, &Default::default(), &Budget::unlimited())
         .expect("within guards");
+    let result = algo::anonymization_from_partition(&ds, partition, k, Algorithm::CenterGreedy)
+        .expect("a solver's groups have at least k rows");
     let released =
         csv::parse(&codec.decode(&result.table).expect("same codec")).expect("own output parses");
     let after = linkage_attack(&released, &public, &pairs).expect("columns exist");

@@ -4,8 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use kanon_core::Budget;
-use kanon_core::{algo, Dataset};
+use kanon_core::{algo, Algorithm, Budget, Dataset};
 
 fn main() {
     // Six records, four dictionary-coded attributes.
@@ -19,9 +18,13 @@ fn main() {
     ])
     .expect("rectangular rows");
 
-    // 2-anonymize with the strongly polynomial algorithm (Theorem 4.2).
-    let result = algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited())
+    // Group the rows with the strongly polynomial algorithm (Theorem 4.2),
+    // then suppress each group's disagreeing cells (Corollary 4.1).
+    let partition = algo::center_greedy(&dataset, 2, &Default::default(), &Budget::unlimited())
         .expect("k <= n and instance within guards");
+    let result =
+        algo::anonymization_from_partition(&dataset, partition, 2, Algorithm::CenterGreedy)
+            .expect("a solver's groups have at least k rows");
 
     println!("released table ('*' = suppressed):");
     print!("{}", result.table.render());
