@@ -12,10 +12,13 @@
 //!   pipeline;
 //! * a candidate cap below the full cover's `Σ C(n, k..2k-1)` — must
 //!   degrade to the center greedy, never error;
-//! * a memory cap sized between the distance cache and the center greedy's
-//!   order tables — must degrade to the agglomerative rung;
+//! * a memory cap of exactly the distance cache — too small for the full
+//!   cover's candidate arena, roomy for the center greedy's `O(n)` scratch
+//!   — must degrade to the center greedy;
 //! * a memory cap below the distance cache itself — every rung fails and
 //!   the structured budget error surfaces;
+//! * the candidate cap plus a center-greedy row guard below `n` — both
+//!   greedy rungs refuse, so the agglomerative rung must answer;
 //! * a short wall-clock deadline — machine-dependent rung, reported for
 //!   observability (the only non-deterministic row).
 //!
@@ -27,6 +30,7 @@ use crate::report::Table;
 use crate::Ctx;
 use kanon_baselines::ladder::{run_ladder, LadderConfig, Rung, RungOutcome};
 use kanon_core::govern::Budget;
+use kanon_core::greedy::CenterConfig;
 use kanon_core::{algo, Algorithm};
 use kanon_workloads::uniform;
 use rand::rngs::StdRng;
@@ -42,29 +46,39 @@ pub fn run(ctx: &Ctx) -> String {
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xE22);
     let ds = uniform(&mut rng, n, m, 3);
 
-    // Planned-allocation sizes the governed solvers charge, in bytes; used
-    // to pick caps that deterministically admit some rungs and not others.
+    // The distance cache's planned allocation, in bytes: a cap of exactly
+    // this admits the center greedy but never the full cover's arena.
     let cache_bytes = (n * (n - 1) / 2 * 4) as u64;
-    let center_extra = (n * n * 4 + n * 24) as u64;
 
-    // Budgets are built per row (not up front) so the deadline row's clock
+    // Configs are built per row (not up front) so the deadline row's clock
     // starts when its ladder run starts.
-    type MakeBudget = fn(u64, u64) -> Budget;
-    let budgets: Vec<(&str, MakeBudget)> = vec![
-        ("unlimited", |_, _| Budget::unlimited()),
+    fn with(budget: Budget) -> LadderConfig {
+        LadderConfig {
+            budget,
+            ..Default::default()
+        }
+    }
+    type MakeConfig = fn(u64, usize) -> LadderConfig;
+    let rows: Vec<(&str, MakeConfig)> = vec![
+        ("unlimited", |_, _| with(Budget::unlimited())),
         ("1k candidates", |_, _| {
-            Budget::builder().max_candidates(1_000).build()
+            with(Budget::builder().max_candidates(1_000).build())
         }),
-        ("memory: cache only", |cache, extra| {
-            Budget::builder()
-                .max_memory_bytes(cache + extra / 2)
-                .build()
+        ("memory: cache only", |cache, _| {
+            with(Budget::builder().max_memory_bytes(cache).build())
         }),
         ("memory: below cache", |_, _| {
-            Budget::builder().max_memory_bytes(64).build()
+            with(Budget::builder().max_memory_bytes(64).build())
+        }),
+        ("1k cands, center guard", |_, n| LadderConfig {
+            center: CenterConfig {
+                max_rows: n - 1,
+                ..Default::default()
+            },
+            ..with(Budget::builder().max_candidates(1_000).build())
         }),
         ("2 ms deadline", |_, _| {
-            Budget::builder().deadline(Duration::from_millis(2)).build()
+            with(Budget::builder().deadline(Duration::from_millis(2)).build())
         }),
     ];
 
@@ -82,12 +96,8 @@ pub fn run(ctx: &Ctx) -> String {
     ]);
     let mut deterministic_violations = 0usize;
 
-    for (label, make_budget) in budgets {
-        let config = LadderConfig {
-            budget: make_budget(cache_bytes, center_extra),
-            ..Default::default()
-        };
-        match run_ladder(&ds, k, &config) {
+    for (label, make_config) in rows {
+        match run_ladder(&ds, k, &make_config(cache_bytes, n)) {
             Ok((partition, report)) => {
                 let anon = algo::anonymization_from_partition(
                     &ds,
@@ -118,7 +128,8 @@ pub fn run(ctx: &Ctx) -> String {
                 let expected = match label {
                     "unlimited" => Some(Rung::FullGreedyCover),
                     "1k candidates" => Some(Rung::CenterGreedy),
-                    "memory: cache only" => Some(Rung::Agglomerative),
+                    "memory: cache only" => Some(Rung::CenterGreedy),
+                    "1k cands, center guard" => Some(Rung::Agglomerative),
                     _ => None,
                 };
                 if let Some(want) = expected {

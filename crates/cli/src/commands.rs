@@ -1078,12 +1078,13 @@ mod tests {
 
     #[test]
     fn tiny_memory_budget_fails_deterministically() {
-        // 600 rows: the center greedy's planned allocations (distance cache
-        // ~0.7 MiB plus n²-sized order tables ~1.4 MiB) cannot fit in the
-        // smallest spellable cap of 1 MiB, so the governed run must fail
-        // with a structured budget error — no timing involved.
-        let data = generate_census(600, 11, 5).unwrap().stdout;
-        let err = anonymize_plain(&data, 3, Algorithm::Center, None, 1, None, Some(1)).unwrap_err();
+        // 40 rows, k = 3: the exhaustive greedy's ~759k candidates pass its
+        // 2M-candidate guard, but their planned arena (tens of MiB) cannot
+        // fit in the smallest spellable cap of 1 MiB, so the governed run
+        // must fail with a structured budget error — no timing involved.
+        let data = generate_census(40, 11, 5).unwrap().stdout;
+        let err =
+            anonymize_plain(&data, 3, Algorithm::Exhaustive, None, 1, None, Some(1)).unwrap_err();
         assert!(
             err.to_string().contains("budget exceeded") && err.to_string().contains("memory"),
             "{err}"

@@ -222,7 +222,8 @@ fn write_fixtures(dir: &Path) {
     // 60 rows at k = 3 put the full greedy cover past its candidate guard,
     // so the ladder falls back to center greedy deterministically.
     census("60", "0", "8", &dir.join("census.csv"));
-    // 600 rows: the center greedy's planned allocations exceed 1 MiB.
+    // 600 rows: the center greedy's O(n) scratch fits a 1 MiB cap, so the
+    // capped run releases the uncapped table.
     census("600", "11", "5", &dir.join("big.csv"));
     let messy = ["generate", "--messy", "--rows", "40", "--seed", "4"].map(String::from);
     std::fs::write(dir.join("messy.csv"), run(&messy).unwrap().stdout).unwrap();

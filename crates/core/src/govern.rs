@@ -109,6 +109,7 @@ pub struct Budget {
     max_candidates: Option<u64>,
     memory: Arc<AtomicU64>,
     cancel: Arc<AtomicBool>,
+    cancel_at: Option<Arc<AtomicU64>>,
 }
 
 impl Default for Budget {
@@ -164,6 +165,11 @@ impl Budget {
     /// [`Error::BudgetExceeded`] with [`Resource::Cancelled`] or
     /// [`Resource::WallClock`].
     pub fn check(&self) -> Result<()> {
+        if let Some(polls) = &self.cancel_at {
+            if polls.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.cancel();
+            }
+        }
         if self.is_cancelled() {
             return Err(Error::BudgetExceeded {
                 resource: Resource::Cancelled,
@@ -299,6 +305,7 @@ impl Budget {
             max_candidates: self.max_candidates,
             memory: Arc::new(AtomicU64::new(0)),
             cancel: Arc::clone(&self.cancel),
+            cancel_at: self.cancel_at.clone(),
         }
     }
 
@@ -487,6 +494,7 @@ pub struct BudgetBuilder {
     allowance: Option<Duration>,
     max_memory: Option<u64>,
     max_candidates: Option<u64>,
+    cancel_at: Option<u64>,
 }
 
 impl BudgetBuilder {
@@ -513,6 +521,16 @@ impl BudgetBuilder {
         self
     }
 
+    /// Raises cancellation at the `polls`-th [`Budget::check`] of this
+    /// budget and its children (the solver's up-front check counts), as if
+    /// another holder had called [`Budget::cancel`] at exactly that point:
+    /// a mid-run cancellation that does not depend on timing.
+    #[must_use]
+    pub fn cancel_at_poll(mut self, polls: u64) -> Self {
+        self.cancel_at = Some(polls);
+        self
+    }
+
     /// Finalizes the budget; the deadline clock starts now.
     #[must_use]
     pub fn build(self) -> Budget {
@@ -523,6 +541,7 @@ impl BudgetBuilder {
             max_candidates: self.max_candidates,
             memory: Arc::new(AtomicU64::new(0)),
             cancel: Arc::new(AtomicBool::new(false)),
+            cancel_at: self.cancel_at.map(|polls| Arc::new(AtomicU64::new(polls))),
         }
     }
 }
@@ -731,6 +750,23 @@ mod tests {
                 limit: 1000,
             })
         ));
+    }
+
+    #[test]
+    fn cancel_at_poll_fires_on_that_check_for_children_too() {
+        let b = Budget::builder().cancel_at_poll(3).build();
+        let child = b.child(None);
+        assert!(b.check().is_ok());
+        assert!(child.check().is_ok());
+        assert!(!b.is_cancelled());
+        assert!(matches!(
+            child.check(),
+            Err(Error::BudgetExceeded {
+                resource: Resource::Cancelled,
+                ..
+            })
+        ));
+        assert!(b.is_cancelled() && b.check().is_err());
     }
 
     #[test]

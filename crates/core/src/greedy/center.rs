@@ -13,28 +13,21 @@
 //! **Implementation note.** For a fixed center `c`, `S_{c,i}` only changes
 //! at *realized* distances `i = d(c, v)`; between realized radii the
 //! membership is identical but the weight is larger, so the greedy would
-//! never prefer the non-realized radius. Scanning, for every center, the
-//! rows in ascending distance order therefore optimizes over both candidate
-//! families at once, in `O(n)` per center per round after an `O(m·n²)`
-//! preprocessing step — giving the paper's `O(m·n² + n³)` total.
-
-//!
-//! **Performance note.** The preprocessing stores, per center, the rows
-//! sorted by distance *and* the sorted distances themselves, in two flat
-//! `n×n` tables. Distances are bounded by the column count `m`, so each
-//! center's order is built by a **stable counting sort** over `m+1`
-//! buckets — `O(n + m)` per center instead of `O(n log n)` comparisons,
-//! and provably the same permutation as the stable `sort_by_key` it
-//! replaced (ties keep ascending row id in both). The distance row is
-//! filled by one [`PackedColumns`] one-to-many sweep when the active
-//! kernel packs, and every center scan then reads radii from the
-//! contiguous table instead of probing the triangular cache per step.
+//! never prefer the non-realized radius. Distances are at most `m`, so a
+//! histogram of `c`'s distance row over the `≤ m+1` radius classes, counting
+//! each class's rows and still-uncovered rows, prices every candidate of
+//! both families in one `O(n)` pass. The chosen ball is the rows at distance
+//! `≤ radius`, in `(distance, row id)` order. Scratch is one distance row
+//! and its histogram per thread — nothing of size `n²` is stored. Rows come
+//! from a [`PackedColumns`] one-to-many sweep when the active kernel packs,
+//! else from the caller's cache, else from scalar [`hamming`]; all three
+//! are exact, so the source never changes the cover.
 //!
 //! **Lazy selection.** A naive greedy rescans every center each round —
 //! `O(n²)` per selected ball. Instead, selection runs Minoux-style lazy
 //! evaluation over a min-heap of per-center keys `(ratio, center,
 //! prefix)`. The heap keys are *lower bounds*: a candidate ball's radius
-//! and prefix are static, its `fresh` count (uncovered members) only
+//! and size are static, its `fresh` count (uncovered members) only
 //! shrinks as coverage grows, so its exact ratio `radius / fresh` only
 //! worsens, and candidates only ever *leave* the eligible set (`fresh`
 //! hitting 0 is permanent). Popping the smallest cached key, rescanning
@@ -42,8 +35,8 @@
 //! cached key therefore selects the **identical ball sequence** the full
 //! rescan would — the accepted key is ≤ every other center's lower bound,
 //! hence ≤ every current key, and the full `(ratio, center, prefix)`
-//! tuple makes the minimum unique. Each round costs one `O(n)` rescan
-//! plus however many stale heads it pops, instead of `n` scans.
+//! tuple makes the minimum unique. Each round rescans only the heads it
+//! pops, instead of all `n` centers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,26 +47,24 @@ use crate::dataset::Dataset;
 use crate::distcache::PairwiseDistances;
 use crate::error::{Error, Result};
 use crate::govern::Budget;
-use crate::metric::PackedColumns;
-use crate::scratch;
+use crate::metric::{hamming, PackedColumns};
 
 /// Tuning knobs for the center-based greedy cover.
 #[derive(Clone, Debug)]
 pub struct CenterConfig {
-    /// Row-count guard: the algorithm stores a triangular pairwise-distance
-    /// cache plus flat per-center order and radius tables (`≈ 10n²` bytes
-    /// combined); instances above the guard are rejected rather than
-    /// silently exhausting memory.
+    /// Row-count guard. Memory is `O(n + m)` per thread, but round 0 alone
+    /// computes `n` distance rows, so instances above the guard are
+    /// rejected rather than left running for minutes.
     pub max_rows: usize,
     /// Whether a ball of radius 0 (exact duplicates of the center) may be
     /// selected when it already has ≥ k members. Radius-0 balls have weight
     /// 0 and are always safe; disabling them reproduces the paper's literal
     /// `i ∈ {1..m}` family (an ablation knob — see bench `ablations`).
     pub include_zero_radius: bool,
-    /// OS threads for the distance-matrix build and the per-round center
-    /// scan. `1` (the default) is fully sequential; any value produces the
-    /// **same cover** — ties are broken by the deterministic key
-    /// `(ratio, center, prefix)` regardless of scan order.
+    /// OS threads for the round-0 scan of every center. `1` (the default)
+    /// is fully sequential; any value produces the **same cover** — ties
+    /// are broken by the deterministic key `(ratio, center, prefix)`
+    /// regardless of scan order.
     pub threads: usize,
 }
 
@@ -90,13 +81,11 @@ impl Default for CenterConfig {
 /// Runs Phase 1 of Theorem 4.2, returning a `(k, ·)`-cover of ball-shaped
 /// sets (sizes may exceed `2k−1`; `Reduce` + block splitting handle that).
 ///
-/// `cache` is a caller-supplied triangular distance cache to reuse; with
-/// `None` the cover packs the table column-major instead and only builds
-/// a cache of its own when packing is unavailable (forced scalar, wide
-/// alphabet, or a refused memory charge). The cache build, the per-center
-/// order construction and every round's center scan poll `budget` at
-/// bounded intervals; the output does not depend on the budget when it
-/// suffices.
+/// `cache` is a caller-supplied triangular distance cache, read when the
+/// table does not pack (forced scalar, wide alphabet, or a refused memory
+/// charge); without one those rows come from scalar Hamming distances. The
+/// round-0 scan and every rescan poll `budget` at bounded intervals; the
+/// output does not depend on the budget when it suffices.
 ///
 /// ```
 /// use kanon_core::{Budget, Dataset, greedy::{center_greedy_cover, reduce, CenterConfig}};
@@ -140,19 +129,20 @@ pub fn center_greedy_cover(
         }
     }
 
-    // The flat order and radius tables are the dominant allocation: 2·n²
-    // u32 entries plus one n-entry distance row.
-    budget.try_charge_memory(
-        (n as u64)
-            .saturating_mul(n as u64)
-            .saturating_mul(8)
-            .saturating_add((n as u64).saturating_mul(4)),
-    )?;
-
-    // Column-major packed codec for the per-center distance rows: charged
-    // like any planned allocation, degrading to triangular-cache probes
-    // (identical distances) when refused, unsupported, or forced scalar.
+    // The whole scratch: a coverage flag per row, and per scanning thread
+    // one distance row plus its histograms.
     let m = ds.n_cols();
+    let threads = if n < 64 {
+        1
+    } else {
+        config.threads.clamp(1, n)
+    };
+    let per_thread = 4 * n as u64 + 8 * (LANES * (m + 1)) as u64;
+    budget.try_charge_memory(per_thread * threads as u64 + n as u64)?;
+
+    // Column-major packed codec for the distance rows: charged like any
+    // planned allocation, degrading to the cache or scalar Hamming
+    // (identical distances) when refused, unsupported, or forced scalar.
     let packed = if crate::kernel::packing_enabled()
         && budget
             .try_charge_memory(PackedColumns::storage_bytes(n, m))
@@ -162,229 +152,166 @@ pub fn center_greedy_cover(
     } else {
         None
     };
-
-    // Distance source when the table doesn't pack: the caller's cache, or
-    // a triangular cache built (and budget-charged) here.
-    let owned_dm;
-    let dm = match (&packed, cache) {
-        (Some(_), _) | (None, Some(_)) => cache,
+    let fill = |c: usize, dist: &mut [u32]| match (&packed, cache) {
+        (Some(p), _) => p.distances_one_to_many(c, dist),
+        (None, Some(dm)) => dist
+            .iter_mut()
+            .enumerate()
+            .for_each(|(r, d)| *d = dm.get(c, r)),
         (None, None) => {
-            owned_dm = PairwiseDistances::build(ds, Some(config.threads.max(1)), budget)?;
-            Some(&owned_dm)
+            let center = ds.row(c);
+            for (r, d) in dist.iter_mut().enumerate() {
+                *d = hamming(center, ds.row(r)) as u32;
+            }
         }
     };
 
-    // orders[c·n..][..n] = all rows sorted by distance from c (c itself
-    // first); radii[c·n + p] = that sorted distance. Distances are ≤ m, so
-    // a stable counting sort over m+1 buckets builds each order in O(n+m);
-    // iterating rows in ascending id keeps ties in ascending id, exactly
-    // the permutation the stable `sort_by_key` produced.
-    let mut order_ticker = budget.ticker();
-    let mut orders = scratch::take_u32(n * n);
-    let mut radii = scratch::take_u32(n * n);
-    let mut dist = scratch::take_u32(n);
-    let mut starts = vec![0usize; m + 2];
-    for c in 0..n {
-        order_ticker.tick_many(n as u64)?;
-        if let Some(p) = &packed {
-            p.distances_one_to_many(c, &mut dist);
-        } else {
-            let dm = dm.expect("a distance source exists when packing is off");
-            for (r, d) in dist.iter_mut().enumerate() {
-                *d = dm.get(c, r);
-            }
-        }
-        starts[..=m].fill(0);
-        for &d in dist.iter() {
-            starts[d as usize] += 1;
-        }
-        let mut sum = 0usize;
-        for s in &mut starts[..=m] {
-            let class = *s;
-            *s = sum;
-            sum += class;
-        }
-        let ord_row = &mut orders[c * n..(c + 1) * n];
-        let rad_row = &mut radii[c * n..(c + 1) * n];
-        for (r, &d) in dist.iter().enumerate() {
-            let pos = starts[d as usize];
-            starts[d as usize] += 1;
-            ord_row[pos] = r as u32;
-            rad_row[pos] = d;
-        }
-    }
-
+    // Round 0: every center's exact best key under empty coverage, banded
+    // across threads. These seed the lazy-evaluation heap; see the module
+    // doc for why stale heap entries stay valid lower bounds.
     let mut covered = vec![false; n];
-    let mut remaining = n;
-    let mut chosen: Vec<Vec<u32>> = Vec::new();
-
-    let outcome = (|| -> Result<()> {
-        // Round 0: every center's exact best key, banded across threads.
-        // These seed the lazy-evaluation heap; see the module doc for why
-        // stale heap entries stay valid lower bounds.
-        let mut keys: Vec<Option<Key>> = vec![None; n];
-        scan_all_centers(&radii, n, &covered, k, config, budget, &mut keys)?;
-        let mut heap: BinaryHeap<Reverse<Key>> = keys.into_iter().flatten().map(Reverse).collect();
-
-        let mut ticker = budget.ticker();
-        while remaining > 0 {
-            let Some(Reverse((_, c, _))) = heap.pop() else {
-                // Every remaining candidate is a zero-radius ball that was
-                // excluded by configuration; fall back to including them so
-                // the cover always completes.
-                return Err(Error::InvalidPartition(
-                    "center greedy found no eligible ball; \
-                     enable include_zero_radius or check the instance"
-                        .into(),
-                ));
-            };
-            // Rescan the popped center against the current coverage.
+    let mut keys: Vec<Option<Key>> = vec![None; n];
+    let scan_band = |first: usize, band: &mut [Option<Key>]| -> Result<()> {
+        let (mut scan, mut ticker) = (Scan::new(n, m), budget.ticker());
+        for (c, slot) in (first..).zip(band) {
             ticker.tick_many(n as u64)?;
-            let Some(key) = best_for_center(
-                &orders,
-                &radii,
-                n,
-                &covered,
-                k,
-                config.include_zero_radius,
-                c,
-            ) else {
-                continue; // center exhausted — permanently ineligible
-            };
-            if heap.peek().is_some_and(|&Reverse(next)| next < key) {
-                // Another center's lower bound beats the fresh key; requeue.
-                heap.push(Reverse(key));
-                continue;
-            }
-            let (_, _, p) = key;
-            let members: Vec<u32> = orders[c * n..][..=p].to_vec();
-            for &r in &members {
-                if !covered[r as usize] {
-                    covered[r as usize] = true;
-                    remaining -= 1;
-                }
-            }
-            chosen.push(members);
-            // The selecting center may hold further balls; its pre-selection
-            // key is still a valid lower bound after the coverage update.
-            heap.push(Reverse(key));
+            *slot = scan.best(&fill, &covered, k, config.include_zero_radius, c);
         }
         Ok(())
-    })();
+    };
+    let band = n.div_ceil(threads);
+    let (own, rest) = keys.split_at_mut(band);
+    std::thread::scope(|scope| {
+        let scan_band = &scan_band;
+        let handles: Vec<_> = rest
+            .chunks_mut(band)
+            .enumerate()
+            .map(|(b, chunk)| scope.spawn(move || scan_band((b + 1) * band, chunk)))
+            .collect();
+        let own = scan_band(0, own);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan thread never panics"))
+            .fold(own, Result::and)
+    })?;
+    let mut heap: BinaryHeap<Reverse<Key>> = keys.into_iter().flatten().map(Reverse).collect();
 
-    // Recycle the flat tables whether the cover completed or not.
-    scratch::give_u32(orders);
-    scratch::give_u32(radii);
-    scratch::give_u32(dist);
-    outcome?;
+    let (mut scan, mut ticker) = (Scan::new(n, m), budget.ticker());
+    let mut remaining = n;
+    let mut chosen: Vec<Vec<u32>> = Vec::new();
+    while remaining > 0 {
+        let Some(Reverse((_, c, _))) = heap.pop() else {
+            // Every remaining candidate is a zero-radius ball that was
+            // excluded by configuration.
+            return Err(Error::InvalidPartition(
+                "center greedy found no eligible ball; \
+                 enable include_zero_radius or check the instance"
+                    .into(),
+            ));
+        };
+        // Rescan the popped center against the current coverage.
+        ticker.tick_many(n as u64)?;
+        let Some(key) = scan.best(&fill, &covered, k, config.include_zero_radius, c) else {
+            continue; // center exhausted — permanently ineligible
+        };
+        if heap.peek().is_some_and(|&Reverse(next)| next < key) {
+            // Another center's lower bound beats the fresh key; requeue.
+            heap.push(Reverse(key));
+            continue;
+        }
+        let members = scan.members(key.2 + 1);
+        for &r in &members {
+            remaining -= usize::from(!covered[r as usize]);
+            covered[r as usize] = true;
+        }
+        chosen.push(members);
+        // The selecting center may hold further balls; its pre-selection
+        // key is still a valid lower bound after the coverage update.
+        heap.push(Reverse(key));
+    }
 
     Cover::new(chosen, n, k)
 }
 
-/// The deterministic selection key: `(ratio, center, prefix length)`,
-/// minimized lexicographically. Unique per candidate ball, so the greedy
-/// minimum is unambiguous.
+/// The deterministic selection key: `(ratio, center, prefix)`, minimized
+/// lexicographically, where `prefix` is the ball's size minus one. Unique
+/// per candidate ball, so the greedy minimum is unambiguous.
 type Key = (Ratio, usize, usize);
 
-/// The round-0 scan: every center's exact best key under the (empty)
-/// coverage, split across `config.threads` bands when asked to; every
-/// worker polls the budget. `orders`/`radii` are the flat `n×n` tables
-/// (row `c` at `c·n..`).
-#[allow(clippy::too_many_arguments)]
-fn scan_all_centers(
-    radii: &[u32],
-    n: usize,
-    covered: &[bool],
-    k: usize,
-    config: &CenterConfig,
-    budget: &Budget,
-    keys: &mut [Option<Key>],
-) -> Result<()> {
-    debug_assert!(
-        covered.iter().all(|&c| !c),
-        "round-0 scan expects no coverage"
-    );
-    let scan_band = |band_start: usize, band: &mut [Option<Key>]| -> Result<()> {
-        let mut ticker = budget.ticker();
-        for (i, slot) in band.iter_mut().enumerate() {
-            let c = band_start + i;
-            ticker.tick_many(n as u64)?;
-            // Nothing is covered yet, so every prefix is all-fresh
-            // (`fresh = prefix length`) and the scan reduces to walking
-            // the ≤ m+1 radius classes — no per-row coverage gather.
-            let rad_row = &radii[c * n..(c + 1) * n];
-            let mut best: Option<Key> = None;
-            let mut p = 0usize;
-            while p < n {
-                let radius = rad_row[p];
-                let end = p + rad_row[p..].partition_point(|&d| d == radius);
-                if end >= k && (radius != 0 || config.include_zero_radius) {
-                    let key = (Ratio::new(u64::from(radius), end as u64), c, end - 1);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                p = end;
-            }
-            *slot = best;
-        }
-        Ok(())
-    };
-    if config.threads <= 1 || n < 64 {
-        return scan_band(0, keys);
-    }
-    let band = n.div_ceil(config.threads);
-    let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (b, chunk) in keys.chunks_mut(band).enumerate() {
-            let scan_band = &scan_band;
-            handles.push(scope.spawn(move || scan_band(b * band, chunk)));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan thread never panics"))
-            .collect()
-    });
-    outcomes.into_iter().collect()
+/// Interleaved histogram copies: consecutive rows count into different
+/// copies, so runs of equal distances do not serialize on one counter.
+const LANES: usize = 4;
+
+/// One thread's scan scratch: the last scanned center's distance row and
+/// its class histogram. An entry packs two counts, rows in the low 32 bits
+/// and uncovered rows in the high 32 (`n < 2³²`, so neither overflows).
+struct Scan {
+    dist: Vec<u32>,
+    hist: Vec<u64>,
 }
 
-/// One center's best ball under the current coverage. Radii come from the
-/// contiguous sorted-radius table — the scan touches two streaming `u32`
-/// rows and never probes the triangular cache. The caller accounts the
-/// `n` steps on its ticker.
-fn best_for_center(
-    orders: &[u32],
-    radii: &[u32],
-    n: usize,
-    covered: &[bool],
-    k: usize,
-    include_zero_radius: bool,
-    c: usize,
-) -> Option<Key> {
-    let order = &orders[c * n..(c + 1) * n];
-    let rad_row = &radii[c * n..(c + 1) * n];
-    let mut fresh = 0u64;
-    let mut best: Option<Key> = None;
-    // Only prefixes ending at the last row of a radius class are candidate
-    // balls (a prefix cut inside a class is not S_{c,radius}), so walk the
-    // ≤ m+1 classes: gather the class's fresh count in one tight loop,
-    // then evaluate the single candidate at the class boundary.
-    let mut p = 0usize;
-    while p < n {
-        let radius = rad_row[p];
-        let end = p + rad_row[p..].partition_point(|&d| d == radius);
-        for &r in &order[p..end] {
-            fresh += u64::from(!covered[r as usize]);
+impl Scan {
+    fn new(n: usize, m: usize) -> Self {
+        Scan {
+            dist: vec![0; n],
+            hist: vec![0; LANES * (m + 1)],
         }
-        if end >= k && fresh > 0 && (radius != 0 || include_zero_radius) {
-            let key = (Ratio::new(u64::from(radius), fresh), c, end - 1);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
+    }
+
+    /// Center `c`'s best ball under the current coverage: one candidate
+    /// per realized radius class (a prefix cut inside a class is not
+    /// `S_{c,radius}`). The caller accounts the `n` steps on its ticker.
+    fn best(
+        &mut self,
+        fill: &impl Fn(usize, &mut [u32]),
+        covered: &[bool],
+        k: usize,
+        include_zero_radius: bool,
+        c: usize,
+    ) -> Option<Key> {
+        fill(c, &mut self.dist);
+        let classes = self.hist.len() / LANES;
+        self.hist.fill(0);
+        for (r, (&d, &done)) in self.dist.iter().zip(covered).enumerate() {
+            self.hist[r % LANES * classes + d as usize] += 1 | (u64::from(!done) << 32);
+        }
+        let (mut size, mut fresh, mut best) = (0, 0, None);
+        for radius in 0..classes {
+            let both: u64 = (0..LANES).map(|l| self.hist[l * classes + radius]).sum();
+            self.hist[radius] = both; // lane 0 keeps the merged class counts
+            size += both & u64::from(u32::MAX);
+            fresh += both >> 32;
+            if both != 0 && size >= k as u64 && fresh > 0 && (radius != 0 || include_zero_radius) {
+                let key = (Ratio::new(radius as u64, fresh), c, size as usize - 1);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
             }
         }
-        p = end;
+        best
     }
-    best
+
+    /// The first `size` rows of the last scanned center in `(distance, id)`
+    /// order — a ball [`Scan::best`] returned, which ends on a class
+    /// boundary — by a stable counting sort over the classes it spans.
+    fn members(&self, size: usize) -> Vec<u32> {
+        let (mut starts, mut end) = (Vec::new(), 0);
+        for &both in &self.hist {
+            if end == size {
+                break;
+            }
+            starts.push(end);
+            end += (both & u64::from(u32::MAX)) as usize;
+        }
+        let mut members = vec![0u32; size];
+        for (r, &d) in self.dist.iter().enumerate() {
+            if let Some(at) = starts.get_mut(d as usize) {
+                members[*at] = r as u32;
+                *at += 1;
+            }
+        }
+        members
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! implemented by [`Partition::split_large`].
 
 use crate::dataset::Dataset;
-use crate::diameter::{anon_cost, diameter};
+use crate::diameter::diameter;
 use crate::error::{Error, Result};
 
 /// A partition of row indices `0..n` into disjoint blocks.
@@ -133,16 +133,17 @@ impl Partition {
             .sum()
     }
 
-    /// Total suppression cost `Σ_S ANON(S)` of rounding this partition.
+    /// Total suppression cost `Σ_S ANON(S)` of rounding this partition:
+    /// per block, its size times the columns on which it is not constant
+    /// ([`crate::diameter::anon_cost`]), read straight from the blocks.
     #[must_use]
     pub fn anonymization_cost(&self, ds: &Dataset) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| {
-                let rows: Vec<usize> = b.iter().map(|&r| r as usize).collect();
-                anon_cost(ds, &rows)
-            })
-            .sum()
+        let differs = |b: &[u32], j: usize| {
+            b.iter()
+                .any(|&r| ds.row(r as usize)[j] != ds.row(b[0] as usize)[j])
+        };
+        let starred = |b: &[u32]| (0..ds.n_cols()).filter(|&j| differs(b, j)).count();
+        self.blocks.iter().map(|b| b.len() * starred(b)).sum()
     }
 
     /// Splits every block of size ≥ 2k into pieces of size in `[k, 2k−1]`.
@@ -385,6 +386,15 @@ mod tests {
             let p = Partition::new_unchecked(vec![(0..9).collect()], 9);
             let s = p.split_large(k);
             prop_assert!(s.anonymization_cost(&ds) <= p.anonymization_cost(&ds));
+            let by_rows: usize = s
+                .blocks()
+                .iter()
+                .map(|b| {
+                    let rows: Vec<usize> = b.iter().map(|&r| r as usize).collect();
+                    crate::diameter::anon_cost(&ds, &rows)
+                })
+                .sum();
+            prop_assert_eq!(s.anonymization_cost(&ds), by_rows);
             prop_assert!(s.min_block_size().unwrap_or(0) >= k);
             // Sizes capped at 2k-1.
             for b in s.blocks() {

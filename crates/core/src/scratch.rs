@@ -2,11 +2,10 @@
 //!
 //! The pipeline's worker threads solve hundreds of same-shaped shards in a
 //! row, and each solve used to allocate (and immediately free) the same
-//! few large buffers: the triangular distance cache, the center-greedy
-//! order/radius tables, and the packed column words. This module keeps
-//! those buffers in small per-thread pools so a worker's steady state is
-//! **zero** large allocations per shard — pinned by the counting-allocator
-//! test in `crates/tests/tests/alloc_reuse.rs`.
+//! few large buffers: the triangular distance cache and the packed column
+//! words. This module keeps those buffers in small per-thread pools so a
+//! worker's steady state is **zero** large allocations per shard — pinned
+//! by the counting-allocator test in `crates/tests/tests/alloc_reuse.rs`.
 //!
 //! Design notes:
 //!
@@ -25,8 +24,8 @@
 use std::cell::RefCell;
 
 /// Upper bound on pooled buffers per element type per thread. A worker
-/// needs at most a handful in flight (distance triangle, orders, radii,
-/// one dist row, packed words); anything beyond that is churn.
+/// needs at most a handful in flight (distance triangle, packed words);
+/// anything beyond that is churn.
 const MAX_POOLED: usize = 8;
 
 thread_local! {

@@ -36,10 +36,11 @@
 //! reported. Under plain k the stage is a no-op, and [`run_csv`] is that
 //! path with no sensitive column.
 //!
-//! Solver memory scales with `shard_size²`, not `n²`; the table is held
-//! encoded (4 bytes per cell) and the release adds 4 bytes and a star bit
-//! per quasi cell: a 500,000 × 8 zipf run (13.1 MB of CSV) peaks at
-//! 50–53 MB resident. Sharding costs approximation quality —
+//! Solver memory scales with `shard_size` (`shard_size²` on the fallback
+//! rungs), never with `n`; the table is held encoded (4 bytes per cell)
+//! and the release adds 4 bytes and a star bit per quasi cell: a
+//! 500,000 × 8 zipf run (13.1 MB of CSV) peaks at 49–53 MB resident.
+//! Sharding costs approximation quality —
 //! groups can only form within a shard — which is the price of scale; the
 //! hash strategy keeps identical rows together so the loss concentrates on
 //! rare rows, and the sorted strategy keeps near rows adjacent.

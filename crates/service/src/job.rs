@@ -52,8 +52,6 @@ pub enum JobState {
     Completed {
         /// The pipeline's run report.
         report: PipelineReport,
-        /// Whether the service re-verified k-anonymity of the output.
-        k_anonymous: bool,
         /// Whether the service's independent re-check of the requested
         /// privacy model passed; `None` when the job ran plain k.
         privacy_verified: Option<bool>,
@@ -116,12 +114,14 @@ impl JobRecord {
             }
             JobState::Completed {
                 report,
-                k_anonymous,
                 privacy_verified,
                 attack,
                 elapsed_ms,
             } => {
-                obj.boolean("k_anonymous", *k_anonymous);
+                // A run completes only after the pipeline's finisher
+                // verified the release k-anonymous, so a completed job
+                // carries that verdict.
+                obj.boolean("k_anonymous", true);
                 if let Some(verified) = privacy_verified {
                     obj.boolean("privacy_verified", *verified);
                 }
@@ -196,20 +196,18 @@ impl JobStore {
         });
     }
 
-    /// Marks the job completed with its report, the verification
-    /// verdicts, and the attack measurement (when one ran).
+    /// Marks the job completed with its report, the privacy verdict, and
+    /// the attack measurement (when one ran).
     pub fn complete(
         &self,
         id: JobId,
         report: PipelineReport,
-        k_anonymous: bool,
         privacy_verified: Option<bool>,
         attack: Option<AttackSummary>,
     ) {
         self.update(id, |r| {
             r.state = JobState::Completed {
                 report,
-                k_anonymous,
                 privacy_verified,
                 attack,
                 elapsed_ms: r.submitted.elapsed().as_millis(),
@@ -307,7 +305,6 @@ mod tests {
         store.complete(
             private,
             report(),
-            true,
             Some(true),
             Some(AttackSummary {
                 attacked: 4,
@@ -324,7 +321,7 @@ mod tests {
 
         // A plain-k job renders neither of the new keys.
         let plain = store.create(2);
-        store.complete(plain, report(), true, None, None);
+        store.complete(plain, report(), None, None);
         let json = store.render(plain).unwrap();
         assert!(!json.contains("privacy_verified"));
         assert!(!json.contains("\"attack\""));

@@ -479,7 +479,6 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
     drop(lease);
     match outcome {
         Ok(run) => {
-            let k_anonymous = run.anonymization.table.is_k_anonymous(params.k);
             let privacy_verified = run.report.privacy.as_ref().map(|p| p.verified);
             // The measurement is advisory: a panic in it leaves `attack`
             // absent and the job completed.
@@ -493,7 +492,7 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
             state.metrics.record_completed(&run.report);
             state
                 .jobs
-                .complete(id, run.report, k_anonymous, privacy_verified, attack);
+                .complete(id, run.report, privacy_verified, attack);
         }
         Err(error) => {
             state.metrics.record_failed();
