@@ -390,13 +390,18 @@ mod tests {
     /// stale, up-front schedule. With a 3-rung ladder and deadline `D`, the
     /// first rung's slice is `D/3`; when it fails in ~0 time the second
     /// rung's slice must be recomputed from the time actually left — about
-    /// `D/2` — not the `D/3` a pre-drawn schedule would hand it.
+    /// `D/2` — not the `D/3` a pre-drawn schedule would hand it. The
+    /// deadline runs on a poll clock (1 ms per budget check), so the slices
+    /// do not depend on the host's speed.
     #[test]
     fn instant_first_rung_passes_its_time_to_later_rungs() {
         let ds = dataset();
         let deadline = Duration::from_millis(400);
         let config = LadderConfig {
-            budget: Budget::builder().deadline(deadline).build(),
+            budget: Budget::builder()
+                .deadline(deadline)
+                .poll_clock(Duration::from_millis(1))
+                .build(),
             ..Default::default()
         };
         let mut observed: Vec<(Rung, Duration)> = Vec::new();
@@ -431,14 +436,18 @@ mod tests {
     /// Regression (mock-slow first rung): when the first rung consumes its
     /// entire slice, the rungs after it still receive fresh, equal shares
     /// of whatever genuinely remains — and the final rung inherits all of
-    /// it, so the ladder answers inside the original deadline.
+    /// it, so the ladder answers inside the original deadline. The deadline
+    /// runs on a poll clock (1 ms per budget check): the slow rung burns
+    /// its slice in checks, and no bound depends on the host's speed.
     #[test]
     fn slow_first_rung_does_not_starve_the_final_rung() {
         let ds = dataset();
         let deadline = Duration::from_millis(300);
-        let started = Instant::now();
         let config = LadderConfig {
-            budget: Budget::builder().deadline(deadline).build(),
+            budget: Budget::builder()
+                .deadline(deadline)
+                .poll_clock(Duration::from_millis(1))
+                .build(),
             ..Default::default()
         };
         let mut observed: Vec<(Rung, Duration)> = Vec::new();
@@ -448,7 +457,6 @@ mod tests {
                 // Mock-slow: burn the whole slice, then trip.
                 Rung::FullGreedyCover => loop {
                     slice.check()?;
-                    std::thread::sleep(Duration::from_millis(1));
                 },
                 // Fail instantly so the *last* rung's slice is observable.
                 Rung::CenterGreedy => Err(budget_trip()),
@@ -459,9 +467,9 @@ mod tests {
         assert_eq!(report.rung, Rung::Agglomerative);
         assert!(k_anonymous(&ds, &partition, 3));
         assert!(
-            started.elapsed() < deadline + Duration::from_millis(100),
+            config.budget.elapsed() < deadline,
             "ladder overran the deadline: {:.2?}",
-            started.elapsed()
+            config.budget.elapsed()
         );
         // The slow rung held ~D/3 = 100 ms; the final rung must get all of
         // the ~200 ms actually left. The old compounding-halving schedule

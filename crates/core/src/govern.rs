@@ -104,6 +104,10 @@ impl std::fmt::Display for Resource {
 #[derive(Clone, Debug)]
 pub struct Budget {
     started: Instant,
+    /// Set by [`BudgetBuilder::poll_clock`]: the checks made by this budget
+    /// and its relatives, the count when this budget started, and the time
+    /// each check stands for.
+    polls: Option<(Arc<AtomicU64>, u64, Duration)>,
     allowance: Option<Duration>,
     max_memory: Option<u64>,
     max_candidates: Option<u64>,
@@ -149,13 +153,20 @@ impl Budget {
     /// the deadline has passed.
     #[must_use]
     pub fn remaining(&self) -> Option<Duration> {
-        self.allowance
-            .map(|a| a.saturating_sub(self.started.elapsed()))
+        self.allowance.map(|a| a.saturating_sub(self.elapsed()))
     }
 
-    /// Milliseconds elapsed since the budget started.
-    fn elapsed_ms(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
+    /// Time elapsed since the budget started, on the clock its deadline
+    /// is measured in.
+    #[must_use]
+    pub fn elapsed(&self) -> Duration {
+        match &self.polls {
+            Some((checks, start, step)) => {
+                let polls = checks.load(Ordering::Relaxed) - start;
+                step.saturating_mul(u32::try_from(polls).unwrap_or(u32::MAX))
+            }
+            None => self.started.elapsed(),
+        }
     }
 
     /// The cheap poll: cancellation flag, then (only when a deadline is set)
@@ -177,11 +188,14 @@ impl Budget {
                 limit: 0,
             });
         }
+        if let Some((checks, ..)) = &self.polls {
+            checks.fetch_add(1, Ordering::Relaxed);
+        }
         if let Some(allowance) = self.allowance {
-            if self.started.elapsed() > allowance {
+            if self.elapsed() > allowance {
                 return Err(Error::BudgetExceeded {
                     resource: Resource::WallClock,
-                    spent: self.elapsed_ms(),
+                    spent: u64::try_from(self.elapsed().as_millis()).unwrap_or(u64::MAX),
                     limit: u64::try_from(allowance.as_millis()).unwrap_or(u64::MAX),
                 });
             }
@@ -300,6 +314,9 @@ impl Budget {
         };
         Budget {
             started: Instant::now(),
+            polls: self.polls.as_ref().map(|(checks, _, step)| {
+                (Arc::clone(checks), checks.load(Ordering::Relaxed), *step)
+            }),
             allowance: clamped,
             max_memory: memory_cap,
             max_candidates: self.max_candidates,
@@ -495,6 +512,7 @@ pub struct BudgetBuilder {
     max_memory: Option<u64>,
     max_candidates: Option<u64>,
     cancel_at: Option<u64>,
+    poll_step: Option<Duration>,
 }
 
 impl BudgetBuilder {
@@ -531,11 +549,25 @@ impl BudgetBuilder {
         self
     }
 
+    /// Measures the deadline in budget checks instead of wall-clock time:
+    /// every [`Budget::check`] of this budget or of its children advances
+    /// the clock by `step`. A deadline then expires at a fixed poll, and
+    /// children's slices are cut from the same count, whatever the speed
+    /// of the host.
+    #[must_use]
+    pub fn poll_clock(mut self, step: Duration) -> Self {
+        self.poll_step = Some(step);
+        self
+    }
+
     /// Finalizes the budget; the deadline clock starts now.
     #[must_use]
     pub fn build(self) -> Budget {
         Budget {
             started: Instant::now(),
+            polls: self
+                .poll_step
+                .map(|step| (Arc::new(AtomicU64::new(0)), 0, step)),
             allowance: self.allowance,
             max_memory: self.max_memory,
             max_candidates: self.max_candidates,

@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use kanon_core::govern::Budget;
 use kanon_core::{Anonymization, Dataset, Partition};
-use kanon_relation::csv::Reader;
+use kanon_relation::csv::{Reader, Record};
 use kanon_relation::Codec;
 use kanon_store::bytes::{ByteReader, ByteWriter};
 use kanon_store::{read_snapshot, write_snapshot, DirLock, Wal};
@@ -596,9 +596,7 @@ impl DeltaStore {
         }
         let m = self.header.len();
         let mut ops = Vec::new();
-        while let Some(record) = records.read_record()? {
-            let line = record.line;
-            let fields = record.fields;
+        while let Some(Record { line, fields }) = records.read_record()? {
             let bad = |msg: String| Error::Delta(format!("ops line {line}: {msg}"));
             if fields.len() < 2 {
                 return Err(bad("expected at least `op,id`".into()));

@@ -1,12 +1,13 @@
 //! Streaming CSV ingestion: any `io::Read` source to an encoded
 //! [`Dataset`] without materializing the file contents.
 //!
-//! The reader ([`kanon_relation::csv::Reader`]) holds one 64 KiB buffer
-//! plus the record in flight; the encoder
-//! ([`kanon_relation::encode::StreamingEncoder`]) holds the dictionary and
-//! the encoded (u32) table. Peak memory is therefore the *encoded* table
-//! plus dictionaries — not the raw CSV text, which for wide string values
-//! is several times larger.
+//! The reader ([`kanon_relation::csv::Reader`]) scans records in place in
+//! one reused 64 KiB buffer and lends each as `&str` fields; the encoder
+//! ([`kanon_relation::encode::StreamingEncoder`]) looks each value up in
+//! its column's dictionary and copies only first-seen values. No `String`
+//! is made per field or per record. Peak memory is therefore the *encoded*
+//! table plus dictionaries — not the raw CSV text, which for wide string
+//! values is several times larger.
 
 use std::io;
 
@@ -44,11 +45,11 @@ pub fn ingest_csv_with_delimiter<R: io::Read>(reader: R, delim: u8) -> Result<(D
         None => return Err(kanon_relation::Error::EmptyTable.into()),
     };
     let mut encoder = StreamingEncoder::new(header.fields)?;
-    while let Some(record) = records.read_record()? {
-        encoder.push_record(&record.fields).map_err(|e| match e {
+    while let Some((line, fields)) = records.read_fields()? {
+        encoder.push_record(fields).map_err(|e| match e {
             kanon_relation::Error::ArityMismatch { expected, found } => {
                 kanon_relation::Error::Csv {
-                    line: record.line,
+                    line,
                     message: format!("expected {expected} fields, found {found}"),
                 }
             }

@@ -12,8 +12,8 @@
 //!
 //! The pipeline exploits this in four stages:
 //!
-//! 1. **Ingest** ([`ingest_csv`]) — chunked CSV from any `io::Read`,
-//!    dictionary-encoding records as they stream by.
+//! 1. **Ingest** ([`ingest_csv`]) — CSV scanned in place from any
+//!    `io::Read`, dictionary-encoding borrowed fields as they stream by.
 //! 2. **Shard** ([`plan_shards`]) — deterministic row buckets by
 //!    quasi-identifier hash or sort order, cut into near-equal pieces of
 //!    at most `shard_size` (and at least `k`) rows; undersized buckets

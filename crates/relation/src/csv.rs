@@ -5,16 +5,23 @@
 //! this is a data-ingestion convenience for the examples and CLI, not a
 //! general CSV library.
 //!
-//! Two entry points share one state machine:
+//! Every entry point shares one scanner. [`Reader`] streams any
+//! [`std::io::Read`] through one reused buffer (64 KiB, grown only for a
+//! record longer than it), so a multi-gigabyte file is never in memory at
+//! once, and scans each record in place into field byte ranges plus its
+//! 1-based line. A value is copied, into a scratch buffer, only when it is
+//! not a contiguous run of input bytes: a doubled quote, an unquoted `\r`,
+//! or bytes after a closing quote.
 //!
-//! * [`Reader`] — a chunked, streaming record iterator over any
-//!   [`std::io::Read`]. It holds one fixed-size byte buffer plus the record
-//!   being assembled, so a multi-gigabyte file never needs to be in memory
-//!   at once. This is the ingestion path of the sharded pipeline.
-//! * [`parse`] — the whole-text convenience wrapper: feeds the text's bytes
-//!   through a [`Reader`] and collects a [`Table`].
+//! * [`Reader::read_fields`] lends a record's fields as `&str` over that
+//!   buffer — the ingestion path of the sharded pipeline, which encodes
+//!   them without a `String` per field.
+//! * [`Reader::read_record`] copies them into an owned [`Record`].
+//! * [`parse`] — the whole-text convenience wrapper: reads the text's
+//!   records and collects a [`Table`].
 
 use std::io;
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -113,41 +120,181 @@ pub struct Record {
     pub fields: Vec<String>,
 }
 
-/// Bytes read from the underlying source per refill. Small enough that a
-/// `Reader` over a pipe stays responsive, large enough to amortize
-/// syscalls.
+/// Where a field's value lies in its record's bytes; `raw` when the range
+/// still holds the quotes or unquoted `\r`s to unescape.
+#[derive(Clone, Debug)]
+struct Span {
+    range: Range<usize>,
+    raw: bool,
+}
+
+/// How a scan of the buffered bytes ended.
+enum Scan {
+    /// The bytes end inside a record: refill and scan it again.
+    More,
+    /// No record is left.
+    End,
+    /// A record of `len` bytes, terminator included, over `newlines` line
+    /// breaks.
+    Record { len: usize, newlines: usize },
+    /// A syntax error `newlines` line breaks into the record.
+    Error {
+        newlines: usize,
+        message: &'static str,
+    },
+}
+
+/// Scans the record at the start of `s` into `spans`. This is the RFC
+/// 4180 state machine, run over a slice: it notes where each value lies
+/// and copies nothing. A value stays one run of input bytes until a
+/// doubled quote, or a byte after a skipped `\r` or a closing quote, makes
+/// it raw.
+fn scan_record(s: &[u8], eof: bool, delim: u8, spans: &mut Vec<Span>) -> Scan {
+    spans.clear();
+    let (mut quoted, mut newlines, mut start) = (false, 0, 0);
+    let (mut value, mut raw) = (0..0, false);
+    let mut j = 0;
+    while let Some(&b) = s.get(j) {
+        if quoted {
+            match (b, s.get(j + 1)) {
+                (b'"', Some(b'"')) => {
+                    (raw, value.end) = (true, j + 2);
+                    j += 1;
+                }
+                (b'"', _) => quoted = false,
+                _ => {
+                    newlines += usize::from(b == b'\n');
+                    value.end = j + 1;
+                }
+            }
+        } else if b == b'"' {
+            if !value.is_empty() {
+                let message = "quote inside unquoted field";
+                return Scan::Error { newlines, message };
+            }
+            (quoted, raw) = (true, raw || j != value.end);
+            value = j + 1..j + 1;
+        } else if b == delim || b == b'\n' {
+            let range = if raw { start..j } else { value };
+            spans.push(Span { range, raw });
+            if b == b'\n' {
+                let (len, newlines) = (j + 1, newlines + 1);
+                return Scan::Record { len, newlines };
+            }
+            (start, value, raw) = (j + 1, j + 1..j + 1, false);
+        } else if b != b'\r' {
+            raw |= j != value.end;
+            j = next_special(s, j + 1, delim);
+            value.end = j;
+            continue;
+        }
+        j += 1;
+    }
+    if !eof {
+        return Scan::More;
+    }
+    if quoted {
+        let message = "unterminated quoted field";
+        return Scan::Error { newlines, message };
+    }
+    // Trailing bytes that hold no value (`\r`s, `""`) make no record.
+    if spans.is_empty() && value.is_empty() {
+        return Scan::End;
+    }
+    let range = if raw { start..j } else { value };
+    spans.push(Span { range, raw });
+    Scan::Record { len: j, newlines }
+}
+
+/// The position of the first byte of `s[from..]` that is `delim`, a quote
+/// or a line break, or `s.len()`: eight bytes at a time, each word testing
+/// for the four at once.
+fn next_special(s: &[u8], mut from: usize, delim: u8) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    // High bit of each byte that is zero; exact for the lowest such byte.
+    let zeros = |v: u64| v.wrapping_sub(ONES) & !v & (ONES << 7);
+    while let Some(word) = s.get(from..from + 8) {
+        let v = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = [delim, b'"', b'\n', b'\r']
+            .into_iter()
+            .fold(0, |hits, b| hits | zeros(v ^ (ONES * u64::from(b))));
+        if hits != 0 {
+            return from + (hits.trailing_zeros() / 8) as usize;
+        }
+        from += 8;
+    }
+    let tail = s[from..]
+        .iter()
+        .position(|&b| b == delim || matches!(b, b'"' | b'\n' | b'\r'));
+    tail.map_or(s.len(), |p| from + p)
+}
+
+/// Copies the values of `record`'s fields into `scratch`, unescaping raw
+/// ones, and points `spans` at the copies. The first value that is not
+/// UTF-8 fails, with the line its field ends on.
+fn resolve(record: &[u8], line: usize, spans: &mut [Span], scratch: &mut Vec<u8>) -> Result<()> {
+    scratch.clear();
+    for span in spans {
+        let start = scratch.len();
+        let mut quoted = false;
+        let mut bytes = record[span.range.clone()].iter().copied().peekable();
+        while let Some(b) = bytes.next() {
+            match b {
+                _ if !span.raw => scratch.push(b),
+                b'"' if quoted && bytes.next_if_eq(&b'"').is_some() => scratch.push(b),
+                b'"' => quoted = !quoted,
+                b'\r' if !quoted => {}
+                _ => scratch.push(b),
+            }
+        }
+        if std::str::from_utf8(&scratch[start..]).is_err() {
+            let newlines = record[..span.range.end].iter().filter(|&&b| b == b'\n');
+            let (line, message) = (line + newlines.count(), "invalid UTF-8 in field".into());
+            return Err(Error::Csv { line, message });
+        }
+        (span.range, span.raw) = (start..scratch.len(), false);
+    }
+    Ok(())
+}
+
+/// Bytes the buffer starts with. A record longer than this doubles it.
 const CHUNK: usize = 64 * 1024;
 
-/// A chunked, streaming CSV record reader over any [`io::Read`].
+/// A streaming CSV record reader over any [`io::Read`].
 ///
-/// Memory held at any time is one 64 KiB refill buffer plus the
-/// record currently being assembled — never the whole input. Delimiters are
-/// ASCII, so the byte-level state machine passes multi-byte UTF-8 sequences
-/// through untouched; each completed field is validated as UTF-8.
+/// It holds one reused buffer, 64 KiB unless a record is longer, and never
+/// the whole input. Each record is scanned in place; a value that is not a
+/// contiguous run of input bytes is copied into a scratch buffer. Every
+/// value is checked to be UTF-8. After a syntax error the reader yields
+/// nothing more.
 ///
 /// ```
 /// use kanon_relation::csv::Reader;
 /// let mut r = Reader::new("a,b\n1,\"x,y\"\n".as_bytes());
 /// assert_eq!(r.read_record().unwrap().unwrap().fields, vec!["a", "b"]);
-/// let rec = r.read_record().unwrap().unwrap();
-/// assert_eq!(rec.line, 2);
-/// assert_eq!(rec.fields, vec!["1", "x,y"]);
+/// let (line, fields) = r.read_fields().unwrap().unwrap();
+/// assert_eq!(line, 2);
+/// assert_eq!(fields.collect::<Vec<_>>(), vec!["1", "x,y"]);
 /// assert!(r.read_record().unwrap().is_none());
 /// ```
 #[derive(Debug)]
 pub struct Reader<R: io::Read> {
     inner: R,
     buf: Vec<u8>,
-    /// Next unconsumed position in `buf[..len]`.
+    /// Start of the next record in `buf[..len]`.
     pos: usize,
-    /// Valid prefix length of `buf`.
+    /// Filled prefix length of `buf`.
     len: usize,
     /// True once the underlying reader returned 0 bytes.
     eof: bool,
-    /// 1-based line of the byte about to be consumed.
+    /// 1-based line the next record starts on.
     line: usize,
     /// Field separator (ASCII). `,` for [`Reader::new`].
     delim: u8,
+    /// The fields of the record last read.
+    spans: Vec<Span>,
+    /// Its values, when they could not be lent from `buf`.
+    scratch: Vec<u8>,
 }
 
 impl<R: io::Read> Reader<R> {
@@ -158,9 +305,9 @@ impl<R: io::Read> Reader<R> {
     }
 
     /// As [`Reader::new`], with an explicit field delimiter — `;`, `\t`,
-    /// and `|` files parse with the same quoting state machine. The
-    /// delimiter must be ASCII so the byte-level scanner cannot split a
-    /// multi-byte UTF-8 sequence; non-ASCII bytes fall back to `,`.
+    /// and `|` files parse with the same quoting rules. A delimiter that is
+    /// not ASCII (the scanner must not split a multi-byte UTF-8 sequence),
+    /// or is a quote or line break, falls back to `,`.
     ///
     /// ```
     /// use kanon_relation::csv::Reader;
@@ -169,6 +316,7 @@ impl<R: io::Read> Reader<R> {
     /// assert_eq!(r.read_record().unwrap().unwrap().fields, vec!["1", "x;y"]);
     /// ```
     pub fn with_delimiter(inner: R, delim: u8) -> Self {
+        let plain = delim.is_ascii() && !matches!(delim, b'"' | b'\r' | b'\n');
         Reader {
             inner,
             buf: vec![0; CHUNK],
@@ -176,133 +324,83 @@ impl<R: io::Read> Reader<R> {
             len: 0,
             eof: false,
             line: 1,
-            delim: if delim.is_ascii() { delim } else { b',' },
+            delim: if plain { delim } else { b',' },
+            spans: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Refills the buffer; returns false at end of input.
-    fn refill(&mut self) -> Result<bool> {
-        if self.eof {
-            return Ok(false);
+    /// Moves the unread bytes to the front of the buffer, doubling it when
+    /// they fill it, then reads until it is full or the source ends.
+    fn refill(&mut self) -> Result<()> {
+        self.buf.copy_within(self.pos..self.len, 0);
+        (self.len, self.pos) = (self.len - self.pos, 0);
+        if self.len == self.buf.len() {
+            self.buf.resize(2 * self.len, 0);
         }
-        loop {
-            match self.inner.read(&mut self.buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(false);
-                }
-                Ok(n) => {
-                    self.pos = 0;
-                    self.len = n;
-                    return Ok(true);
-                }
+        while self.len < self.buf.len() && !self.eof {
+            match self.inner.read(&mut self.buf[self.len..]) {
+                Ok(n) => (self.len, self.eof) = (self.len + n, n == 0),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(Error::Io(e.to_string())),
             }
         }
-    }
-
-    /// Next byte, or `None` at end of input.
-    fn next_byte(&mut self) -> Result<Option<u8>> {
-        if self.pos == self.len && !self.refill()? {
-            return Ok(None);
-        }
-        let b = self.buf[self.pos];
-        self.pos += 1;
-        Ok(Some(b))
-    }
-
-    /// Peeks the next byte without consuming it.
-    fn peek_byte(&mut self) -> Result<Option<u8>> {
-        if self.pos == self.len && !self.refill()? {
-            return Ok(None);
-        }
-        Ok(Some(self.buf[self.pos]))
-    }
-
-    /// Finishes a raw field: validates UTF-8 and appends to the record.
-    fn push_field(record: &mut Vec<String>, raw: &mut Vec<u8>, line: usize) -> Result<()> {
-        let field = String::from_utf8(std::mem::take(raw)).map_err(|_| Error::Csv {
-            line,
-            message: "invalid UTF-8 in field".into(),
-        })?;
-        record.push(field);
         Ok(())
     }
 
-    /// Reads the next record, or `None` at end of input.
-    ///
-    /// A trailing newline does not produce an empty final record; a final
-    /// record without a trailing newline is produced normally.
+    /// Reads the next record, or `None` at end of input: its 1-based line
+    /// and its fields, unescaped, lent until the next read. Values that are
+    /// contiguous input bytes are lent from the buffer after one UTF-8
+    /// check of the whole record. A trailing newline does not produce an
+    /// empty final record; a final record without one is produced normally.
     ///
     /// # Errors
     /// [`Error::Csv`] on syntax problems, [`Error::Io`] on read failures.
-    pub fn read_record(&mut self) -> Result<Option<Record>> {
-        let mut field: Vec<u8> = Vec::new();
-        let mut record: Vec<String> = Vec::new();
-        let record_line = self.line;
-        let mut in_quotes = false;
-        let mut saw_any = false;
+    pub fn read_fields(
+        &mut self,
+    ) -> Result<Option<(usize, impl ExactSizeIterator<Item = &str> + '_)>> {
+        let line = self.line;
+        let len = loop {
+            let rest = &self.buf[self.pos..self.len];
+            match scan_record(rest, self.eof, self.delim, &mut self.spans) {
+                Scan::More => self.refill()?,
+                Scan::End => return Ok(None),
+                Scan::Record { len, newlines } => {
+                    self.line += newlines;
+                    break len;
+                }
+                Scan::Error { newlines, message } => {
+                    (self.pos, self.eof) = (self.len, true);
+                    // A value that is not UTF-8 before the error comes first.
+                    resolve(rest, line, &mut self.spans, &mut self.scratch)?;
+                    let (line, message) = (line + newlines, message.into());
+                    return Err(Error::Csv { line, message });
+                }
+            }
+        };
+        let record = &self.buf[self.pos..self.pos + len];
+        self.pos += len;
+        let text = match std::str::from_utf8(record) {
+            Ok(text) if self.spans.iter().all(|s| !s.raw) => text,
+            _ => {
+                resolve(record, line, &mut self.spans, &mut self.scratch)?;
+                std::str::from_utf8(&self.scratch).expect("resolve checked every value")
+            }
+        };
+        let fields = self.spans.iter().map(move |s| &text[s.range.clone()]);
+        Ok(Some((line, fields)))
+    }
 
-        while let Some(b) = self.next_byte()? {
-            saw_any = true;
-            if in_quotes {
-                match b {
-                    b'"' => {
-                        if self.peek_byte()? == Some(b'"') {
-                            self.next_byte()?;
-                            field.push(b'"');
-                        } else {
-                            in_quotes = false;
-                        }
-                    }
-                    b'\n' => {
-                        self.line += 1;
-                        field.push(b);
-                    }
-                    _ => field.push(b),
-                }
-                continue;
-            }
-            match b {
-                b'"' => {
-                    if !field.is_empty() {
-                        return Err(Error::Csv {
-                            line: self.line,
-                            message: "quote inside unquoted field".into(),
-                        });
-                    }
-                    in_quotes = true;
-                }
-                d if d == self.delim => Self::push_field(&mut record, &mut field, self.line)?,
-                b'\r' => {
-                    // Swallow; `\r\n` handled by the `\n` branch.
-                }
-                b'\n' => {
-                    Self::push_field(&mut record, &mut field, self.line)?;
-                    self.line += 1;
-                    return Ok(Some(Record {
-                        line: record_line,
-                        fields: record,
-                    }));
-                }
-                _ => field.push(b),
-            }
-        }
-        if in_quotes {
-            return Err(Error::Csv {
-                line: self.line,
-                message: "unterminated quoted field".into(),
-            });
-        }
-        if saw_any && (!field.is_empty() || !record.is_empty()) {
-            Self::push_field(&mut record, &mut field, self.line)?;
-            return Ok(Some(Record {
-                line: record_line,
-                fields: record,
-            }));
-        }
-        Ok(None)
+    /// As [`Reader::read_fields`], with the fields copied into a [`Record`].
+    ///
+    /// # Errors
+    /// As [`Reader::read_fields`].
+    pub fn read_record(&mut self) -> Result<Option<Record>> {
+        let record = self.read_fields()?;
+        Ok(record.map(|(line, fields)| Record {
+            line,
+            fields: fields.map(str::to_owned).collect(),
+        }))
     }
 }
 

@@ -24,29 +24,14 @@ impl Codec {
     /// Encodes a table, producing the dataset and the codec.
     #[must_use]
     pub fn encode(table: &Table) -> (Dataset, Codec) {
-        let m = table.arity();
-        let mut dicts: Vec<HashMap<&str, u32>> = vec![HashMap::new(); m];
-        let mut columns: Vec<Vec<String>> = vec![Vec::new(); m];
-        let mut flat: Vec<u32> = Vec::with_capacity(table.n_rows() * m);
+        let mut encoder = StreamingEncoder::new(table.schema().names().to_vec())
+            .expect("a table's schema is a valid header");
         for row in table.rows() {
-            for (j, value) in row.iter().enumerate() {
-                let next = dicts[j].len() as u32;
-                let code = *dicts[j].entry(value.as_str()).or_insert_with(|| {
-                    columns[j].push(value.clone());
-                    next
-                });
-                flat.push(code);
-            }
+            encoder
+                .push_record(row.iter().map(String::as_str))
+                .expect("a table's rows match its schema");
         }
-        let ds = Dataset::from_flat(table.n_rows(), m, flat)
-            .expect("encode builds a rectangular buffer");
-        (
-            ds,
-            Codec {
-                columns,
-                header: table.schema().names().to_vec(),
-            },
-        )
+        encoder.finish()
     }
 
     /// Rebuilds a codec from its raw parts: the header and one dictionary
@@ -143,18 +128,19 @@ impl Codec {
 
 /// Record-at-a-time dictionary encoder for streaming ingestion.
 ///
-/// [`Codec::encode`] needs the whole [`Table`] up front; the sharded
-/// pipeline instead feeds records straight off a
-/// [`csv::Reader`](crate::csv::Reader) as they are parsed, so the raw CSV
-/// text is never materialized. Codes are assigned in first-appearance
-/// order, exactly like the batch path — encoding the same records in the
-/// same order produces a byte-identical [`Dataset`] and [`Codec`].
+/// The sharded pipeline feeds it records straight off
+/// [`csv::Reader::read_fields`](crate::csv::Reader::read_fields) as they
+/// are scanned, so the raw CSV text is never materialized. Each value is a
+/// borrowed `&str`, looked up in its column's dictionary without
+/// allocating; only a first-seen value is copied, so codes follow first
+/// appearance. [`Codec::encode`] feeds a [`Table`]'s rows through the same
+/// encoder.
 ///
 /// ```
 /// use kanon_relation::encode::StreamingEncoder;
 /// let mut enc = StreamingEncoder::new(vec!["city".into(), "age".into()]).unwrap();
-/// enc.push_record(&["paris".into(), "30".into()]).unwrap();
-/// enc.push_record(&["rome".into(), "30".into()]).unwrap();
+/// enc.push_record(["paris", "30"].into_iter()).unwrap();
+/// enc.push_record(["rome", "30"].into_iter()).unwrap();
 /// let (ds, codec) = enc.finish();
 /// assert_eq!(ds.row(1), &[1, 0]);
 /// assert_eq!(codec.value(0, 1).unwrap(), "rome");
@@ -162,10 +148,8 @@ impl Codec {
 #[derive(Clone, Debug)]
 pub struct StreamingEncoder {
     dicts: Vec<HashMap<String, u32>>,
-    columns: Vec<Vec<String>>,
-    header: Vec<String>,
+    codec: Codec,
     flat: Vec<u32>,
-    n: usize,
 }
 
 impl StreamingEncoder {
@@ -175,76 +159,60 @@ impl StreamingEncoder {
     /// # Errors
     /// [`Error::EmptySchema`] / [`Error::DuplicateAttribute`].
     pub fn new(header: Vec<String>) -> Result<Self> {
-        let schema = crate::schema::Schema::new(header)?;
-        let header = schema.names().to_vec();
+        let header = crate::schema::Schema::new(header)?.names().to_vec();
         let m = header.len();
         Ok(StreamingEncoder {
             dicts: vec![HashMap::new(); m],
-            columns: vec![Vec::new(); m],
-            header,
+            codec: Codec {
+                columns: vec![Vec::new(); m],
+                header,
+            },
             flat: Vec::new(),
-            n: 0,
         })
     }
 
     /// Number of records pushed so far.
     #[must_use]
     pub fn n_rows(&self) -> usize {
-        self.n
+        self.flat.len() / self.codec.arity()
     }
 
-    /// Number of columns.
-    #[must_use]
-    pub fn arity(&self) -> usize {
-        self.header.len()
-    }
-
-    /// The header this encoder was started with.
-    #[must_use]
-    pub fn header(&self) -> &[String] {
-        &self.header
-    }
-
-    /// Encodes one record.
+    /// Encodes one record, given as its values in column order.
     ///
     /// # Errors
     /// [`Error::ArityMismatch`] if the record length differs from the
     /// header's.
-    pub fn push_record(&mut self, record: &[String]) -> Result<()> {
-        if record.len() != self.header.len() {
+    pub fn push_record<'a>(
+        &mut self,
+        record: impl ExactSizeIterator<Item = &'a str>,
+    ) -> Result<()> {
+        if record.len() != self.codec.arity() {
             return Err(Error::ArityMismatch {
-                expected: self.header.len(),
+                expected: self.codec.arity(),
                 found: record.len(),
             });
         }
-        for (j, value) in record.iter().enumerate() {
+        for (j, value) in record.enumerate() {
             let code = match self.dicts[j].get(value) {
                 Some(&code) => code,
                 None => {
-                    let next = self.dicts[j].len() as u32;
-                    self.dicts[j].insert(value.clone(), next);
-                    self.columns[j].push(value.clone());
+                    let next = self.codec.columns[j].len() as u32;
+                    self.dicts[j].insert(value.to_owned(), next);
+                    self.codec.columns[j].push(value.to_owned());
                     next
                 }
             };
             self.flat.push(code);
         }
-        self.n += 1;
         Ok(())
     }
 
     /// Finalizes into the dataset and the codec for decoding releases.
     #[must_use]
     pub fn finish(self) -> (Dataset, Codec) {
-        let ds = Dataset::from_flat(self.n, self.header.len(), self.flat)
+        let ds = Dataset::from_flat(self.n_rows(), self.codec.arity(), self.flat)
             .expect("streaming encoder builds a rectangular buffer");
-        (
-            ds,
-            Codec {
-                columns: self.columns,
-                header: self.header,
-            },
-        )
+        (ds, self.codec)
     }
 }
 
@@ -314,10 +282,9 @@ mod tests {
         let (batch_ds, batch_codec) = table.encode();
         let mut enc = StreamingEncoder::new(table.schema().names().to_vec()).unwrap();
         for row in table.rows() {
-            enc.push_record(row).unwrap();
+            enc.push_record(row.iter().map(String::as_str)).unwrap();
         }
         assert_eq!(enc.n_rows(), 3);
-        assert_eq!(enc.arity(), 2);
         let (ds, codec) = enc.finish();
         assert_eq!(
             ds.rows().collect::<Vec<_>>(),
@@ -341,7 +308,7 @@ mod tests {
         assert!(StreamingEncoder::new(vec!["a".into(), "a".into()]).is_err());
         let mut enc = StreamingEncoder::new(vec!["a".into(), "b".into()]).unwrap();
         assert!(matches!(
-            enc.push_record(&["only".into()]),
+            enc.push_record(["only"].into_iter()),
             Err(Error::ArityMismatch {
                 expected: 2,
                 found: 1

@@ -379,52 +379,29 @@ pub fn infer_with_probe(
         return Err(Error::Unprobeable("header record is all-blank".into()));
     }
     let mut accs: Vec<Accumulator> = header.iter().map(|_| Accumulator::new()).collect();
-    let mut rows = 0usize;
-    let mut ragged = 0usize;
-    // Records buffered one step behind, so a truncated sample's final
-    // (possibly cut) record can be discarded instead of skewing stats.
-    let mut pending: Option<Vec<String>> = None;
-    loop {
-        if rows >= max_rows {
-            pending = None;
-            break;
-        }
-        let fields = match reader.read_record() {
-            Ok(Some(rec)) => rec.fields,
+    // One record past `max_rows` is read, as a truncated sample's final
+    // record may be cut and is discarded instead of skewing stats.
+    let mut records: Vec<Vec<String>> = Vec::new();
+    while max_rows > 0 && records.len() <= max_rows {
+        match reader.read_record() {
+            Ok(Some(rec)) => records.push(rec.fields),
             Ok(None) => break,
-            Err(e) => {
-                if truncated {
-                    // A cut quoted field at the end of the sample; drop the
-                    // pending record too — it may be the one that was cut.
-                    pending = None;
-                    break;
-                }
-                return Err(e.into());
-            }
-        };
-        if let Some(prev) = pending.take() {
-            rows += 1;
-            if prev.len() != header.len() {
-                ragged += 1;
-            }
-            for (j, acc) in accs.iter_mut().enumerate() {
-                acc.observe(prev.get(j).map_or("", String::as_str));
-            }
-        }
-        pending = Some(fields);
-    }
-    // An untruncated sample's last record is complete and counts.
-    if let Some(prev) = pending {
-        if !truncated && rows < max_rows {
-            rows += 1;
-            if prev.len() != header.len() {
-                ragged += 1;
-            }
-            for (j, acc) in accs.iter_mut().enumerate() {
-                acc.observe(prev.get(j).map_or("", String::as_str));
-            }
+            // A cut quoted field at the end of the sample.
+            Err(_) if truncated => break,
+            Err(e) => return Err(e.into()),
         }
     }
+    if truncated {
+        records.pop();
+    }
+    records.truncate(max_rows);
+    for record in &records {
+        for (j, acc) in accs.iter_mut().enumerate() {
+            acc.observe(record.get(j).map_or("", String::as_str));
+        }
+    }
+    let rows = records.len();
+    let ragged = records.iter().filter(|r| r.len() != header.len()).count();
     if rows == 0 {
         return Err(Error::Unprobeable("no data records in sample".into()));
     }

@@ -12,7 +12,8 @@
 //! tests: every admitted job ends in exactly one of `completed` or
 //! `failed`, so after a drain `accepted_total == completed_total +
 //! failed_total`, and `accepted + rejected` equals the submissions the
-//! clients made.
+//! clients made. `panicked_total` counts the failed jobs whose solve
+//! panicked.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,6 +65,25 @@ pub struct TableStats {
     pub write_conflicts: u64,
 }
 
+/// The job counters, `kanon_jobs_<name>_total`, with their help texts.
+const JOB_COUNTERS: [(&str, &str); 6] = [
+    ("accepted", "Jobs admitted to the queue."),
+    (
+        "rejected",
+        "Jobs rejected at admission (queue full or pool exhausted).",
+    ),
+    ("completed", "Jobs that produced a k-anonymous result."),
+    ("failed", "Jobs that errored after admission."),
+    (
+        "panicked",
+        "Failed jobs whose solve panicked (also counted as failed).",
+    ),
+    (
+        "degraded",
+        "Completed jobs where at least one shard degraded below its first rung.",
+    ),
+];
+
 /// The service's metric registry. One instance lives for the server's
 /// whole lifetime; counters only ever increase.
 #[derive(Debug, Default)]
@@ -72,6 +92,7 @@ pub struct Metrics {
     jobs_rejected: AtomicU64,
     jobs_completed: AtomicU64,
     jobs_failed: AtomicU64,
+    jobs_panicked: AtomicU64,
     jobs_degraded: AtomicU64,
     shards_by_solver: Mutex<BTreeMap<&'static str, u64>>,
     http_responses: Mutex<BTreeMap<u16, u64>>,
@@ -111,9 +132,13 @@ impl Metrics {
         }
     }
 
-    /// Records a job that ended in an error after admission.
-    pub fn record_failed(&self) {
+    /// Records a job that ended in an error after admission; `panicked`
+    /// when the error is a panic its solve raised.
+    pub fn record_failed(&self, panicked: bool) {
         self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        if panicked {
+            self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records one HTTP response and its end-to-end handling latency.
@@ -151,72 +176,29 @@ impl Metrics {
         recover(self.tables.lock()).get(name).cloned()
     }
 
-    /// Jobs admitted so far.
-    #[must_use]
-    pub fn accepted(&self) -> u64 {
-        self.jobs_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs rejected at admission so far.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.jobs_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Jobs completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.jobs_completed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs failed after admission so far.
-    #[must_use]
-    pub fn failed(&self) -> u64 {
-        self.jobs_failed.load(Ordering::Relaxed)
-    }
-
-    /// Completed jobs where at least one shard degraded.
-    #[must_use]
-    pub fn degraded(&self) -> u64 {
-        self.jobs_degraded.load(Ordering::Relaxed)
-    }
-
     /// Renders the Prometheus text exposition. Gauges that live outside
     /// the registry (queue depth, pool occupancy) are passed in so the
     /// scrape is one consistent snapshot.
     #[must_use]
     pub fn render(&self, queue_depth: usize, pool_total: u64, pool_leased: u64) -> String {
         let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
+        let counts = [
+            &self.jobs_accepted,
+            &self.jobs_rejected,
+            &self.jobs_completed,
+            &self.jobs_failed,
+            &self.jobs_panicked,
+            &self.jobs_degraded,
+        ];
+        for ((what, help), count) in JOB_COUNTERS.into_iter().zip(counts) {
+            let (name, value) = (
+                format!("kanon_jobs_{what}_total"),
+                count.load(Ordering::Relaxed),
+            );
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
             ));
-        };
-        counter(
-            "kanon_jobs_accepted_total",
-            "Jobs admitted to the queue.",
-            self.accepted(),
-        );
-        counter(
-            "kanon_jobs_rejected_total",
-            "Jobs rejected at admission (queue full or pool exhausted).",
-            self.rejected(),
-        );
-        counter(
-            "kanon_jobs_completed_total",
-            "Jobs that produced a k-anonymous result.",
-            self.completed(),
-        );
-        counter(
-            "kanon_jobs_failed_total",
-            "Jobs that errored after admission.",
-            self.failed(),
-        );
-        counter(
-            "kanon_jobs_degraded_total",
-            "Completed jobs where at least one shard degraded below its first rung.",
-            self.degraded(),
-        );
+        }
 
         out.push_str("# HELP kanon_shards_solved_total Shards answered, by solver.\n");
         out.push_str("# TYPE kanon_shards_solved_total counter\n");
@@ -360,7 +342,8 @@ mod tests {
         m.record_admission(true);
         m.record_admission(true);
         m.record_admission(false);
-        m.record_failed();
+        m.record_failed(true);
+        m.record_failed(false);
         m.record_response(202, Duration::from_millis(3));
         m.record_response(429, Duration::from_secs(20));
 
@@ -368,7 +351,8 @@ mod tests {
         let parsed = parse_exposition(&page);
         assert_eq!(parsed["kanon_jobs_accepted_total"], 2.0);
         assert_eq!(parsed["kanon_jobs_rejected_total"], 1.0);
-        assert_eq!(parsed["kanon_jobs_failed_total"], 1.0);
+        assert_eq!(parsed["kanon_jobs_failed_total"], 2.0);
+        assert_eq!(parsed["kanon_jobs_panicked_total"], 1.0);
         assert_eq!(parsed["kanon_queue_depth"], 5.0);
         assert_eq!(parsed["kanon_pool_memory_bytes{state=\"total\"}"], 1024.0);
         assert_eq!(parsed["kanon_pool_memory_bytes{state=\"leased\"}"], 512.0);

@@ -470,9 +470,11 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
                 ))),
             },
         }
-    }))
-    .map_err(|payload| format!("job panicked: {}", panic_message(&*payload)))
-    .and_then(|solved| solved.map_err(|e| e.to_string()));
+    }));
+    let panicked = outcome.is_err();
+    let outcome = outcome
+        .map_err(|payload| format!("job panicked: {}", panic_message(&*payload)))
+        .and_then(|solved| solved.map_err(|e| e.to_string()));
     // Return the job's memory to the pool before its outcome is published,
     // so a client that resubmits as soon as it sees `completed` or `failed`
     // finds the reservation free again.
@@ -495,7 +497,7 @@ fn run_job(state: &ServiceState, job: QueuedJob) {
                 .complete(id, run.report, privacy_verified, attack);
         }
         Err(error) => {
-            state.metrics.record_failed();
+            state.metrics.record_failed(panicked);
             state.jobs.fail(id, error);
         }
     }
@@ -620,12 +622,22 @@ mod tests {
         let csv = "panic_in_solve,panic_in_attack,zip\n1,a,90210\n1,a,90210\n\
                    2,b,90211\n2,b,90211\n";
 
+        let (_, _, page) = http(addr, "GET", "/metrics", &[]);
+        let counter = |page: &str, name: &str| extract_number(page, &format!("\n{name} "));
+        assert_eq!(counter(&page, "kanon_jobs_panicked_total"), Some(0));
+
         let failed = run(addr, "k=2&quasi=panic_in_solve", csv);
         assert!(failed.contains("\"state\":\"failed\""), "{failed}");
         assert!(
             failed.contains("\"error\":\"job panicked: injected panic in panic_in_solve\""),
             "{failed}"
         );
+        // The panic is counted, as a failure too, and the books balance.
+        let (_, _, page) = http(addr, "GET", "/metrics", &[]);
+        assert_eq!(counter(&page, "kanon_jobs_panicked_total"), Some(1));
+        assert_eq!(counter(&page, "kanon_jobs_accepted_total"), Some(1));
+        assert_eq!(counter(&page, "kanon_jobs_completed_total"), Some(0));
+        assert_eq!(counter(&page, "kanon_jobs_failed_total"), Some(1));
 
         // The one worker survived: it completes the next job, and a panic
         // in the advisory attack only drops the measurement.
@@ -635,6 +647,8 @@ mod tests {
             "{unmeasured}"
         );
         assert!(!unmeasured.contains("\"attack\""), "{unmeasured}");
+        let (_, _, page) = http(addr, "GET", "/metrics", &[]);
+        assert_eq!(counter(&page, "kanon_jobs_panicked_total"), Some(1));
         let measured = run(addr, "k=2&quasi=zip", csv);
         assert!(measured.contains("\"state\":\"completed\""), "{measured}");
         assert!(
@@ -642,11 +656,12 @@ mod tests {
             "{measured}"
         );
 
+        // Every admitted job ended once: accepted == completed + failed.
         let (_, _, page) = http(addr, "GET", "/metrics", &[]);
-        let counter = |name: &str| extract_number(&page, &format!("\n{name} "));
-        assert_eq!(counter("kanon_jobs_accepted_total"), Some(3));
-        assert_eq!(counter("kanon_jobs_completed_total"), Some(2));
-        assert_eq!(counter("kanon_jobs_failed_total"), Some(1));
+        assert_eq!(counter(&page, "kanon_jobs_accepted_total"), Some(3));
+        assert_eq!(counter(&page, "kanon_jobs_completed_total"), Some(2));
+        assert_eq!(counter(&page, "kanon_jobs_failed_total"), Some(1));
+        assert_eq!(counter(&page, "kanon_jobs_panicked_total"), Some(1));
     }
 
     /// A panic inside a request handler (here a table batch's apply)

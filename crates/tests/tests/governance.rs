@@ -332,26 +332,30 @@ fn acceptance_unlimited_ladder_matches_ungoverned_cover() {
 
 /// A 200 ms deadline: the top rung cannot finish its slice, the ladder
 /// degrades, and the whole run completes within twice the deadline with a
-/// valid k-anonymous answer and a report naming the rung. Timing-sensitive,
-/// so the test only runs in release builds (CI tier-2 runs `--release`).
-#[cfg(not(debug_assertions))]
+/// valid k-anonymous answer and a report naming the rung. The deadline is
+/// kept on a poll clock (1 ms per budget check), so it expires at the same
+/// poll on every host and the test holds in debug builds too.
 #[test]
 fn acceptance_deadline_degrades_within_twice_the_deadline() {
     let (ds, k) = acceptance_instance();
     let deadline = Duration::from_millis(200);
     let config = LadderConfig {
-        budget: Budget::builder().deadline(deadline).build(),
+        budget: Budget::builder()
+            .deadline(deadline)
+            .poll_clock(Duration::from_millis(1))
+            .build(),
         full: sequential(),
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let (partition, report) = run_ladder(&ds, k, &config).unwrap();
-    let elapsed = started.elapsed();
     let anon = release(&ds, partition, k);
 
+    // Each check is 1 ms on the budget's clock: the run made fewer than
+    // twice the deadline's worth of checks.
+    let polls = config.budget.elapsed();
     assert!(
-        elapsed <= deadline * 2,
-        "ladder took {elapsed:.2?}, more than 2x the {deadline:.2?} deadline"
+        polls <= deadline * 2,
+        "ladder took {polls:.2?} of poll clock, more than 2x the {deadline:.2?} deadline"
     );
     assert!(anon.table.is_k_anonymous(k));
     assert!(
